@@ -8,6 +8,7 @@ against closed forms.
 from .core import (
     ConfigError,
     DivergenceError,
+    NonFiniteError,
     RngStream,
     RoundoffWarning,
     RunReport,
@@ -16,7 +17,6 @@ from .core import (
     ShapeMismatchError,
     Signal,
     StepRecord,
-    gaussian_vector,
     mse,
     psnr,
 )

@@ -13,8 +13,8 @@ from .guidance import langevin_guide
 from .noise_est import PatchConfig, estimate_sigma
 from .operators import ForwardOp
 from .prior import Denoiser, GmmPrior
-from .sampler import denoise_step
-from .schedule import build_schedule
+# denoise_step stays a name here for bench/workloads.py's tracer
+from .sampler import correction_level, denoise_step, probe_stream, walk_ladder  # noqa: F401
 from .sure import sure_gradient, sure_update, sure_value
 
 
@@ -255,25 +255,15 @@ def chain_prefix(
     rng: RngStream,
     depth: int,
 ) -> list[tuple[float, Signal, Signal]]:
-    """First `depth` uncorrected steps of the chain: per step the noise
-    level, the denoised estimate, and the guided sample.  Uses the same
-    substream layout as the full sampler."""
-    sched = build_schedule(cfg.steps, cfg.t_min, cfg.t_max, cfg.rho)
-    if not (1 <= depth <= len(sched)):
-        raise SgpsError(f"depth must be in [1, {len(sched)}], got {depth}")
-    rng_init = rng.substream(0)
-    rng_lang = rng.substream(1)
-    rng_renoise = rng.substream(3)
-    n = int(np.prod(op.input_shape))
-    x = Signal(float(sched.sigmas[0]) * rng_init.normal(n), op.input_shape)
+    """First `depth` steps of the sampler's chain with the correction off:
+    per step the noise level, the denoised estimate, and the guided sample."""
     states = []
-    for k in range(depth):
-        sigma_t = float(sched.sigmas[k])
-        x0t = denoise_step(den, x, sigma_t, cfg.ode_substeps, sched)
-        x0ty = langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_lang)
+
+    def keep(k: int, sigma_t: float, x0t: Signal, x0ty: Signal) -> Signal:
         states.append((sigma_t, x0t, x0ty))
-        if k + 1 < depth:
-            x = x0ty.with_data(x0ty.data + sched.sigma_after(k) * rng_renoise.normal(n))
+        return x0ty
+
+    walk_ladder(den, op, y, cfg, rng, keep, depth)
     return states
 
 
@@ -292,9 +282,10 @@ def kl_trend_trials(
     """KL to the exact posterior before and after one risk-gradient update.
 
     Each trial runs `samples` independent uncorrected chains down to ladder
-    index `depth`, fits isotropic Gaussians to the guided population and to
-    the population after a single update, and evaluates the closed-form KL
-    against the exact linear-Gaussian posterior.  Returns (trials, 2) with
+    index `depth` and updates each once at the sampler's correction_level (a
+    chain the sampler would skip stays as it is).  Isotropic Gaussians fit
+    to the guided and to the updated population are compared by closed-form
+    KL with the exact linear-Gaussian posterior.  Returns (trials, 2) with
     columns (kl_before, kl_after).
     """
     post_mean, post_cov = linear_gaussian_posterior(prior, op, y, cfg.sigma_y)
@@ -308,12 +299,11 @@ def kl_trend_trials(
             states = chain_prefix(den, op, y, cfg, rng, depth)
             sigma_t, _, x0ty = states[-1]
             before[i] = x0ty.data
-            sigma_hat = estimate_sigma(x0ty, patch) * cfg.sigma_hat_scale
-            if sigma_hat < cfg.sigma_floor:
+            sigma_hat = correction_level(estimate_sigma(x0ty, patch), sigma_t, cfg)
+            if sigma_hat is None:
                 after[i] = x0ty.data
                 continue
-            sigma_hat = min(sigma_hat, sigma_t)
-            rng_probe = rng.substream(2)
+            rng_probe = probe_stream(rng)
             ev = sure_value(den, x0ty, sigma_hat, cfg, rng_probe)
             grad = sure_gradient(den, x0ty, sigma_hat, cfg, rng_probe, ev)
             after[i] = sure_update(x0ty, grad, cfg.alpha).data

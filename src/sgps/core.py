@@ -33,6 +33,10 @@ class DivergenceError(SgpsError):
         super().__init__(text)
 
 
+class NonFiniteError(SgpsError):
+    """A Signal was built from NaN or infinite entries."""
+
+
 class ConfigError(SgpsError):
     """Invalid experiment or sampler configuration."""
 
@@ -57,27 +61,27 @@ class Signal:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=_DTYPE).reshape(-1)
-        shape = tuple(int(s) for s in self.shape)
+        # flat float64 arrays and int tuples skip the conversions
+        arr = self.data
+        if type(arr) is not np.ndarray or arr.dtype != _DTYPE or arr.ndim != 1:
+            arr = np.ascontiguousarray(arr, dtype=_DTYPE).reshape(-1)
+        shape = self.shape
+        if type(shape) is not tuple or not all(type(s) is int for s in shape):
+            shape = tuple(int(s) for s in shape)
         if len(shape) not in (1, 2):
             raise ShapeMismatchError(f"shape must be 1D or 2D, got {shape}")
-        if any(s < 1 for s in shape):
+        if min(shape) < 1:
             raise ShapeMismatchError(f"shape entries must be positive, got {shape}")
         if arr.size != math.prod(shape):
             raise ShapeMismatchError(
                 f"data length {arr.size} does not match shape {shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise SgpsError("signal entries must be finite")
+        if not all_finite(arr):
+            raise NonFiniteError("signal entries must be finite")
         arr = arr.copy()
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "shape", shape)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Signal":
-        a = np.asarray(arr, dtype=_DTYPE)
-        return cls(a.reshape(-1), a.shape if a.ndim > 0 else (1,))
 
     @property
     def n(self) -> int:
@@ -89,7 +93,42 @@ class Signal:
 
     def with_data(self, arr: np.ndarray) -> "Signal":
         """New Signal with the same shape and fresh data."""
-        return Signal(np.asarray(arr, dtype=_DTYPE).reshape(-1), self.shape)
+        data = np.array(arr, dtype=_DTYPE)
+        if data.ndim != 1:
+            data = data.reshape(-1)
+        if data.size != self.data.size:
+            raise ShapeMismatchError(
+                f"data length {data.size} does not match shape {self.shape}"
+            )
+        return Signal._adopt(data, self.shape)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, shape: tuple[int, ...]) -> "Signal":
+        """Signal that takes over arr, a flat float64 array of shape's size
+        that the caller has just computed and keeps no reference to.
+
+        The shape must be one that a Signal or an operator already holds,
+        so only the entries are checked, and arr is frozen instead of
+        copied.  The package's inner loops build their Signals this way.
+        """
+        if not all_finite(arr):
+            raise NonFiniteError("signal entries must be finite")
+        arr.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "data", arr)
+        object.__setattr__(out, "shape", shape)
+        return out
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """True when every entry of a flat float64 array is finite.
+
+    A NaN or inf entry makes the sum of squares non-finite, so a finite sum
+    settles it at the cost of one dot product.  Only entries beyond about
+    1e154 overflow the sum (numpy warns about that) and need the elementwise
+    check.
+    """
+    return math.isfinite(arr.dot(arr)) or bool(np.isfinite(arr).all())
 
 
 def _splitmix64(z: int) -> int:
@@ -139,11 +178,6 @@ class RngStream:
         return RngStream(self.seed, self.stream_id)
 
 
-def gaussian_vector(rng: RngStream, n: int) -> Signal:
-    """Standard normal vector of length n as a Signal."""
-    return Signal(rng.normal(n), (int(n),))
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs for the sampling loop.  Defaults follow the reference recipe.
@@ -170,9 +204,12 @@ class SamplerConfig:
     sigma_floor: float = 1e-3
     sigma_hat_scale: float = 1.0
     probe_resample: bool = False
-    seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.steps < 2:
             raise ConfigError(f"steps must be >= 2, got {self.steps}")
         if not (0 < self.t_min < self.t_max):

@@ -13,7 +13,15 @@ import math
 
 import numpy as np
 
-from .core import DivergenceError, RngStream, SamplerConfig, SgpsError, Signal
+from .core import (
+    DivergenceError,
+    NonFiniteError,
+    RngStream,
+    SamplerConfig,
+    SgpsError,
+    Signal,
+    all_finite,
+)
 from .operators import ForwardOp
 
 
@@ -62,15 +70,11 @@ def langevin_guide(
     n = x.size
     for j in range(cfg.langevin_steps):
         grad = (x - anchor) / st2
-        # shapes were validated above, so an SgpsError escaping the operator
-        # here means the iterate went non-finite inside it
         try:
-            grad += op.fidelity_gradient(x_init.with_data(x), y, cfg.sigma_y).data
-        except DivergenceError:
-            raise
-        except SgpsError as exc:
+            grad += op.fidelity_gradient(Signal._adopt(x, x_init.shape), y, cfg.sigma_y).data
+        except NonFiniteError as exc:
             raise DivergenceError("langevin", j, str(exc)) from exc
         x = x - eta * grad + root * rng.normal(n)
-        if not np.all(np.isfinite(x)):
+        if not all_finite(x):
             raise DivergenceError("langevin", j)
     return x_init.with_data(x)

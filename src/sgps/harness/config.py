@@ -220,7 +220,7 @@ def _sampler_value(name: str, raw: str):
     return float(raw)
 
 
-def _build_sampler(sec: _Section, measurement_sigma: float, seed: int) -> SamplerConfig:
+def _build_sampler(sec: _Section, measurement_sigma: float) -> SamplerConfig:
     if not sec.present:
         raise ConfigError("missing [sampler] section")
     steps = sec.get_int("steps")
@@ -230,9 +230,10 @@ def _build_sampler(sec: _Section, measurement_sigma: float, seed: int) -> Sample
         "steps": steps,
         "t_max": sec.get_float("t_max", float(steps)),
         "sigma_y": sec.get_float("sigma_y", measurement_sigma),
-        "seed": seed,
     }
-    for name in _SAMPLER_FIELDS:
+    for name in sec.keys():
+        if name not in _SAMPLER_FIELDS:
+            raise ConfigError(f"[sampler] {name}: not a sampler field")
         if name in kwargs:
             continue
         raw = sec.get(name)
@@ -299,7 +300,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"[experiment] measurement_sigma: must be positive, got {measurement_sigma}"
         )
-    sampler = _build_sampler(_Section(parser, "sampler"), measurement_sigma, seed)
+    sampler = _build_sampler(_Section(parser, "sampler"), measurement_sigma)
     patch = _build_patch(_Section(parser, "patch"))
     sweep_axes, max_points = _build_sweep(_Section(parser, "sweep"))
     repeats = exp.get_int("repeats", 1)

@@ -43,9 +43,12 @@ def extract_patches(x: Signal, cfg: PatchConfig = PatchConfig()) -> np.ndarray:
         raise SgpsError(f"signal shape {x.shape} smaller than patch size {p}")
     if arr.ndim == 1:
         win = np.lib.stride_tricks.sliding_window_view(arr, p)[::stride]
-        return win.reshape(-1, p).astype(np.float64)
-    win = np.lib.stride_tricks.sliding_window_view(arr, (p, p))[::stride, ::stride]
-    return win.reshape(-1, p * p).astype(np.float64)
+    else:
+        win = np.lib.stride_tricks.sliding_window_view(arr, (p, p))[::stride, ::stride]
+    patches = win.reshape(-1, p**arr.ndim)
+    # reshape copies the overlapping windows unless they already lie flat
+    # (1D windows always do), so copy only then
+    return patches.copy() if np.may_share_memory(patches, arr) else patches
 
 
 def tail_eigenvalues(patches: np.ndarray) -> np.ndarray:
@@ -77,8 +80,12 @@ def estimate_sigma(x: Signal, cfg: PatchConfig = PatchConfig()) -> float:
     lam = tail_eigenvalues(patches)
     for i in range(r):
         tail = lam[i:]
-        mean = float(tail.mean())
-        med = float(np.median(tail))
+        m = r - i
+        mean = float(tail.sum()) / m
+        # the tail is sorted, so its median is its middle entry, or the mean
+        # of the middle two, exactly as np.median computes it
+        mid, odd = divmod(m, 2)
+        med = float(tail[mid]) if odd else float((tail[mid - 1] + tail[mid]) / 2.0)
         if mean <= med or abs(mean - med) <= cfg.rel_tol * med:
             return float(np.sqrt(max(mean, 0.0)))
     return float(np.sqrt(lam[-1]))

@@ -47,8 +47,8 @@ class ForwardOp:
         self._check_input(x)
         self._check_output(y)
         r = self.apply(x).data - y.data
-        g = self.adjoint(Signal(r, self.output_shape))
-        return g.with_data(g.data / (sigma_y * sigma_y))
+        g = self.adjoint(Signal._adopt(r, self.output_shape))
+        return Signal._adopt(g.data / (sigma_y * sigma_y), self.input_shape)
 
 
 class MaskOp(ForwardOp):
@@ -68,16 +68,17 @@ class MaskOp(ForwardOp):
             raise SgpsError("mask indices must be distinct")
         super().__init__(input_shape, (idx.size,))
         self.keep = idx
+        self._n = n
 
     def apply(self, x: Signal) -> Signal:
         self._check_input(x)
-        return Signal(x.data[self.keep], self.output_shape)
+        return Signal._adopt(x.data[self.keep], self.output_shape)
 
     def adjoint(self, w: Signal) -> Signal:
         self._check_output(w)
-        out = np.zeros(int(np.prod(self.input_shape)))
+        out = np.zeros(self._n)
         out[self.keep] = w.data
-        return Signal(out, self.input_shape)
+        return Signal._adopt(out, self.input_shape)
 
 
 def identity_op(input_shape: tuple[int, ...]) -> MaskOp:
@@ -105,29 +106,46 @@ class BlurOp(ForwardOp):
             raise SgpsError(f"kernel {k.shape} larger than signal {input_shape}")
         super().__init__(input_shape, input_shape)
         self.kernel = k
-        # centered tap offsets per axis
-        self._offsets = [
-            [j - (dim - 1) // 2 for j in range(dim)] for dim in k.shape
-        ]
+        # centered tap offsets per axis; the signal is wrap-padded by the
+        # widest offset so that every tap reads a plain window of the padding
+        offsets = [[j - (dim - 1) // 2 for j in range(dim)] for dim in k.shape]
+        pads = [max(abs(o) for o in offs) for offs in offsets]
+        # flat indices of the padded signal, so padding is one take
+        axes = [np.arange(-p, size + p) % size for p, size in zip(pads, self.input_shape)]
+        self._wrap = np.ravel_multi_index(np.ix_(*axes), self.input_shape)
+        self._taps = {}
+        for flip in (False, True):
+            sign = -1 if flip else 1
+            taps = []
+            for tap_idx in np.ndindex(k.shape):
+                c = k[tap_idx]
+                if c == 0.0:
+                    continue
+                window = tuple(
+                    slice(p - sign * offsets[ax][j], p - sign * offsets[ax][j] + size)
+                    for ax, (j, p, size) in enumerate(zip(tap_idx, pads, self.input_shape))
+                )
+                taps.append((c, window))
+            self._taps[flip] = taps
 
     def _convolve(self, arr: np.ndarray, flip: bool) -> np.ndarray:
-        out = np.zeros_like(arr)
-        sign = -1 if flip else 1
-        for tap_idx in np.ndindex(self.kernel.shape):
-            c = self.kernel[tap_idx]
-            if c == 0.0:
-                continue
-            shift = tuple(sign * self._offsets[ax][j] for ax, j in enumerate(tap_idx))
-            out += c * np.roll(arr, shift, axis=tuple(range(arr.ndim)))
+        # the window of a tap with shift s holds np.roll(arr, s), and the taps
+        # are summed in kernel order, so the result is that of rolling
+        padded = arr.take(self._wrap)
+        out = np.zeros(self.input_shape)
+        term = np.empty(self.input_shape)
+        for c, window in self._taps[flip]:
+            np.multiply(c, padded[window], out=term)
+            out += term
         return out
 
     def apply(self, x: Signal) -> Signal:
         self._check_input(x)
-        return x.with_data(self._convolve(x.as_nd(), flip=False).reshape(-1))
+        return x.with_data(self._convolve(x.data, flip=False))
 
     def adjoint(self, w: Signal) -> Signal:
         self._check_output(w)
-        return w.with_data(self._convolve(w.as_nd(), flip=True).reshape(-1))
+        return w.with_data(self._convolve(w.data, flip=True))
 
 
 class DownsampleOp(ForwardOp):
@@ -164,14 +182,6 @@ class DownsampleOp(ForwardOp):
         for ax in range(arr.ndim):
             arr = np.repeat(arr, f, axis=ax)
         return Signal(arr.reshape(-1) / block, self.input_shape)
-
-    def replicate(self, w: Signal) -> Signal:
-        """Nearest-neighbour upsample; apply(replicate(v)) == v."""
-        self._check_output(w)
-        arr = w.as_nd()
-        for ax in range(arr.ndim):
-            arr = np.repeat(arr, self.factor, axis=ax)
-        return Signal(arr.reshape(-1), self.input_shape)
 
 
 class MagnitudeDftOp(ForwardOp):

@@ -5,24 +5,28 @@ ladder level.
 Randomness is split into four independent substreams (initialization,
 guidance, probes, renoising) so that toggling probe consumption never shifts
 the draws seen by the other stages.  That makes ablation pairs comparable
-under common random numbers.
+under common random numbers.  walk_ladder is the one ladder step loop;
+sgps_run and the chain experiments in analysis both run on it.
 """
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DivergenceError,
+    NonFiniteError,
     RngStream,
     RunReport,
     SamplerConfig,
     SgpsError,
     Signal,
     StepRecord,
+    mse,
     psnr,
 )
 from .guidance import langevin_guide
@@ -31,6 +35,9 @@ from .operators import ForwardOp
 from .prior import CountingDenoiser, Denoiser
 from .schedule import SigmaSchedule, build_schedule
 from .sure import sure_gradient, sure_update, sure_value
+
+# substream ids of one run
+STREAM_INIT, STREAM_GUIDE, STREAM_PROBE, STREAM_RENOISE = range(4)
 
 
 def denoise_step(
@@ -66,21 +73,77 @@ def denoise_step(
 
 
 def _stage(fn, stage: str, step_index: int):
-    """Run one stage; relabel any divergence with the sampler step."""
+    """Run one stage; relabel a divergence or a non-finite iterate with the
+    sampler step."""
     try:
         return fn()
-    except DivergenceError as e:
+    except (DivergenceError, NonFiniteError) as e:
         raise DivergenceError(stage, step_index, str(e)) from e
-    except SgpsError as e:
-        if "finite" in str(e):
-            raise DivergenceError(stage, step_index, str(e)) from e
-        raise
 
 
 def _maybe_psnr(a: Signal, truth: Signal | None, peak: float) -> float:
     if truth is None:
         return math.nan
     return psnr(a, truth, peak)
+
+
+def probe_stream(rng: RngStream) -> RngStream:
+    """The substream a run draws its risk-correction probes from."""
+    return rng.substream(STREAM_PROBE)
+
+
+def correction_level(sigma_raw: float, sigma_t: float, cfg: SamplerConfig) -> float | None:
+    """Noise level for the risk correction from a raw estimate: scaled by
+    cfg.sigma_hat_scale, None (skip the correction) below cfg.sigma_floor,
+    otherwise clamped to the ladder level sigma_t."""
+    scaled = sigma_raw * cfg.sigma_hat_scale
+    if scaled < cfg.sigma_floor:
+        return None
+    return min(scaled, sigma_t)
+
+
+def walk_ladder(
+    den: Denoiser,
+    op: ForwardOp,
+    y: Signal,
+    cfg: SamplerConfig,
+    rng: RngStream,
+    finish: Callable[[int, float, Signal, Signal], Signal],
+    depth: int,
+) -> Signal:
+    """Walk one chain down the first `depth` ladder levels.
+
+    The chain starts from a draw at the top level.  At level k the iterate
+    is denoised and guided toward y; finish(k, sigma_t, x0t, x0ty) returns
+    the level's sample, which is renoised to the next level.  The last
+    level's sample is returned as is.
+    """
+    sched = build_schedule(cfg.steps, cfg.t_min, cfg.t_max, cfg.rho)
+    if not (1 <= depth <= len(sched)):
+        raise SgpsError(f"depth must be in [1, {len(sched)}], got {depth}")
+    rng_guide = rng.substream(STREAM_GUIDE)
+    rng_renoise = rng.substream(STREAM_RENOISE)
+    n = int(np.prod(op.input_shape))
+    x = Signal(float(sched.sigmas[0]) * rng.substream(STREAM_INIT).normal(n), op.input_shape)
+    for k in range(depth):
+        sigma_t = float(sched.sigmas[k])
+        step_no = k + 1
+        x0t = _stage(
+            lambda: denoise_step(den, x, sigma_t, cfg.ode_substeps, sched),
+            "denoise", step_no,
+        )
+        x0ty = _stage(
+            lambda: langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_guide),
+            "guidance", step_no,
+        )
+        x = finish(k, sigma_t, x0t, x0ty)
+        if k + 1 < depth:
+            sigma_next = sched.sigma_after(k)
+            x = _stage(
+                lambda: x.with_data(x.data + sigma_next * rng_renoise.normal(n)),
+                "renoise", step_no,
+            )
+    return x
 
 
 def sgps_run(
@@ -97,40 +160,20 @@ def sgps_run(
 
     The residual noise level of the guided sample is estimated every step
     (it costs no denoiser evaluations and feeds both the correction and the
-    report).  When the scaled estimate falls below cfg.sigma_floor the
-    correction is skipped for that step; otherwise it is clamped to the
-    current ladder level before use.  The final step emits the corrected
-    sample directly, with no terminal renoising.
+    report), and correction_level turns it into the level the correction
+    uses, or skips the correction for that step.  The final step emits the
+    corrected sample directly, with no terminal renoising.
     """
     if patch is None:
         patch = PatchConfig()
     counting = CountingDenoiser(den)
-    sched = build_schedule(cfg.steps, cfg.t_min, cfg.t_max, cfg.rho)
-    rng_init = rng.substream(0)
-    rng_lang = rng.substream(1)
-    rng_probe = rng.substream(2)
-    rng_renoise = rng.substream(3)
-
-    n = int(np.prod(op.input_shape))
-    t_start = time.perf_counter()
-    x = Signal(float(sched.sigmas[0]) * rng_init.normal(n), op.input_shape)
+    rng_probe = probe_stream(rng)
     records: list[StepRecord] = []
-    x_star = x
+    calls_before = 0
 
-    for k in range(len(sched)):
-        sigma_t = float(sched.sigmas[k])
+    def correct(k: int, sigma_t: float, x0t: Signal, x0ty: Signal) -> Signal:
+        nonlocal calls_before
         step_no = k + 1
-        calls_before = counting.calls
-
-        x0t = _stage(
-            lambda: denoise_step(counting, x, sigma_t, cfg.ode_substeps, sched),
-            "denoise", step_no,
-        )
-        x0ty = _stage(
-            lambda: langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_lang),
-            "guidance", step_no,
-        )
-
         sigma_raw = estimate_sigma(x0ty, patch)
         current = x0ty
         sigma_used_rec = math.nan
@@ -139,12 +182,10 @@ def sgps_run(
         if cfg.sure_enabled:
             for rep in range(cfg.sure_repeats):
                 raw = sigma_raw if rep == 0 else estimate_sigma(current, patch)
-                scaled = raw * cfg.sigma_hat_scale
-                if scaled < cfg.sigma_floor:
-                    if rep == 0:
-                        skipped = True
+                used = correction_level(raw, sigma_t, cfg)
+                if used is None:
+                    skipped = rep == 0
                     break
-                used = min(scaled, sigma_t)
                 ev = _stage(
                     lambda: sure_value(counting, current, used, cfg, rng_probe),
                     "sure-value", step_no,
@@ -160,9 +201,6 @@ def sgps_run(
                 if rep == 0:
                     sigma_used_rec = used
                     sure_rec = ev.value
-        x_star = current
-        sigma_star = estimate_sigma(x_star, patch)
-
         records.append(
             StepRecord(
                 step=step_no,
@@ -172,25 +210,20 @@ def sgps_run(
                 sure_value=sure_rec,
                 psnr_x0t=_maybe_psnr(x0t, x_true, peak),
                 psnr_x0ty=_maybe_psnr(x0ty, x_true, peak),
-                psnr_star=_maybe_psnr(x_star, x_true, peak),
+                psnr_star=_maybe_psnr(current, x_true, peak),
                 nfe_step=counting.calls - calls_before,
-                sigma_hat_star=sigma_star,
+                sigma_hat_star=estimate_sigma(current, patch),
                 skipped=skipped,
             )
         )
+        calls_before = counting.calls
+        return current
 
-        sigma_next = sched.sigma_after(k)
-        if k + 1 < len(sched):
-            x = _stage(
-                lambda: x_star.with_data(x_star.data + sigma_next * rng_renoise.normal(n)),
-                "renoise", step_no,
-            )
-
-    final_mse = math.nan
-    final_psnr = math.nan
+    t_start = time.perf_counter()
+    x_star = walk_ladder(counting, op, y, cfg, rng, correct, cfg.steps)
+    final_mse = final_psnr = math.nan
     if x_true is not None:
-        d = x_star.data - x_true.data
-        final_mse = float(d @ d / d.size)
+        final_mse = mse(x_star, x_true)
         final_psnr = psnr(x_star, x_true, peak)
     report = RunReport(
         steps=tuple(records),

@@ -183,7 +183,7 @@ def sure_gradient(
     else:
         probes = evaluation.probes
 
-    if den.has_analytic_input_gradient:
+    if den.has_analytic_jacobian:
         s2 = sigma_hat * sigma_hat
         sigma_probe = max(eps, sigma_hat)
         resid = x_noisy.data - evaluation.denoised.data

@@ -1,9 +1,13 @@
 """Diagnostics: Gaussian divergences, posterior oracle, moment checks, and
 the small experiment drivers."""
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.stats
 
+import sgps.analysis
+import sgps.sampler
 from sgps.analysis import (
     chain_prefix,
     fit_isotropic_gaussian,
@@ -269,6 +273,16 @@ class TestChainExperiments:
         assert states[0][0] == pytest.approx(cfg.t_max, rel=1e-12)
         assert all(s[1].shape == (8, 8) and s[2].shape == (8, 8) for s in states)
         assert states[0][0] > states[1][0] > states[2][0]
+
+    def test_chain_prefix_makes_no_estimates(self):
+        den, _, op, y, cfg = self.make_task()
+        with mock.patch.object(sgps.sampler, "estimate_sigma") as est_sampler, \
+                mock.patch.object(sgps.analysis, "estimate_sigma") as est_analysis, \
+                mock.patch.object(sgps.sampler, "psnr") as psnr_sampler:
+            chain_prefix(den, op, y, cfg, RngStream(3, 0), 6)
+        assert est_sampler.call_count == 0
+        assert est_analysis.call_count == 0
+        assert psnr_sampler.call_count == 0
 
     def test_kl_trend_shape_and_finiteness(self):
         den, prior, op, y, cfg = self.make_task()

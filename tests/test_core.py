@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,10 @@ from sgps import (
     RngStream,
     SamplerConfig,
     ConfigError,
+    NonFiniteError,
     SgpsError,
     ShapeMismatchError,
     Signal,
-    gaussian_vector,
     mse,
     psnr,
 )
@@ -40,16 +41,10 @@ class TestSignal:
             Signal(np.zeros(0), (0,))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(SgpsError):
+        with pytest.raises(NonFiniteError):
             Signal(np.array([1.0, np.nan]), (2,))
-        with pytest.raises(SgpsError):
+        with pytest.raises(NonFiniteError):
             Signal(np.array([1.0, np.inf]), (2,))
-
-    def test_from_array_keeps_shape(self):
-        a = np.ones((3, 4))
-        s = Signal.from_array(a)
-        assert s.shape == (3, 4)
-        assert s.n == 12
 
     def test_with_data_keeps_shape(self):
         s = Signal(np.zeros(4), (2, 2))
@@ -66,6 +61,32 @@ class TestSignal:
     def test_dtype_is_float64(self):
         s = Signal(np.array([1, 2, 3], dtype=np.int32), (3,))
         assert s.data.dtype == np.float64
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_check_survives_overflowing_sum_of_squares(self):
+        # finite entries whose squares overflow are still accepted (numpy
+        # warns about the overflow), and infinities of opposite sign are
+        # still caught
+        big = Signal(np.array([1e200, -1e200]), (2,))
+        assert big.data[0] == 1e200
+        with pytest.raises(NonFiniteError):
+            Signal(np.array([np.inf, -np.inf]), (2,))
+        with pytest.raises(NonFiniteError):
+            Signal(np.array([1e200, np.nan]), (2,))
+
+    def test_with_data_copies_checks_and_freezes(self):
+        s = Signal(np.zeros(4), (2, 2))
+        a = np.arange(4.0)
+        t = s.with_data(a)
+        a[0] = 9.0
+        assert t.data[0] == 0.0 and a.flags.writeable
+        with pytest.raises(ValueError):
+            t.data[0] = 1.0
+        assert t.with_data([1, 2, 3, 4]).data.dtype == np.float64
+        with pytest.raises(ShapeMismatchError):
+            s.with_data(np.zeros(5))
+        with pytest.raises(NonFiniteError):
+            s.with_data(np.array([0.0, 1.0, np.nan, 2.0]))
 
 
 class TestRngStream:
@@ -111,11 +132,6 @@ class TestRngStream:
         with pytest.raises(SgpsError):
             RngStream(0).normal(0)
 
-    def test_gaussian_vector(self):
-        v = gaussian_vector(RngStream(3, 0), 10)
-        assert isinstance(v, Signal)
-        assert v.shape == (10,)
-
 
 class TestSamplerConfig:
     def test_defaults(self):
@@ -158,6 +174,16 @@ class TestSamplerConfig:
         base = dict(steps=16, t_max=16.0, sigma_y=0.05)
         base.update(kwargs)
         with pytest.raises(ConfigError):
+            SamplerConfig(**base)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(SamplerConfig) if "float" in f.type]
+    )
+    def test_non_finite_floats_rejected(self, name, value):
+        base = dict(steps=16, t_max=16.0, sigma_y=0.05)
+        base[name] = value
+        with pytest.raises(ConfigError, match=name):
             SamplerConfig(**base)
 
 

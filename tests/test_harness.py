@@ -60,7 +60,6 @@ class TestConfigParsing:
         assert cfg.sampler.steps == 4
         assert cfg.sampler.t_max == 4.0
         assert cfg.sampler.sigma_y == 0.05
-        assert cfg.sampler.seed == 3
         assert cfg.patch.patch_size == 7
         assert cfg.sweep_axes == {}
         assert len(cfg.config_hash) == 8
@@ -107,6 +106,12 @@ class TestConfigParsing:
             (("seed = 3", "seed = 3\nrepeats = 0"), "repeats"),
             (("seed = 3", "seed = 3\npeak = 0"), "peak"),
             (("steps = 4", "steps = 4\nsure_enabled = maybe"), "[sampler] sure_enabled"),
+            (("steps = 4", "steps = 4\nlangevin_step = 5"), "[sampler] langevin_step"),
+            (("steps = 4", "steps = 4\nseed = 99"), "[sampler] seed"),
+            (("langevin_steps = 20", "langevin_steps = 20\n[sweep]\nseed = 1 2 3"),
+             "[sweep] seed"),
+            (("steps = 4", "steps = 4\nsigma_y = nan"), "sigma_y must be finite"),
+            (("steps = 4", "steps = 4\nalpha = nan"), "alpha must be finite"),
         ],
     )
     def test_typed_errors_name_section_and_key(self, mutation, fragment):

@@ -126,3 +126,21 @@ def test_deterministic():
     rng = RngStream(9, 0)
     x = Signal(0.1 * rng.normal(1024), (32, 32))
     assert estimate_sigma(x, PatchConfig()) == estimate_sigma(x, PatchConfig())
+
+
+def test_estimate_matches_np_median_scan():
+    # the scan reads medians off the sorted spectrum; it must agree bit for
+    # bit with the plain mean-and-np.median scan over each tail
+    cfg = PatchConfig(patch_size=5)
+    for seed, shape in ((1, (16, 16)), (2, (24, 20)), (3, (64,)), (4, (33,))):
+        base = smooth_field(RngStream(seed, 0), shape, 0.5)
+        x = base.with_data(base.data + 0.05 * RngStream(seed, 1).normal(base.n))
+        lam = tail_eigenvalues(extract_patches(x, cfg))
+        want = float(np.sqrt(lam[-1]))
+        for i in range(lam.size):
+            mean = float(lam[i:].mean())
+            med = float(np.median(lam[i:]))
+            if mean <= med or abs(mean - med) <= cfg.rel_tol * med:
+                want = float(np.sqrt(max(mean, 0.0)))
+                break
+        assert estimate_sigma(x, cfg) == want

@@ -9,7 +9,7 @@ from sgps.analysis import chain_prefix, smooth_field
 from sgps.core import DivergenceError, RngStream, SamplerConfig, SgpsError, Signal, psnr
 from sgps.noise_est import PatchConfig
 from sgps.operators import identity_op
-from sgps.prior import CountingDenoiser, GmmDenoiser, GmmPrior
+from sgps.prior import CountingDenoiser, Denoiser, GmmDenoiser, GmmPrior
 from sgps.sampler import INFLUX_CSV_COLUMNS, denoise_step, noise_influx_trace, sgps_run
 from sgps.schedule import build_schedule
 
@@ -244,3 +244,34 @@ def test_guidance_divergence_is_labeled_with_sampler_step():
         sgps_run(den, op, y, cfg, RngStream(23, 0))
     assert err.value.stage == "guidance"
     assert err.value.step_index == 1
+
+
+class _FailingDenoiser(Denoiser):
+    """Denoiser whose every call fails the way `fail(x)` does."""
+
+    def __init__(self, fail):
+        self.fail = fail
+
+    def denoise(self, x, sigma):
+        return self.fail(x)
+
+
+def test_non_finite_denoise_is_labeled_with_sampler_step():
+    _, op, y, _ = make_task()
+    den = _FailingDenoiser(lambda x: x.with_data(np.full(x.n, np.nan)))
+    with pytest.raises(DivergenceError) as err:
+        sgps_run(den, op, y, run_cfg(4), RngStream(24, 0))
+    assert err.value.stage == "denoise"
+    assert err.value.step_index == 1
+
+
+def test_error_mentioning_finite_is_not_relabeled():
+    _, op, y, _ = make_task()
+    cause = SgpsError("window must be finite")
+
+    def fail(x):
+        raise cause
+
+    with pytest.raises(SgpsError) as err:
+        sgps_run(_FailingDenoiser(fail), op, y, run_cfg(4), RngStream(25, 0))
+    assert err.value is cause
