@@ -9,6 +9,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -296,9 +297,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     prior, den = _build_prior(_Section(parser, "prior"), seed)
     op = _build_operator(_Section(parser, "operator"), prior.shape, seed)
     measurement_sigma = exp.get_float("measurement_sigma", 0.05)
-    if measurement_sigma <= 0:
+    if not (math.isfinite(measurement_sigma) and measurement_sigma > 0):
         raise ConfigError(
-            f"[experiment] measurement_sigma: must be positive, got {measurement_sigma}"
+            f"[experiment] measurement_sigma: must be positive and finite, "
+            f"got {measurement_sigma}"
         )
     sampler = _build_sampler(_Section(parser, "sampler"), measurement_sigma)
     patch = _build_patch(_Section(parser, "patch"))
@@ -307,8 +309,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if repeats < 1:
         raise ConfigError(f"[experiment] repeats: must be >= 1, got {repeats}")
     peak = exp.get_float("peak", 1.0)
-    if peak <= 0:
-        raise ConfigError(f"[experiment] peak: must be positive, got {peak}")
+    if not (math.isfinite(peak) and peak > 0):
+        raise ConfigError(f"[experiment] peak: must be positive and finite, got {peak}")
     return ExperimentConfig(
         name=exp.get("name", "experiment"),
         seed=seed,

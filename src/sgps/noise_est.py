@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SgpsError, Signal
+from .core import NonFiniteError, SgpsError, Signal
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,22 @@ def extract_patches(x: Signal, cfg: PatchConfig = PatchConfig()) -> np.ndarray:
 
 
 def tail_eigenvalues(patches: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the patch covariance, descending, clamped at zero."""
+    """Eigenvalues of the patch covariance, descending, clamped at zero.
+
+    Patches too large for a finite covariance, or a covariance whose
+    eigenvalues do not converge, raise NonFiniteError.
+    """
     s = patches.shape[0]
-    mu = patches.mean(axis=0)
-    centered = patches - mu
-    cov = centered.T @ centered / s
-    lam = np.linalg.eigvalsh(cov)[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = patches.mean(axis=0)
+        centered = patches - mu
+        cov = centered.T @ centered / s
+    if not np.all(np.isfinite(cov)):
+        raise NonFiniteError("patch covariance is not finite")
+    try:
+        lam = np.linalg.eigvalsh(cov)[::-1]
+    except np.linalg.LinAlgError as e:
+        raise NonFiniteError(f"patch covariance: {e}") from e
     return np.maximum(lam, 0.0)
 
 

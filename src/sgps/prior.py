@@ -7,6 +7,7 @@ exact.  That gives every downstream estimator an oracle to test against.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,20 @@ from .core import RngStream, SgpsError, Signal
 
 _TWO_PI = 2.0 * np.pi
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Points whose mixture posterior a GmmPrior keeps.  One risk evaluation
+# with mc_probes probes denoises 1 + mc_probes points and its gradient takes
+# Jacobian products at the same points, so 16 covers mc_probes up to 15;
+# beyond that the products recompute, with the same result.
+MEMO_ENTRIES = 16
+# The distance pass works on about this many bytes of differences at a time
+# (cache-resident, and few enough blocks that the loop costs little) instead
+# of one K x n temporary.
+_BLOCK_BYTES = 1 << 18
+# einsum sums a row of at most this many entries (its iterator's buffer) in
+# one inner loop, so the row's sum does not depend on the rows around it.
+# Longer rows are cut at buffer boundaries that do, so they take one pass.
+_EINSUM_ROW_MAX = 8192
 
 
 def logsumexp(a: np.ndarray) -> np.float64:
@@ -105,10 +120,15 @@ class GmmPrior:
         w.flags.writeable = False
         m = m.copy()
         m.flags.writeable = False
+        mean_sq = np.einsum("kn,kn->k", m, m)
+        mean_sq.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "var_scale", float(self.var_scale))
         object.__setattr__(self, "shape", shape)
+        # not fields, so eq and repr see only the mixture
+        object.__setattr__(self, "_mean_sq", mean_sq)
+        object.__setattr__(self, "_memo", OrderedDict())
 
     @property
     def k(self) -> int:
@@ -119,15 +139,42 @@ class GmmPrior:
         return int(self.means.shape[1])
 
     def _log_resp(self, xv: np.ndarray, smoothed_var: float) -> np.ndarray:
-        d = xv[None, :] - self.means
-        sq = np.einsum("kn,kn->k", d, d)
+        k, n = self.means.shape
+        rows = k if n > _EINSUM_ROW_MAX else max(1, _BLOCK_BYTES // (8 * n))
+        d = np.empty((min(rows, k), n))
+        sq = np.empty(k)
+        for k0 in range(0, k, rows):
+            blk = d[: min(rows, k - k0)]
+            np.subtract(xv, self.means[k0 : k0 + rows], out=blk)
+            np.einsum("kn,kn->k", blk, blk, out=sq[k0 : k0 + rows])
         return np.log(self.weights) - sq / (2.0 * smoothed_var)
 
-    def responsibilities(self, xv: np.ndarray, sigma: float) -> np.ndarray:
+    def _moments(self, xv: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Responsibilities g at (xv, sigma) and g @ means, both read-only.
+
+        They are a pure function of the point and the read-only mixture, so
+        the last MEMO_ENTRIES points are kept and a repeat returns the same
+        bits a recomputation would.
+        """
+        key = (float(sigma), xv.tobytes())
+        hit = self._memo.get(key)
+        if hit is not None:
+            self._memo.move_to_end(key)
+            return hit
         v2 = self.var_scale + sigma * sigma
         lr = self._log_resp(xv, v2)
         lr -= logsumexp(lr)
-        return np.exp(lr)
+        g = np.exp(lr)
+        mbar = g @ self.means
+        g.flags.writeable = False
+        mbar.flags.writeable = False
+        self._memo[key] = (g, mbar)
+        if len(self._memo) > MEMO_ENTRIES:
+            self._memo.popitem(last=False)
+        return g, mbar
+
+    def responsibilities(self, xv: np.ndarray, sigma: float) -> np.ndarray:
+        return self._moments(xv, sigma)[0]
 
     def log_density(self, x: Signal, sigma: float) -> float:
         """Log density of the sigma-smoothed mixture at x."""
@@ -142,16 +189,14 @@ class GmmPrior:
         sigma = _check_sigma(sigma)
         s2 = self.var_scale
         v2 = s2 + sigma * sigma
-        g = self.responsibilities(x.data, sigma)
-        mbar = g @ self.means
+        mbar = self._moments(x.data, sigma)[1]
         return x.with_data((s2 * x.data + sigma * sigma * mbar) / v2)
 
     def score(self, x: Signal, sigma: float) -> Signal:
         """Gradient of log_density at x."""
         sigma = _check_sigma(sigma)
         v2 = self.var_scale + sigma * sigma
-        g = self.responsibilities(x.data, sigma)
-        mbar = g @ self.means
+        mbar = self._moments(x.data, sigma)[1]
         return x.with_data((mbar - x.data) / v2)
 
     def trace_jacobian(self, x: Signal, sigma: float) -> float:
@@ -165,9 +210,8 @@ class GmmPrior:
         s2 = self.var_scale
         sig2 = sigma * sigma
         v2 = s2 + sig2
-        g = self.responsibilities(x.data, sigma)
-        mbar = g @ self.means
-        second = float(g @ np.einsum("kn,kn->k", self.means, self.means))
+        g, mbar = self._moments(x.data, sigma)
+        second = float(g @ self._mean_sq)
         trace_c = second - float(mbar @ mbar)
         return self.n * s2 / v2 + sig2 * trace_c / (v2 * v2)
 
@@ -177,8 +221,7 @@ class GmmPrior:
         s2 = self.var_scale
         sig2 = sigma * sigma
         v2 = s2 + sig2
-        g = self.responsibilities(x.data, sigma)
-        mbar = g @ self.means
+        g, mbar = self._moments(x.data, sigma)
         proj = self.means @ v
         cv = (g * proj) @ self.means - mbar * float(mbar @ v)
         return (s2 * v) / v2 + sig2 * cv / (v2 * v2)

@@ -112,6 +112,10 @@ class TestConfigParsing:
              "[sweep] seed"),
             (("steps = 4", "steps = 4\nsigma_y = nan"), "sigma_y must be finite"),
             (("steps = 4", "steps = 4\nalpha = nan"), "alpha must be finite"),
+            (("seed = 3", "seed = 3\nmeasurement_sigma = nan"), "measurement_sigma"),
+            (("seed = 3", "seed = 3\nmeasurement_sigma = inf"), "measurement_sigma"),
+            (("seed = 3", "seed = 3\npeak = nan"), "peak"),
+            (("seed = 3", "seed = 3\npeak = inf"), "peak"),
         ],
     )
     def test_typed_errors_name_section_and_key(self, mutation, fragment):
@@ -473,6 +477,24 @@ class TestCli:
         path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
         assert main(["estimate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_numerical_failure_is_a_failed_run(self, tmp_path, monkeypatch, capsys):
+        # magnitude-DFT guidance at default settings blows the iterate up, so
+        # the first noise estimate meets a covariance that is not finite
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("shape = 16 16", "shape = 8 8")
+                        .replace("kind = identity", "kind = magnitude-dft")
+                        .replace("steps = 4\nlangevin_steps = 20", "steps = 8"))
+        with pytest.warns(UserWarning):  # 4 patches for 49 dimensions
+            assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "divergence in stage 'estimate' at step 1" in err
+        assert "Traceback" not in err
+        cfg = parse_config(str(path))
+        rows = (tmp_path / "out" / summary_csv_name(cfg)).read_text().strip().split("\n")
+        assert len(rows) == 2 and rows[1].split(",")[2] == "failed"
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 1

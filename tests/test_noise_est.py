@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sgps import RngStream, SgpsError, Signal
+from sgps import NonFiniteError, RngStream, SgpsError, Signal
 from sgps.analysis import smooth_field
 from sgps.noise_est import PatchConfig, estimate_sigma, extract_patches, tail_eigenvalues
 
@@ -56,6 +56,16 @@ def test_tail_eigenvalues_descending_and_match_numpy():
     np.testing.assert_allclose(lam, ref, rtol=1e-10, atol=1e-12)
     assert np.all(np.diff(lam) <= 1e-12)
     assert np.all(lam >= 0)
+
+
+def test_overflowing_covariance_is_non_finite_error():
+    # finite patches whose covariance overflows, as a diverged iterate gives
+    patches = RngStream(2, 0).standard_normal((40, 6)) * 1e200
+    with pytest.raises(NonFiniteError, match="covariance is not finite"):
+        tail_eigenvalues(patches)
+    x = Signal(RngStream(3, 0).normal(64) * 1e200, (8, 8))
+    with pytest.raises(NonFiniteError):
+        estimate_sigma(x, PatchConfig(patch_size=3))
 
 
 def test_pure_noise_estimate():

@@ -275,3 +275,58 @@ def test_counting_denoiser_counts_only_denoise():
     den.jacobian_trace(x, 0.5)
     den.jacobian_vjp(x, 0.5, np.ones(5))
     assert den.calls == 2
+
+
+class TestMixtureMemo:
+    """The posterior is computed once per point; repeats reuse it bit for bit."""
+
+    def test_diagnostics_after_denoise_equal_a_fresh_prior(self):
+        prior = small_prior(k=9, n=13, seed=40, var=0.3)
+        g = RngStream(41, 0)
+        for sigma in (2.0, 0.7, 0.2):
+            x = Signal(g.normal(13) * 1.5, (13,))
+            v = g.normal(13)
+            prior.posterior_mean(x, sigma)
+            fresh = [small_prior(k=9, n=13, seed=40, var=0.3) for _ in range(3)]
+            assert np.array_equal(prior.jacobian_vjp(x, sigma, v),
+                                  fresh[0].jacobian_vjp(x, sigma, v))
+            assert prior.trace_jacobian(x, sigma) == fresh[1].trace_jacobian(x, sigma)
+            assert np.array_equal(prior.score(x, sigma).data, fresh[2].score(x, sigma).data)
+
+    def test_moments_are_read_only(self):
+        prior = small_prior(k=4, n=5, seed=42)
+        g, mbar = prior._moments(RngStream(43, 0).normal(5), 0.5)
+        assert not g.flags.writeable and not mbar.flags.writeable
+
+    def test_memo_never_exceeds_its_cap(self):
+        from sgps.prior import MEMO_ENTRIES
+
+        prior = small_prior(k=3, n=4, seed=44)
+        g = RngStream(45, 0)
+        points = [Signal(g.normal(4), (4,)) for _ in range(MEMO_ENTRIES + 5)]
+        for i, x in enumerate(points):
+            prior.posterior_mean(x, 0.5)
+            assert len(prior._memo) == min(i + 1, MEMO_ENTRIES)
+        # the oldest points were evicted, the newest are kept
+        assert (0.5, points[-1].data.tobytes()) in prior._memo
+        assert (0.5, points[0].data.tobytes()) not in prior._memo
+
+    def test_memo_is_not_a_field(self):
+        a = small_prior(k=3, n=4, seed=46)
+        a.posterior_mean(Signal(np.ones(4), (4,)), 0.5)
+        assert "_memo" not in repr(a) and "_mean_sq" not in repr(a)
+        assert [f.name for f in __import__("dataclasses").fields(a)] == [
+            "weights", "means", "var_scale", "shape"]
+
+    @pytest.mark.parametrize("k,n", [(1, 5), (3, 1), (7, 33), (33, 2049), (257, 4096),
+                                     (300, 127), (5, 8192), (4, 8193), (9, 10001)])
+    def test_blocked_distances_equal_one_pass(self, k, n):
+        g = RngStream(47, k * 100003 + n)
+        means = g.standard_normal((k, n))
+        prior = GmmPrior(np.full(k, 1.0 / k), means, 0.5, (n,))
+        for _ in range(3):
+            xv = g.standard_normal(n)
+            d = xv[None, :] - prior.means
+            want = np.log(prior.weights) - np.einsum("kn,kn->k", d, d) / (2.0 * 0.7)
+            got = prior._log_resp(xv, 0.7)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -1,12 +1,23 @@
 """Sampling loop: evaluation budget, substep ladder, clamping and skipping,
 determinism, and the common-random-numbers pairing contract."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import sgps.sampler
+
 from sgps.analysis import chain_prefix, smooth_field
-from sgps.core import DivergenceError, RngStream, SamplerConfig, SgpsError, Signal, psnr
+from sgps.core import (
+    DivergenceError,
+    NonFiniteError,
+    RngStream,
+    SamplerConfig,
+    SgpsError,
+    Signal,
+    psnr,
+)
 from sgps.noise_est import PatchConfig
 from sgps.operators import identity_op
 from sgps.prior import CountingDenoiser, Denoiser, GmmDenoiser, GmmPrior
@@ -262,6 +273,19 @@ def test_non_finite_denoise_is_labeled_with_sampler_step():
     with pytest.raises(DivergenceError) as err:
         sgps_run(den, op, y, run_cfg(4), RngStream(24, 0))
     assert err.value.stage == "denoise"
+    assert err.value.step_index == 1
+
+
+@pytest.mark.parametrize("failing_call", [0, 1, 2])
+def test_estimator_failure_is_labeled_with_sampler_step(failing_call):
+    # per corrected step: the raw estimate, the second repeat's, the final one
+    den, op, y, _ = make_task()
+    results = [0.1, 0.1, 0.1]
+    results[failing_call] = NonFiniteError("patch covariance is not finite")
+    with mock.patch.object(sgps.sampler, "estimate_sigma", side_effect=results):
+        with pytest.raises(DivergenceError) as err:
+            sgps_run(den, op, y, run_cfg(4, sure_repeats=2), RngStream(26, 0))
+    assert err.value.stage == "estimate"
     assert err.value.step_index == 1
 
 

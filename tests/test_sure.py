@@ -1,4 +1,6 @@
 """Risk estimator: probe plumbing, trace estimates, analytic vs FD gradients."""
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,26 @@ class TestSureGradient:
             den, x.data - step * grad.data, x, 0.3, ev.epsilon, ev.probes
         )
         assert after < before
+
+
+    @pytest.mark.parametrize("probes", [1, 4, 15])
+    def test_gradient_reuses_the_value_posteriors(self, probes):
+        # the value denoises the base point and each shifted point; the
+        # gradient's Jacobian products are taken at the same points
+        prior = small_prior(n=12, k=5, seed=17)
+        den = GmmDenoiser(prior)
+        x = Signal(RngStream(18, 0).normal(12), (12,))
+        cfg = base_config(mc_probes=probes)
+        with mock.patch.object(GmmPrior, "_log_resp", autospec=True,
+                               side_effect=GmmPrior._log_resp) as spy:
+            ev = sure_value(den, x, 0.3, cfg, RngStream(19, 0))
+            grad = sure_gradient(den, x, 0.3, cfg, RngStream(19, 1), ev)
+        assert spy.call_count == 1 + probes
+        fresh = GmmDenoiser(small_prior(n=12, k=5, seed=17))
+        ev_fresh = sure_value(fresh, x, 0.3, cfg, RngStream(19, 0))
+        fresh.prior._memo.clear()
+        want = sure_gradient(fresh, x, 0.3, cfg, RngStream(19, 1), ev_fresh)
+        assert np.array_equal(grad.data, want.data)
 
 
 class TestSureUpdate:
