@@ -174,16 +174,18 @@ def sgps_run(
     def correct(k: int, sigma_t: float, x0t: Signal, x0ty: Signal) -> Signal:
         nonlocal calls_before
         step_no = k + 1
-        sigma_raw = _stage(lambda: estimate_sigma(x0ty, patch), "estimate", step_no)
+
+        def estimate(x: Signal) -> float:
+            return _stage(lambda: estimate_sigma(x, patch), "estimate", step_no)
+
+        sigma_raw = estimate(x0ty)
         current = x0ty
         sigma_used_rec = math.nan
         sure_rec = math.nan
         skipped = False
         if cfg.sure_enabled:
             for rep in range(cfg.sure_repeats):
-                raw = sigma_raw if rep == 0 else _stage(
-                    lambda: estimate_sigma(current, patch), "estimate", step_no
-                )
+                raw = sigma_raw if rep == 0 else estimate(current)
                 used = correction_level(raw, sigma_t, cfg)
                 if used is None:
                     skipped = rep == 0
@@ -214,9 +216,7 @@ def sgps_run(
                 psnr_x0ty=_maybe_psnr(x0ty, x_true, peak),
                 psnr_star=_maybe_psnr(current, x_true, peak),
                 nfe_step=counting.calls - calls_before,
-                sigma_hat_star=_stage(
-                    lambda: estimate_sigma(current, patch), "estimate", step_no
-                ),
+                sigma_hat_star=estimate(current),
                 skipped=skipped,
             )
         )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -315,8 +317,7 @@ class TestMixtureMemo:
         a = small_prior(k=3, n=4, seed=46)
         a.posterior_mean(Signal(np.ones(4), (4,)), 0.5)
         assert "_memo" not in repr(a) and "_mean_sq" not in repr(a)
-        assert [f.name for f in __import__("dataclasses").fields(a)] == [
-            "weights", "means", "var_scale", "shape"]
+        assert [f.name for f in dataclasses.fields(a)] == ["weights", "means", "var_scale", "shape"]
 
     @pytest.mark.parametrize("k,n", [(1, 5), (3, 1), (7, 33), (33, 2049), (257, 4096),
                                      (300, 127), (5, 8192), (4, 8193), (9, 10001)])
