@@ -3,6 +3,7 @@ desk-scale validation experiments built from them."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,12 +146,10 @@ def linear_gaussian_posterior(
     if not op.linear:
         raise SgpsError("closed-form posterior needs a linear operator")
     n = prior.n
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        cols.append(op.apply(Signal(e, op.input_shape)).data)
-    a = np.stack(cols, axis=1)
+    if math.prod(op.input_shape) != n:
+        raise SgpsError(f"operator input {op.input_shape} does not match prior length {n}")
+    # row i of the batch is A e_i, so the matrix is its transpose
+    a = np.ascontiguousarray(op.apply(np.eye(n)).T)
     s2 = prior.var_scale
     sy2 = sigma_y * sigma_y
     precision = np.eye(n) / s2 + a.T @ a / sy2
@@ -226,21 +225,21 @@ def w2_scaling_curve(
     """Squared W2 between the one-step guidance residual and the combined
     Gaussian N(0, (sigma_t^2 + 2 eta) I), as a function of the step size.
 
-    Incoming samples are anchor + sigma_t * noise.  Common random numbers
-    are used across step sizes so the curve is a smooth function of eta.
-    Means and spreads are fit empirically and compared with the closed-form
-    Gaussian W2.
+    Incoming samples are anchor + sigma_t * noise, drawn from stream i of
+    the seed, which then drives sample i's guide step; all samples of one
+    step size are guided as one batch.  Common random numbers are used
+    across step sizes so the curve is a smooth function of eta.  Means and
+    spreads are fit empirically and compared with the closed-form Gaussian
+    W2.
     """
     n = anchor.n
+    anchors = np.broadcast_to(anchor.data, (samples, n))
     out = []
     for eta in etas:
         step_cfg = cfg.replace(langevin_steps=1, langevin_eta=float(eta))
-        resid = np.empty((samples, n))
-        for i in range(samples):
-            rng = RngStream(seed, i)
-            x0 = anchor.with_data(anchor.data + sigma_t * rng.normal(n))
-            x1 = langevin_guide(x0, anchor, sigma_t, op, y, step_cfg, rng)
-            resid[i] = x1.data - anchor.data
+        rngs = [RngStream(seed, i) for i in range(samples)]
+        x0 = np.stack([anchor.data + sigma_t * rng.normal(n) for rng in rngs])
+        resid = langevin_guide(x0, anchors, sigma_t, op, y, step_cfg, rngs) - anchor.data
         mu, sd = fit_isotropic_gaussian(resid)
         combined = math.sqrt(sigma_t * sigma_t + 2.0 * float(eta))
         out.append((float(eta), gaussian_w2(mu, sd, np.zeros(n), combined)))
@@ -252,19 +251,28 @@ def chain_prefix(
     op: ForwardOp,
     y: Signal,
     cfg: SamplerConfig,
-    rng: RngStream,
+    rng: RngStream | Sequence[RngStream],
     depth: int,
-) -> list[tuple[float, Signal, Signal]]:
+) -> list[tuple[float, Signal, Signal]] | list[tuple[float, np.ndarray, np.ndarray]]:
     """First `depth` steps of the sampler's chain with the correction off:
-    per step the noise level, the denoised estimate, and the guided sample."""
+    per step the noise level, the denoised estimate, and the guided sample.
+
+    With one stream the states are Signals.  With a sequence of B streams
+    the chains run as one batch and the states are (B, n) arrays whose row
+    b is, bit for bit, the state of the one-stream call on stream b.
+    """
     states = []
 
-    def keep(k: int, sigma_t: float, x0t: Signal, x0ty: Signal) -> Signal:
+    def keep(k: int, sigma_t: float, x0t: np.ndarray, x0ty: np.ndarray) -> np.ndarray:
         states.append((sigma_t, x0t, x0ty))
         return x0ty
 
-    walk_ladder(den, op, y, cfg, rng, keep, depth)
-    return states
+    if not isinstance(rng, RngStream):
+        walk_ladder(den, op, y, cfg, rng, keep, depth)
+        return states
+    walk_ladder(den, op, y, cfg, [rng], keep, depth)
+    shape = op.input_shape
+    return [(s, Signal._adopt(a[0], shape), Signal._adopt(b[0], shape)) for s, a, b in states]
 
 
 def kl_trend_trials(
@@ -281,27 +289,24 @@ def kl_trend_trials(
 ) -> np.ndarray:
     """KL to the exact posterior before and after one risk-gradient update.
 
-    Each trial runs `samples` independent uncorrected chains down to ladder
-    index `depth` and updates each once at the sampler's correction_level (a
-    chain the sampler would skip stays as it is).  Isotropic Gaussians fit
-    to the guided and to the updated population are compared by closed-form
-    KL with the exact linear-Gaussian posterior.  Returns (trials, 2) with
-    columns (kl_before, kl_after).
+    Each trial runs `samples` independent uncorrected chains, as one batch,
+    down to ladder index `depth` and updates each once at the sampler's
+    correction_level (a chain the sampler would skip stays as it is).
+    Isotropic Gaussians fit to the guided and to the updated population are
+    compared by closed-form KL with the exact linear-Gaussian posterior.
+    Returns (trials, 2) with columns (kl_before, kl_after).
     """
     post_mean, post_cov = linear_gaussian_posterior(prior, op, y, cfg.sigma_y)
     post_std = float(np.sqrt(np.mean(np.diag(post_cov))))
     out = np.empty((trials, 2))
     for t in range(trials):
-        before = np.empty((samples, post_mean.n))
-        after = np.empty((samples, post_mean.n))
-        for i in range(samples):
-            rng = RngStream(seed, (t << 20) + i)
-            states = chain_prefix(den, op, y, cfg, rng, depth)
-            sigma_t, _, x0ty = states[-1]
-            before[i] = x0ty.data
+        rngs = [RngStream(seed, (t << 20) + i) for i in range(samples)]
+        sigma_t, _, before = chain_prefix(den, op, y, cfg, rngs, depth)[-1]
+        after = before.copy()
+        for i, rng in enumerate(rngs):
+            x0ty = Signal(before[i], op.input_shape)
             sigma_hat = correction_level(estimate_sigma(x0ty, patch), sigma_t, cfg)
             if sigma_hat is None:
-                after[i] = x0ty.data
                 continue
             rng_probe = probe_stream(rng)
             ev = sure_value(den, x0ty, sigma_hat, cfg, rng_probe)

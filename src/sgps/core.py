@@ -121,14 +121,16 @@ class Signal:
 
 
 def all_finite(arr: np.ndarray) -> bool:
-    """True when every entry of a flat float64 array is finite.
+    """True when every entry of a float64 array is finite.
 
     A NaN or inf entry makes the sum of squares non-finite, so a finite sum
     settles it at the cost of one dot product.  Only entries beyond about
-    1e154 overflow the sum (numpy warns about that) and need the elementwise
-    check.
+    1e154 overflow the sum, silently, and need the elementwise check.
     """
-    return math.isfinite(arr.dot(arr)) or bool(np.isfinite(arr).all())
+    flat = arr.reshape(-1)
+    with np.errstate(over="ignore"):
+        ss = flat.dot(flat)
+    return math.isfinite(ss) or bool(np.isfinite(flat).all())
 
 
 def _splitmix64(z: int) -> int:
@@ -164,6 +166,11 @@ class RngStream:
         if n < 1:
             raise SgpsError(f"draw count must be >= 1, got {n}")
         return self.gen.standard_normal(int(n), dtype=_DTYPE)
+
+    def normal_into(self, out: np.ndarray) -> None:
+        """Fill the contiguous float64 array out with the draws that
+        normal(out.size) would return."""
+        self.gen.standard_normal(out=out)
 
     def standard_normal(self, shape) -> np.ndarray:
         return self.gen.standard_normal(shape, dtype=_DTYPE)

@@ -13,6 +13,15 @@ from .core import SgpsError, ShapeMismatchError, Signal
 
 
 class ForwardOp:
+    """A measurement operator.
+
+    apply, adjoint and fidelity_gradient take one Signal, whose shape is
+    checked, or a (B, n) float64 array with one chain per row, which is not;
+    they return the same kind.  A Signal runs the row code as a one-row
+    batch, so row b of a batched call equals the call on row b's Signal
+    bit for bit.
+    """
+
     kind: str = "abstract"
     linear: bool = False
 
@@ -32,23 +41,47 @@ class ForwardOp:
                 f"{self.kind}: measurement shape {y.shape}, expected {self.output_shape}"
             )
 
-    def apply(self, x: Signal) -> Signal:
-        raise NotImplementedError
+    def apply(self, x: Signal | np.ndarray) -> Signal | np.ndarray:
+        if not isinstance(x, Signal):
+            return self._apply_rows(x)
+        self._check_input(x)
+        return Signal._adopt(self._apply_rows(x.data[None])[0], self.output_shape)
 
-    def adjoint(self, w: Signal) -> Signal:
-        raise NotImplementedError(f"{self.kind} has no adjoint (nonlinear operator)")
+    def adjoint(self, w: Signal | np.ndarray) -> Signal | np.ndarray:
+        if not isinstance(w, Signal):
+            return self._adjoint_rows(w)
+        self._check_output(w)
+        return Signal._adopt(self._adjoint_rows(w.data[None])[0], self.input_shape)
 
-    def fidelity_gradient(self, x: Signal, y: Signal, sigma_y: float) -> Signal:
-        """Gradient of ||A(x) - y||^2 / (2 sigma_y^2) with respect to x."""
+    def fidelity_gradient(
+        self, x: Signal | np.ndarray, y: Signal | np.ndarray, sigma_y: float
+    ) -> Signal | np.ndarray:
+        """Gradient of ||A(x) - y||^2 / (2 sigma_y^2) with respect to x.
+
+        x and y are Signals, or x is a (B, n) array of rows and y the flat
+        measurement array every row is compared with.
+        """
         if sigma_y <= 0:
             raise SgpsError(f"sigma_y must be positive, got {sigma_y}")
-        if not self.linear:
-            raise NotImplementedError(f"{self.kind} must override fidelity_gradient")
+        if not isinstance(x, Signal):
+            return self._gradient_rows(x, y, sigma_y)
         self._check_input(x)
         self._check_output(y)
-        r = self.apply(x).data - y.data
-        g = self.adjoint(Signal._adopt(r, self.output_shape))
-        return Signal._adopt(g.data / (sigma_y * sigma_y), self.input_shape)
+        g = self._gradient_rows(x.data[None], y.data, sigma_y)
+        return Signal._adopt(g[0], self.input_shape)
+
+    def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _adjoint_rows(self, ws: np.ndarray) -> np.ndarray:
+        raise NotImplementedError(f"{self.kind} has no adjoint (nonlinear operator)")
+
+    def _gradient_rows(self, xs: np.ndarray, y: np.ndarray, sigma_y: float) -> np.ndarray:
+        if not self.linear:
+            raise NotImplementedError(f"{self.kind} must override fidelity_gradient")
+        # through the public methods, so a wrapper on them sees every call
+        r = self.apply(xs) - y
+        return self.adjoint(r) / (sigma_y * sigma_y)
 
 
 class MaskOp(ForwardOp):
@@ -68,17 +101,18 @@ class MaskOp(ForwardOp):
             raise SgpsError("mask indices must be distinct")
         super().__init__(input_shape, (idx.size,))
         self.keep = idx
-        self._n = n
+        # the adjoint gathers each coordinate's measurement from the row
+        # with a zero appended; a dropped coordinate reads the zero
+        self._spread = np.full(n, idx.size)
+        self._spread[idx] = np.arange(idx.size)
 
-    def apply(self, x: Signal) -> Signal:
-        self._check_input(x)
-        return Signal._adopt(x.data[self.keep], self.output_shape)
+    def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
+        return xs.take(self.keep, axis=-1)
 
-    def adjoint(self, w: Signal) -> Signal:
-        self._check_output(w)
-        out = np.zeros(self._n)
-        out[self.keep] = w.data
-        return Signal._adopt(out, self.input_shape)
+    def _adjoint_rows(self, ws: np.ndarray) -> np.ndarray:
+        padded = np.zeros((len(ws), ws.shape[1] + 1))
+        padded[:, :-1] = ws
+        return padded.take(self._spread, axis=-1)
 
 
 def identity_op(input_shape: tuple[int, ...]) -> MaskOp:
@@ -110,7 +144,7 @@ class BlurOp(ForwardOp):
         # widest offset so that every tap reads a plain window of the padding
         offsets = [[j - (dim - 1) // 2 for j in range(dim)] for dim in k.shape]
         pads = [max(abs(o) for o in offs) for offs in offsets]
-        # flat indices of the padded signal, so padding is one take
+        # flat indices of the padded signal, so padding a row is one take
         axes = [np.arange(-p, size + p) % size for p, size in zip(pads, self.input_shape)]
         self._wrap = np.ravel_multi_index(np.ix_(*axes), self.input_shape)
         self._taps = {}
@@ -121,31 +155,30 @@ class BlurOp(ForwardOp):
                 c = k[tap_idx]
                 if c == 0.0:
                     continue
-                window = tuple(
+                # the leading slice keeps every row of the batch
+                window = (slice(None),) + tuple(
                     slice(p - sign * offsets[ax][j], p - sign * offsets[ax][j] + size)
                     for ax, (j, p, size) in enumerate(zip(tap_idx, pads, self.input_shape))
                 )
                 taps.append((c, window))
             self._taps[flip] = taps
 
-    def _convolve(self, arr: np.ndarray, flip: bool) -> np.ndarray:
-        # the window of a tap with shift s holds np.roll(arr, s), and the taps
-        # are summed in kernel order, so the result is that of rolling
-        padded = arr.take(self._wrap)
-        out = np.zeros(self.input_shape)
-        term = np.empty(self.input_shape)
+    def _convolve(self, xs: np.ndarray, flip: bool) -> np.ndarray:
+        # the window of a tap with shift s holds np.roll(row, s), and the taps
+        # are summed in kernel order, so each row is that of rolling
+        padded = xs.take(self._wrap, axis=-1)
+        out = np.zeros((len(xs),) + self.input_shape)
+        term = np.empty_like(out)
         for c, window in self._taps[flip]:
             np.multiply(c, padded[window], out=term)
             out += term
-        return out
+        return out.reshape(len(xs), -1)
 
-    def apply(self, x: Signal) -> Signal:
-        self._check_input(x)
-        return x.with_data(self._convolve(x.data, flip=False))
+    def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
+        return self._convolve(xs, flip=False)
 
-    def adjoint(self, w: Signal) -> Signal:
-        self._check_output(w)
-        return w.with_data(self._convolve(w.data, flip=True))
+    def _adjoint_rows(self, ws: np.ndarray) -> np.ndarray:
+        return self._convolve(ws, flip=True)
 
 
 class DownsampleOp(ForwardOp):
@@ -163,25 +196,23 @@ class DownsampleOp(ForwardOp):
         super().__init__(input_shape, tuple(s // f for s in input_shape))
         self.factor = f
 
-    def apply(self, x: Signal) -> Signal:
-        self._check_input(x)
+    def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
         f = self.factor
-        arr = x.as_nd()
-        if arr.ndim == 1:
-            out = arr.reshape(-1, f).mean(axis=1)
+        b = len(xs)
+        if len(self.input_shape) == 1:
+            out = xs.reshape(b, -1, f).mean(axis=2)
         else:
             h, w = self.output_shape
-            out = arr.reshape(h, f, w, f).mean(axis=(1, 3))
-        return Signal(out.reshape(-1), self.output_shape)
+            out = xs.reshape(b, h, f, w, f).mean(axis=(2, 4))
+        return out.reshape(b, -1)
 
-    def adjoint(self, w: Signal) -> Signal:
-        self._check_output(w)
+    def _adjoint_rows(self, ws: np.ndarray) -> np.ndarray:
         f = self.factor
-        arr = w.as_nd()
-        block = f ** arr.ndim
-        for ax in range(arr.ndim):
+        b = len(ws)
+        arr = ws.reshape((b,) + self.output_shape)
+        for ax in range(1, arr.ndim):
             arr = np.repeat(arr, f, axis=ax)
-        return Signal(arr.reshape(-1) / block, self.input_shape)
+        return arr.reshape(b, -1) / f ** len(self.output_shape)
 
 
 class MagnitudeDftOp(ForwardOp):
@@ -201,45 +232,38 @@ class MagnitudeDftOp(ForwardOp):
         super().__init__(input_shape, padded)
         self.oversample = float(oversample)
         self._mats = [self._dft_matrix(p) for p in padded]
+        # the input's corner of the padded grid, for every row
+        self._corner = (slice(None),) + tuple(slice(0, s) for s in self.input_shape)
 
     @staticmethod
     def _dft_matrix(n: int) -> np.ndarray:
         j = np.arange(n)
         return np.exp(-2j * np.pi * np.outer(j, j) / n)
 
-    def _pad(self, arr: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.output_shape, dtype=np.float64)
-        sl = tuple(slice(0, s) for s in arr.shape)
-        out[sl] = arr
-        return out
+    def _dft(self, arr: np.ndarray) -> np.ndarray:
+        """The DFT matrices applied to each row's grid; a 1-D grid is a
+        column, so every row takes the same matrix-vector product."""
+        if arr.ndim == 2:
+            return (self._mats[0] @ arr[..., None])[..., 0]
+        return self._mats[0] @ arr @ self._mats[1]
 
-    def _transform(self, arr: np.ndarray) -> np.ndarray:
-        xp = self._pad(arr)
-        if xp.ndim == 1:
-            return self._mats[0] @ xp
-        return self._mats[0] @ xp @ self._mats[1]
+    def _transform(self, xs: np.ndarray) -> np.ndarray:
+        b = len(xs)
+        grid = np.zeros((b,) + self.output_shape)
+        grid[self._corner] = xs.reshape((b,) + self.input_shape)
+        return self._dft(grid)
 
-    def apply(self, x: Signal) -> Signal:
-        self._check_input(x)
-        z = self._transform(x.as_nd())
-        return Signal(np.abs(z).reshape(-1), self.output_shape)
+    def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
+        return np.abs(self._transform(xs)).reshape(len(xs), -1)
 
-    def fidelity_gradient(self, x: Signal, y: Signal, sigma_y: float) -> Signal:
-        if sigma_y <= 0:
-            raise SgpsError(f"sigma_y must be positive, got {sigma_y}")
-        self._check_input(x)
-        self._check_output(y)
-        z = self._transform(x.as_nd())
+    def _gradient_rows(self, xs: np.ndarray, y: np.ndarray, sigma_y: float) -> np.ndarray:
+        z = self._transform(xs)
         m = np.abs(z)
-        r = m - y.as_nd()
+        r = m - y.reshape(self.output_shape)
         # subgradient convention: zero-magnitude bins contribute nothing
         u = np.where(m > 0, r / np.where(m > 0, m, 1.0), 0.0) * z
-        if z.ndim == 1:
-            g = np.real(self._mats[0] @ np.conj(u))
-        else:
-            g = np.real(self._mats[0] @ np.conj(u) @ self._mats[1])
-        sl = tuple(slice(0, s) for s in self.input_shape)
-        return Signal(g[sl].reshape(-1) / (sigma_y * sigma_y), self.input_shape)
+        g = np.real(self._dft(np.conj(u)))
+        return g[self._corner].reshape(len(xs), -1) / (sigma_y * sigma_y)
 
 
 class RangeClipOp(ForwardOp):
@@ -260,12 +284,11 @@ class RangeClipOp(ForwardOp):
         self.threshold = float(threshold)
         self.smooth = bool(smooth)
 
-    def apply(self, x: Signal) -> Signal:
-        self._check_input(x)
+    def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
         t = self.threshold
         if self.smooth:
-            return x.with_data(np.tanh(x.data / t))
-        return x.with_data(np.minimum(x.data, t) / t)
+            return np.tanh(xs / t)
+        return np.minimum(xs, t) / t
 
     def _deriv(self, xv: np.ndarray) -> np.ndarray:
         t = self.threshold
@@ -274,13 +297,9 @@ class RangeClipOp(ForwardOp):
             return (1.0 - th * th) / t
         return np.where(xv < t, 1.0 / t, 0.0)
 
-    def fidelity_gradient(self, x: Signal, y: Signal, sigma_y: float) -> Signal:
-        if sigma_y <= 0:
-            raise SgpsError(f"sigma_y must be positive, got {sigma_y}")
-        self._check_input(x)
-        self._check_output(y)
-        r = self.apply(x).data - y.data
-        return x.with_data(self._deriv(x.data) * r / (sigma_y * sigma_y))
+    def _gradient_rows(self, xs: np.ndarray, y: np.ndarray, sigma_y: float) -> np.ndarray:
+        r = self.apply(xs) - y
+        return self._deriv(xs) * r / (sigma_y * sigma_y)
 
 
 def load_kernel(path: str) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +26,7 @@ from .core import (
     SgpsError,
     Signal,
     StepRecord,
+    all_finite,
     mse,
     psnr,
 )
@@ -107,43 +108,57 @@ def walk_ladder(
     op: ForwardOp,
     y: Signal,
     cfg: SamplerConfig,
-    rng: RngStream,
-    finish: Callable[[int, float, Signal, Signal], Signal],
+    rngs: Sequence[RngStream],
+    finish: Callable[[int, float, np.ndarray, np.ndarray], np.ndarray],
     depth: int,
-) -> Signal:
-    """Walk one chain down the first `depth` ladder levels.
+) -> np.ndarray:
+    """Walk one chain per stream in rngs down the first `depth` ladder
+    levels, in lockstep, as the rows of (B, n) arrays.
 
-    The chain starts from a draw at the top level.  At level k the iterate
-    is denoised and guided toward y; finish(k, sigma_t, x0t, x0ty) returns
-    the level's sample, which is renoised to the next level.  The last
-    level's sample is returned as is.
+    Each chain starts from a draw at the top level.  At level k each row is
+    denoised on its own, then all rows are guided toward y together;
+    finish(k, sigma_t, x0t, x0ty) gets the denoised and the guided rows and
+    returns the level's rows, which are renoised to the next level.  The
+    last level's rows are returned as is.  Row b draws only from rngs[b],
+    so it is the chain that rngs[b] alone walks, bit for bit.
     """
     sched = build_schedule(cfg.steps, cfg.t_min, cfg.t_max, cfg.rho)
     if not (1 <= depth <= len(sched)):
         raise SgpsError(f"depth must be in [1, {len(sched)}], got {depth}")
-    rng_guide = rng.substream(STREAM_GUIDE)
-    rng_renoise = rng.substream(STREAM_RENOISE)
-    n = int(np.prod(op.input_shape))
-    x = Signal(float(sched.sigmas[0]) * rng.substream(STREAM_INIT).normal(n), op.input_shape)
+    shape = op.input_shape
+    n = math.prod(shape)
+    rng_guide = [r.substream(STREAM_GUIDE) for r in rngs]
+    rng_renoise = [r.substream(STREAM_RENOISE) for r in rngs]
+    top = float(sched.sigmas[0])
+    x = np.stack([top * r.substream(STREAM_INIT).normal(n) for r in rngs])
     for k in range(depth):
         sigma_t = float(sched.sigmas[k])
         step_no = k + 1
-        x0t = _stage(
-            lambda: denoise_step(den, x, sigma_t, cfg.ode_substeps, sched),
-            "denoise", step_no,
-        )
+        x0t = np.stack([
+            _stage(
+                lambda: denoise_step(
+                    den, Signal._adopt(row, shape), sigma_t, cfg.ode_substeps, sched
+                ).data,
+                "denoise", step_no,
+            )
+            for row in x
+        ])
         x0ty = _stage(
             lambda: langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_guide),
             "guidance", step_no,
         )
         x = finish(k, sigma_t, x0t, x0ty)
         if k + 1 < depth:
-            sigma_next = sched.sigma_after(k)
-            x = _stage(
-                lambda: x.with_data(x.data + sigma_next * rng_renoise.normal(n)),
-                "renoise", step_no,
-            )
+            x = _stage(lambda: _renoised(x, sched.sigma_after(k), rng_renoise),
+                       "renoise", step_no)
     return x
+
+
+def _renoised(x: np.ndarray, sigma_next: float, rngs: Sequence[RngStream]) -> np.ndarray:
+    out = x + sigma_next * np.stack([r.normal(x.shape[1]) for r in rngs])
+    if not all_finite(out):
+        raise NonFiniteError("renoised rows are not finite")
+    return out
 
 
 def sgps_run(
@@ -170,10 +185,13 @@ def sgps_run(
     rng_probe = probe_stream(rng)
     records: list[StepRecord] = []
     calls_before = 0
+    shape = op.input_shape
 
-    def correct(k: int, sigma_t: float, x0t: Signal, x0ty: Signal) -> Signal:
+    def correct(k: int, sigma_t: float, x0t_row: np.ndarray, x0ty_row: np.ndarray) -> np.ndarray:
         nonlocal calls_before
         step_no = k + 1
+        x0t = Signal._adopt(x0t_row[0], shape)
+        x0ty = Signal._adopt(x0ty_row[0], shape)
 
         def estimate(x: Signal) -> float:
             return _stage(lambda: estimate_sigma(x, patch), "estimate", step_no)
@@ -221,10 +239,10 @@ def sgps_run(
             )
         )
         calls_before = counting.calls
-        return current
+        return current.data[None]
 
     t_start = time.perf_counter()
-    x_star = walk_ladder(counting, op, y, cfg, rng, correct, cfg.steps)
+    x_star = Signal._adopt(walk_ladder(counting, op, y, cfg, [rng], correct, cfg.steps)[0], shape)
     final_mse = final_psnr = math.nan
     if x_true is not None:
         final_mse = mse(x_star, x_true)

@@ -1,10 +1,13 @@
 """Diagnostics: Gaussian divergences, posterior oracle, moment checks, and
 the small experiment drivers."""
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgps.analysis
 import sgps.sampler
@@ -23,6 +26,7 @@ from sgps.analysis import (
     w2_scaling_curve,
 )
 from sgps.core import RngStream, SamplerConfig, SgpsError, Signal
+from sgps.guidance import langevin_guide
 from sgps.noise_est import PatchConfig
 from sgps.operators import BlurOp, MaskOp, gaussian_kernel, identity_op
 from sgps.prior import GmmDenoiser, GmmPrior
@@ -166,6 +170,12 @@ class TestLinearGaussianPosterior:
         with pytest.raises(SgpsError):
             linear_gaussian_posterior(two, op, y, self.sy)
 
+    def test_rejects_operator_of_another_length(self):
+        op = identity_op((self.n + 1,))
+        y = Signal(np.zeros(self.n + 1), (self.n + 1,))
+        with pytest.raises(SgpsError):
+            linear_gaussian_posterior(self.prior, op, y, self.sy)
+
 
 class TestNormality:
     def test_moments_match_scipy(self):
@@ -245,6 +255,28 @@ class TestW2Curve:
         assert 1.5 < loglog_slope(etas, vals) < 2.5
 
 
+    def test_batched_curve_equals_loop_of_single_chains(self):
+        n = 6
+        op = BlurOp((n,), gaussian_kernel(3, 0.8, 1))
+        anchor = Signal(np.linspace(-1.0, 1.0, n), (n,))
+        y = Signal(np.full(n, 0.5), (n,))
+        cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.7)
+        etas, samples, sigma_t = (0.2, 0.05), 50, 0.8
+        want = []
+        for eta in etas:
+            step_cfg = cfg.replace(langevin_steps=1, langevin_eta=eta)
+            resid = np.empty((samples, n))
+            for i in range(samples):
+                rng = RngStream(9, i)
+                x0 = anchor.with_data(anchor.data + sigma_t * rng.normal(n))
+                x1 = langevin_guide(x0, anchor, sigma_t, op, y, step_cfg, rng)
+                resid[i] = x1.data - anchor.data
+            mu, sd = fit_isotropic_gaussian(resid)
+            combined = math.sqrt(sigma_t * sigma_t + 2.0 * eta)
+            want.append((eta, gaussian_w2(mu, sd, np.zeros(n), combined)))
+        assert w2_scaling_curve(op, y, anchor, sigma_t, cfg, etas, samples, seed=9) == want
+
+
 class TestChainExperiments:
     def make_task(self):
         shape = (8, 8)
@@ -292,3 +324,46 @@ class TestChainExperiments:
         assert out.shape == (2, 2)
         assert np.all(np.isfinite(out))
         assert np.all(out > 0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        depth=st.integers(1, 4),
+        substeps=st.integers(1, 2),
+        blur=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chain_prefix_batch_equals_single_streams(self, batch, depth, substeps, blur, seed):
+        den, _, op, y, cfg = self.make_task()
+        if blur:
+            op = BlurOp(op.input_shape, gaussian_kernel(3, 0.9, 2))
+            y = Signal(y.data, op.output_shape)
+        cfg = cfg.replace(ode_substeps=substeps, langevin_steps=8)
+        rngs = [RngStream(seed, b) for b in range(batch)]
+        states = chain_prefix(den, op, y, cfg, rngs, depth)
+        assert len(states) == depth
+        for b in range(batch):
+            single = chain_prefix(den, op, y, cfg, RngStream(seed, b), depth)
+            for (s_rows, x0t_rows, x0ty_rows), (s, x0t, x0ty) in zip(states, single):
+                assert s_rows == s
+                assert np.array_equal(x0t_rows[b], x0t.data)
+                assert np.array_equal(x0ty_rows[b], x0ty.data)
+
+    @pytest.mark.parametrize("sigma_floor,corrected", [(1e-3, 10), (1e3, 0)])
+    def test_kl_trend_runs_one_batch_per_trial(self, sigma_floor, corrected):
+        # what a tracer of sgps.analysis's names sees: one chain_prefix call
+        # per trial, and one estimate per chain and one update per corrected
+        # chain; a chain whose correction is skipped stays as it is
+        den, prior, op, y, cfg = self.make_task()
+        cfg = cfg.replace(sigma_floor=sigma_floor)
+        names = ("chain_prefix", "estimate_sigma", "sure_value", "sure_gradient", "sure_update")
+        spies = {name: mock.Mock(side_effect=getattr(sgps.analysis, name)) for name in names}
+        with mock.patch.multiple(sgps.analysis, **spies):
+            out = kl_trend_trials(den, prior, op, y, cfg, PatchConfig(patch_size=3),
+                                  trials=2, samples=5, depth=3, seed=17)
+        assert spies["chain_prefix"].call_count == 2
+        assert spies["estimate_sigma"].call_count == 10
+        for name in ("sure_value", "sure_gradient", "sure_update"):
+            assert spies[name].call_count == corrected
+        if corrected == 0:
+            assert np.array_equal(out[:, 0], out[:, 1])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sgps import (
     mse,
     psnr,
 )
-from sgps.core import STEP_CSV_COLUMNS, RunReport, StepRecord, format_float
+from sgps.core import STEP_CSV_COLUMNS, RunReport, StepRecord, all_finite, format_float
 
 
 class TestSignal:
@@ -73,6 +74,13 @@ class TestSignal:
             Signal(np.array([np.inf, -np.inf]), (2,))
         with pytest.raises(NonFiniteError):
             Signal(np.array([1e200, np.nan]), (2,))
+
+    def test_overflowing_sum_of_squares_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Signal(np.array([1e200, 3.0]), (2,)).data[0] == 1e200
+            assert all_finite(np.full((3, 2), 1e300))
+            assert not all_finite(np.array([[1e300, 0.0], [np.nan, 1.0]]))
 
     def test_with_data_copies_checks_and_freezes(self):
         s = Signal(np.zeros(4), (2, 2))
@@ -131,6 +139,15 @@ class TestRngStream:
     def test_rejects_zero_draws(self):
         with pytest.raises(SgpsError):
             RngStream(0).normal(0)
+
+    def test_normal_into_fills_with_the_normal_draws(self):
+        rows = np.empty((2, 37))
+        r = RngStream(12, 4)
+        r.normal_into(rows[0])
+        r.normal_into(rows[1])
+        want = RngStream(12, 4)
+        assert np.array_equal(rows[0], want.normal(37))
+        assert np.array_equal(rows[1], want.normal(37))
 
 
 class TestSamplerConfig:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgps import (
     CountingDenoiser,
@@ -9,6 +13,7 @@ from sgps import (
     MaskOp,
     RngStream,
     SamplerConfig,
+    SgpsError,
     Signal,
     identity_op,
 )
@@ -65,6 +70,15 @@ def test_noise_scale_zero_converges_to_map_point():
     np.testing.assert_allclose(out.data, want, atol=1e-12)
 
 
+def guide_from_anchor(seed, reps, anchor, st, op, y, cfg):
+    """reps chains started at anchor + st * noise, each from stream (seed, r)
+    with its guide noise from that stream's substream 1, guided as one batch."""
+    streams = [RngStream(seed, r) for r in range(reps)]
+    x0 = np.stack([anchor.data + g.normal(anchor.n) * st for g in streams])
+    return langevin_guide(x0, np.broadcast_to(anchor.data, x0.shape), st, op, y, cfg,
+                          [g.substream(1) for g in streams])
+
+
 def test_discrete_chain_moments_identity():
     # stationary mean and variance of the exact discrete-time update
     # x' = x - eta * grad U + sqrt(2 eta) xi for the quadratic potential;
@@ -81,11 +95,7 @@ def test_discrete_chain_moments_identity():
     mu_exact = (anchor.data / st**2 + y.data / sy**2) / lam
     var_exact = 2.0 * eta / (1.0 - (1.0 - eta * lam) ** 2)
     reps = 1500
-    fin = np.empty((reps, n))
-    for r in range(reps):
-        g = RngStream(11, r)
-        x0 = Signal(anchor.data + g.normal(n) * st, (n,))
-        fin[r] = langevin_guide(x0, anchor, st, op, y, cfg, g.substream(1)).data
+    fin = guide_from_anchor(11, reps, anchor, st, op, y, cfg)
     se_mean = np.sqrt(var_exact / reps)
     assert np.max(np.abs(fin.mean(0) - mu_exact)) < 4.0 * se_mean
     pooled = fin.var(0, ddof=1).mean() / var_exact
@@ -109,11 +119,7 @@ def test_unobserved_coordinates_follow_anchor_potential():
     anchor = Signal(np.zeros(n), (n,))
     y = Signal(np.zeros(2), (2,))
     reps = 2000
-    vals = np.empty((reps, 2))
-    for r in range(reps):
-        g = RngStream(21, r)
-        x0 = Signal(anchor.data + g.normal(n) * st, (n,))
-        vals[r] = langevin_guide(x0, anchor, st, op, y, cfg, g.substream(1)).data[2:]
+    vals = guide_from_anchor(21, reps, anchor, st, op, y, cfg)[:, 2:]
     pooled = vals.var(ddof=1) / var_exact
     assert abs(pooled - 1.0) < 4.0 * np.sqrt(2.0 / (reps * 2 - 1))
 
@@ -140,3 +146,78 @@ def test_divergence_reported_with_stage():
     with pytest.raises(DivergenceError) as err:
         langevin_guide(x, x, 0.5, op, y, cfg, RngStream(2, 0))
     assert err.value.stage == "langevin"
+
+
+def reference_guide(x, anchor, sigma_t, keep, y, cfg, rng):
+    """The one-chain Langevin loop written out for a mask operator."""
+    eta = default_eta(sigma_t, cfg)
+    for _ in range(cfg.langevin_steps):
+        grad = (x - anchor) / (sigma_t * sigma_t)
+        fid = np.zeros(x.size)
+        fid[keep] = x[keep] - y
+        grad += fid / (cfg.sigma_y * cfg.sigma_y)
+        x = x - eta * grad + math.sqrt(2.0 * eta) * rng.normal(x.size)
+    return x
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    batch=st.integers(1, 5),
+    n=st.integers(2, 9),
+    steps=st.integers(1, 12),
+    masked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_equals_single_chains(batch, n, steps, masked, seed):
+    keep = np.arange(0, n, 2) if masked else np.arange(n)
+    op = MaskOp((n,), keep)
+    g = RngStream(seed, 0)
+    xs = g.standard_normal((batch, n))
+    anchors = g.standard_normal((batch, n))
+    y = Signal(g.normal(keep.size), (keep.size,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.3, langevin_steps=steps)
+    before = xs.copy()
+    rows = langevin_guide(xs, anchors, 0.6, op, y, cfg,
+                          [RngStream(seed, 1 + b) for b in range(batch)])
+    assert np.array_equal(xs, before)
+    for b in range(batch):
+        one = langevin_guide(Signal(xs[b], (n,)), Signal(anchors[b], (n,)), 0.6, op, y, cfg,
+                             RngStream(seed, 1 + b))
+        assert np.array_equal(rows[b], one.data)
+        want = reference_guide(xs[b], anchors[b], 0.6, keep, y.data, cfg, RngStream(seed, 1 + b))
+        assert np.array_equal(rows[b], want)
+
+
+def test_batch_rejects_mismatched_rows_and_streams():
+    op = identity_op((3,))
+    y = Signal(np.zeros(3), (3,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=2)
+    xs = np.zeros((2, 3))
+    with pytest.raises(SgpsError):
+        langevin_guide(xs, xs, 0.5, op, y, cfg, [RngStream(1, 0)])
+    with pytest.raises(SgpsError):
+        langevin_guide(xs, np.zeros((3, 3)), 0.5, op, y, cfg, [RngStream(1, 0)] * 2)
+    with pytest.raises(SgpsError):
+        langevin_guide(np.zeros((2, 4)), np.zeros((2, 4)), 0.5, op, y, cfg, [RngStream(1, 0)] * 2)
+
+
+def test_one_diverging_row_stops_the_batch_at_its_first_iteration():
+    # an unstable step makes every row grow 15-fold per iteration; only the
+    # row that starts near the top of the float range overflows in time
+    n = 4
+    op = identity_op((n,))
+    y = Signal(np.zeros(n), (n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_eta=2.0, langevin_steps=100)
+    xs = np.stack([np.ones(n), np.full(n, 1e250), -np.ones(n)])
+    firsts = []
+    for b in range(3):
+        x = Signal(xs[b], (n,))
+        try:
+            langevin_guide(x, x, 0.5, op, y, cfg, RngStream(6, b))
+        except DivergenceError as e:
+            firsts.append((b, e.step_index))
+    assert len(firsts) == 1 and firsts[0][0] == 1
+    with pytest.raises(DivergenceError) as err:
+        langevin_guide(xs, xs, 0.5, op, y, cfg, [RngStream(6, b) for b in range(3)])
+    assert err.value.stage == "langevin"
+    assert err.value.step_index == firsts[0][1]

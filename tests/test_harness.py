@@ -1,10 +1,13 @@
 """Experiment harness: config parsing, task construction, PGM and SVG I/O,
 the driver's artifact layout, and the CLI."""
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sgps
 from sgps.core import ConfigError, RngStream, Signal
 from sgps.harness.cli import main
 from sgps.harness.config import (
@@ -495,6 +498,25 @@ class TestCli:
         cfg = parse_config(str(path))
         rows = (tmp_path / "out" / summary_csv_name(cfg)).read_text().strip().split("\n")
         assert len(rows) == 2 and rows[1].split(",")[2] == "failed"
+
+    def test_numerical_failure_prints_no_numpy_warning(self, tmp_path):
+        # a separate process, so stderr is what a user sees: the failure
+        # line, and no floating-point warning from inside the package
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("shape = 16 16", "shape = 8 8")
+                        .replace("kind = identity", "kind = magnitude-dft")
+                        .replace("steps = 4\nlangevin_steps = 20", "steps = 8"))
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sgps.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("SGPS_OUTPUT_DIR", None)
+        proc = subprocess.run([sys.executable, "-m", "sgps.harness.cli", "run", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "divergence in stage 'estimate' at step 1" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "overflow" not in proc.stderr
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 1

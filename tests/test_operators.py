@@ -255,6 +255,52 @@ class TestRangeClip:
         np.testing.assert_allclose(got, fd_fidelity(op, x, y, 0.7), rtol=1e-5, atol=1e-8)
 
 
+OPERATOR_MAKERS = {
+    "mask": lambda shape: MaskOp(shape, np.arange(0, int(np.prod(shape)), 3)[::-1]),
+    "identity": identity_op,
+    "blur": lambda shape: BlurOp(shape, gaussian_kernel(3, 0.9, len(shape))),
+    "downsample": lambda shape: DownsampleOp(shape, 2),
+    "magnitude-dft": lambda shape: MagnitudeDftOp(shape, oversample=1.5),
+    "range-clip": lambda shape: RangeClipOp(shape, threshold=0.4),
+    "range-clip-smooth": lambda shape: RangeClipOp(shape, threshold=0.4, smooth=True),
+}
+
+
+class TestBatchEqualsLoop:
+    """Row b of a batched call is the Signal call on row b, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(OPERATOR_MAKERS))
+    @pytest.mark.parametrize("shape", [(12,), (6, 8)])
+    @pytest.mark.parametrize("batch", [1, 3, 7])
+    def test_rows_match_signal_calls(self, kind, shape, batch):
+        op = OPERATOR_MAKERS[kind](shape)
+        rng = RngStream(14, batch)
+        n, m = int(np.prod(op.input_shape)), int(np.prod(op.output_shape))
+        xs = rng.standard_normal((batch, n))
+        ws = rng.standard_normal((batch, m))
+        y = Signal(rng.normal(m), op.output_shape)
+        applied = op.apply(xs)
+        grads = op.fidelity_gradient(xs, y.data, 0.3)
+        assert applied.shape == (batch, m) and grads.shape == (batch, n)
+        adjoined = op.adjoint(ws) if op.linear else None
+        for b in range(batch):
+            x = Signal(xs[b], op.input_shape)
+            assert np.array_equal(applied[b], op.apply(x).data)
+            assert np.array_equal(grads[b], op.fidelity_gradient(x, y, 0.3).data)
+            if op.linear:
+                assert np.array_equal(adjoined[b], op.adjoint(Signal(ws[b], op.output_shape)).data)
+
+    def test_linear_gradient_goes_through_apply_and_adjoint(self):
+        # wrappers on an instance's apply and adjoint see the gradient's calls
+        op = BlurOp((5,), gaussian_kernel(3, 1.0, 1))
+        calls = []
+        for name in ("apply", "adjoint"):
+            method = getattr(op, name)
+            setattr(op, name, lambda arr, _m=method, _n=name: calls.append(_n) or _m(arr))
+        op.fidelity_gradient(np.ones((3, 5)), np.zeros(5), 0.5)
+        assert calls == ["apply", "adjoint"]
+
+
 class TestKernels:
     def test_gaussian_kernel_normalized_and_symmetric(self):
         k = gaussian_kernel(5, 1.2, 1)
