@@ -69,47 +69,30 @@ def qq_correlation_threshold(
     return float(np.quantile(vals, quantile))
 
 
-def _as_mean_vector(mean, n: int | None) -> np.ndarray:
-    if isinstance(mean, Signal):
-        return mean.data
-    arr = np.atleast_1d(np.asarray(mean, dtype=np.float64)).reshape(-1)
-    if arr.size == 1 and n is not None and n > 1:
-        arr = np.full(n, float(arr[0]))
-    return arr
-
-
-def gaussian_w2(mean_a, std_a: float, mean_b, std_b: float, n: int | None = None) -> float:
+def gaussian_w2(mean_a: np.ndarray, std_a: float, mean_b: np.ndarray, std_b: float) -> float:
     """Squared 2-Wasserstein distance between isotropic Gaussians:
     ||mu_a - mu_b||^2 + n (std_a - std_b)^2."""
     if std_a < 0 or std_b < 0:
         raise SgpsError("standard deviations must be nonnegative")
-    ma = _as_mean_vector(mean_a, n)
-    mb = _as_mean_vector(mean_b, n)
-    if ma.size != mb.size:
-        raise SgpsError(f"mean lengths differ: {ma.size} vs {mb.size}")
-    dim = ma.size if n is None else int(n)
-    if dim != ma.size:
-        raise SgpsError(f"n={n} does not match mean length {ma.size}")
-    d = ma - mb
-    return float(d @ d + dim * (std_a - std_b) ** 2)
+    if mean_a.size != mean_b.size:
+        raise SgpsError(f"mean lengths differ: {mean_a.size} vs {mean_b.size}")
+    d = mean_a - mean_b
+    return float(d @ d + mean_a.size * (std_a - std_b) ** 2)
 
 
-def kl_gaussian(mean_q, std_q: float, mean_p, std_p: float, n: int | None = None) -> float:
+def kl_gaussian(mean_q: np.ndarray, std_q: float, mean_p: np.ndarray, std_p: float) -> float:
     """KL(N(mu_q, std_q^2 I) || N(mu_p, std_p^2 I)); asymmetric in its
     arguments."""
     if std_q <= 0 or std_p <= 0:
         raise SgpsError("standard deviations must be positive")
-    mq = _as_mean_vector(mean_q, n)
-    mp = _as_mean_vector(mean_p, n)
-    if mq.size != mp.size:
-        raise SgpsError(f"mean lengths differ: {mq.size} vs {mp.size}")
-    dim = mq.size if n is None else int(n)
-    if dim != mq.size:
-        raise SgpsError(f"n={n} does not match mean length {mq.size}")
+    if mean_q.size != mean_p.size:
+        raise SgpsError(f"mean lengths differ: {mean_q.size} vs {mean_p.size}")
     vq = std_q * std_q
     vp = std_p * std_p
-    d = mq - mp
-    return float(dim * (math.log(std_p / std_q) + vq / (2.0 * vp) - 0.5) + d @ d / (2.0 * vp))
+    d = mean_q - mean_p
+    return float(
+        mean_q.size * (math.log(std_p / std_q) + vq / (2.0 * vp) - 0.5) + d @ d / (2.0 * vp)
+    )
 
 
 def fit_isotropic_gaussian(samples: np.ndarray) -> tuple[np.ndarray, float]:
@@ -251,28 +234,21 @@ def chain_prefix(
     op: ForwardOp,
     y: Signal,
     cfg: SamplerConfig,
-    rng: RngStream | Sequence[RngStream],
+    rngs: Sequence[RngStream],
     depth: int,
-) -> list[tuple[float, Signal, Signal]] | list[tuple[float, np.ndarray, np.ndarray]]:
-    """First `depth` steps of the sampler's chain with the correction off:
-    per step the noise level, the denoised estimate, and the guided sample.
-
-    With one stream the states are Signals.  With a sequence of B streams
-    the chains run as one batch and the states are (B, n) arrays whose row
-    b is, bit for bit, the state of the one-stream call on stream b.
-    """
+) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """First `depth` steps of the sampler's chain with the correction off,
+    one chain per stream, run as one batch: per step the noise level and
+    the (B, n) denoised and guided rows.  Row b is the chain that rngs[b]
+    alone walks."""
     states = []
 
     def keep(k: int, sigma_t: float, x0t: np.ndarray, x0ty: np.ndarray) -> np.ndarray:
         states.append((sigma_t, x0t, x0ty))
         return x0ty
 
-    if not isinstance(rng, RngStream):
-        walk_ladder(den, op, y, cfg, rng, keep, depth)
-        return states
-    walk_ladder(den, op, y, cfg, [rng], keep, depth)
-    shape = op.input_shape
-    return [(s, Signal._adopt(a[0], shape), Signal._adopt(b[0], shape)) for s, a, b in states]
+    walk_ladder(den, op, y, cfg, rngs, keep, depth)
+    return states
 
 
 def kl_trend_trials(
@@ -308,9 +284,8 @@ def kl_trend_trials(
             sigma_hat = correction_level(estimate_sigma(x0ty, patch), sigma_t, cfg)
             if sigma_hat is None:
                 continue
-            rng_probe = probe_stream(rng)
-            ev = sure_value(den, x0ty, sigma_hat, cfg, rng_probe)
-            grad = sure_gradient(den, x0ty, sigma_hat, cfg, rng_probe, ev)
+            ev = sure_value(den, x0ty, sigma_hat, cfg, probe_stream(rng))
+            grad = sure_gradient(den, ev)
             after[i] = sure_update(x0ty, grad, cfg.alpha).data
         mu_b, sd_b = fit_isotropic_gaussian(before)
         mu_a, sd_a = fit_isotropic_gaussian(after)

@@ -210,7 +210,6 @@ class SamplerConfig:
     ode_substeps: int = 1
     sigma_floor: float = 1e-3
     sigma_hat_scale: float = 1.0
-    probe_resample: bool = False
 
     def __post_init__(self):
         for f in dataclasses.fields(self):

@@ -31,48 +31,33 @@ def default_eta(sigma_t: float, cfg: SamplerConfig) -> float:
 
 
 def langevin_guide(
-    x_init: Signal | np.ndarray,
-    x_anchor: Signal | np.ndarray,
+    x_init: np.ndarray,
+    x_anchor: np.ndarray,
     sigma_t: float,
     op: ForwardOp,
     y: Signal,
     cfg: SamplerConfig,
-    rng: RngStream | Sequence[RngStream],
+    rngs: Sequence[RngStream],
     noise_scale: float = 1.0,
-) -> Signal | np.ndarray:
-    """Guided samples after cfg.langevin_steps unadjusted Langevin updates.
+) -> np.ndarray:
+    """Guided rows after cfg.langevin_steps unadjusted Langevin updates.
 
-    One chain takes Signals and one RngStream and returns a Signal.  B
-    chains take (B, n) arrays of initial points and anchors, one chain per
-    row, and a sequence of B streams, and return the (B, n) guided rows;
-    they advance in lockstep, and row b draws its noise from rng[b] as a
-    chain of its own would, so it equals the one-chain guide on that
-    stream bit for bit.  A divergence is reported at the first iteration
-    where any row is not finite.
+    x_init and x_anchor are (B, n) arrays of initial points and anchors,
+    one chain per row, and rngs holds one stream per row.  The chains
+    advance in lockstep, and row b draws its noise from rngs[b] alone, so
+    it is the chain that stream would walk by itself.  A divergence is
+    reported at the first iteration where any row is not finite.
 
     noise_scale scales the injected noise and exists for deterministic
     diagnostics; 1.0 is the sampling dynamics.
     """
-    if isinstance(x_init, Signal):
-        if x_init.shape != x_anchor.shape:
-            raise SgpsError(
-                f"init shape {x_init.shape} differs from anchor shape {x_anchor.shape}"
-            )
-        if x_init.shape != op.input_shape:
-            raise SgpsError(
-                f"init shape {x_init.shape} does not match operator input {op.input_shape}"
-            )
-        rows = langevin_guide(
-            x_init.data[None], x_anchor.data[None], sigma_t, op, y, cfg, [rng], noise_scale
-        )
-        return Signal._adopt(rows[0], x_init.shape)
     n = math.prod(op.input_shape)
     if x_init.ndim != 2 or x_init.shape[1] != n:
         raise SgpsError(f"init rows {x_init.shape} do not match operator input {op.input_shape}")
     if x_anchor.shape != x_init.shape:
         raise SgpsError(f"init rows {x_init.shape} differ from anchor rows {x_anchor.shape}")
-    if len(rng) != len(x_init):
-        raise SgpsError(f"{len(rng)} streams for {len(x_init)} rows")
+    if len(rngs) != len(x_init):
+        raise SgpsError(f"{len(rngs)} streams for {len(x_init)} rows")
     if y.shape != op.output_shape:
         raise SgpsError(
             f"measurement shape {y.shape} does not match operator output {op.output_shape}"
@@ -86,7 +71,7 @@ def langevin_guide(
     st2 = sigma_t * sigma_t
     root = math.sqrt(2.0 * eta) * noise_scale
     noise = np.empty(x_init.shape)
-    fills = [(r.normal_into, row) for r, row in zip(rng, noise)]
+    fills = [(r.normal_into, row) for r, row in zip(rngs, noise)]
     x = x_init.copy()
     # x - eta * grad + root * noise, in place and in the same order; a
     # diverging chain overflows, and the finite check reports it

@@ -8,7 +8,10 @@ usage error, 2 run failure.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -48,6 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_estimate(args) -> int:
     patch = PatchConfig(patch_size=args.patch, stride=args.stride)
+    if not os.path.isfile(args.image):
+        raise ConfigError(f"no such image file: {args.image}")
     sigma = estimate_sigma(read_pgm(args.image), patch)
     print(f"{sigma:.6f}")
     return 0
@@ -61,8 +66,10 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"--size must look like 64x64, got {args.size!r}")
     if h < 1 or w < 1:
         raise ConfigError(f"--size must be positive, got {args.size!r}")
-    if args.sigma < 0:
-        raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
+    if not (0 <= args.sigma < math.inf):
+        raise ConfigError(f"--sigma must be finite and >= 0, got {args.sigma}")
+    if not (0 < args.maxval < 65536):
+        raise ConfigError(f"--maxval must be in [1, 65535], got {args.maxval}")
     rng = RngStream(args.seed, 0)
     vals = 0.5 + args.sigma * rng.normal(h * w)
     image = Signal(np.clip(vals, 0.0, 1.0), (h, w))
@@ -71,7 +78,23 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    # a warning reaches the user as one line, without the package source
+    # line that would point at it; swapping the formatter (not the handler)
+    # leaves warnings recorded by a caller's catch_warnings untouched
+    shown = warnings.formatwarning
+    warnings.formatwarning = _one_line_warning
+    try:
+        return _dispatch(argv)
+    finally:
+        warnings.formatwarning = shown
+
+
+def _dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -69,13 +69,7 @@ def _summary_rows(axis_names: list[str], results: list[RunResult]) -> str:
         if r.report is not None:
             raw = float(np.mean([s.sigma_hat_raw for s in r.report.steps]))
             star = float(np.mean([s.sigma_hat_star for s in r.report.steps]))
-            tail = [
-                format_float(r.report.psnr_final),
-                format_float(r.report.mse_final),
-                str(r.report.total_nfe),
-                format_float(raw),
-                format_float(star),
-            ]
+            tail = [*r.report.summary_fields().values(), format_float(raw), format_float(star)]
             status = "ok"
         else:
             tail = ["nan", "nan", "0", "nan", "nan"]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NonFiniteError, SgpsError, Signal
+from .core import ConfigError, NonFiniteError, SgpsError, Signal
 
 
 @dataclass(frozen=True)
@@ -23,11 +23,11 @@ class PatchConfig:
 
     def __post_init__(self):
         if self.patch_size < 1:
-            raise SgpsError(f"patch_size must be >= 1, got {self.patch_size}")
+            raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
         if self.stride < 1:
-            raise SgpsError(f"stride must be >= 1, got {self.stride}")
+            raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.rel_tol < 0:
-            raise SgpsError(f"rel_tol must be >= 0, got {self.rel_tol}")
+            raise ConfigError(f"rel_tol must be >= 0, got {self.rel_tol}")
 
 
 def extract_patches(x: Signal, cfg: PatchConfig = PatchConfig()) -> np.ndarray:

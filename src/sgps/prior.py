@@ -231,11 +231,6 @@ class GmmPrior:
         x = self.means[k] + np.sqrt(self.var_scale) * rng.normal(self.n)
         return Signal(x, self.shape)
 
-    def draw_batch(self, rng: RngStream, count: int) -> np.ndarray:
-        ks = rng.gen.choice(self.k, size=int(count), p=self.weights)
-        z = rng.standard_normal((int(count), self.n))
-        return self.means[ks] + np.sqrt(self.var_scale) * z
-
 
 class GmmDenoiser(Denoiser):
     """Denoiser view of a GmmPrior; all diagnostics are exact."""

@@ -197,14 +197,16 @@ def sgps_run(
             return _stage(lambda: estimate_sigma(x, patch), "estimate", step_no)
 
         sigma_raw = estimate(x0ty)
-        current = x0ty
+        # sigma_current is the estimate of current, None once current moves
+        current, sigma_current = x0ty, sigma_raw
         sigma_used_rec = math.nan
         sure_rec = math.nan
         skipped = False
         if cfg.sure_enabled:
             for rep in range(cfg.sure_repeats):
-                raw = sigma_raw if rep == 0 else estimate(current)
-                used = correction_level(raw, sigma_t, cfg)
+                if sigma_current is None:
+                    sigma_current = estimate(current)
+                used = correction_level(sigma_current, sigma_t, cfg)
                 if used is None:
                     skipped = rep == 0
                     break
@@ -212,14 +214,12 @@ def sgps_run(
                     lambda: sure_value(counting, current, used, cfg, rng_probe),
                     "sure-value", step_no,
                 )
-                grad = _stage(
-                    lambda: sure_gradient(counting, current, used, cfg, rng_probe, ev),
-                    "sure-gradient", step_no,
-                )
+                grad = _stage(lambda: sure_gradient(counting, ev), "sure-gradient", step_no)
                 current = _stage(
                     lambda: sure_update(current, grad, cfg.alpha),
                     "sure-update", step_no,
                 )
+                sigma_current = None
                 if rep == 0:
                     sigma_used_rec = used
                     sure_rec = ev.value
@@ -234,7 +234,7 @@ def sgps_run(
                 psnr_x0ty=_maybe_psnr(x0ty, x_true, peak),
                 psnr_star=_maybe_psnr(current, x_true, peak),
                 nfe_step=counting.calls - calls_before,
-                sigma_hat_star=estimate(current),
+                sigma_hat_star=estimate(current) if sigma_current is None else sigma_current,
                 skipped=skipped,
             )
         )

@@ -87,8 +87,10 @@ def mc_trace(
 
 @dataclass(frozen=True)
 class SureEvaluation:
-    """One risk evaluation and everything needed to reuse or recompute it."""
+    """One risk evaluation: where it was taken, its terms, and the frozen
+    probes and base output its gradient reuses."""
 
+    point: Signal
     value: float
     data_term: float
     trace_estimate: float
@@ -106,6 +108,27 @@ class SureEvaluation:
         object.__setattr__(self, "probes", p)
 
 
+def _evaluate(
+    den: Denoiser, x: Signal, sigma_hat: float, epsilon: float, probes: np.ndarray
+) -> SureEvaluation:
+    """The risk expression at x with sigma_hat, epsilon, and probes held
+    fixed; the gradient differentiates this function of x."""
+    xhat = den.denoise(x, sigma_hat)
+    trace = _trace_with_probes(den, x, sigma_hat, epsilon, probes, xhat)
+    resid = x.data - xhat.data
+    data_term = float(resid @ resid)
+    return SureEvaluation(
+        point=x,
+        value=sure_identity(x.n, sigma_hat, data_term, trace),
+        data_term=data_term,
+        trace_estimate=trace,
+        sigma_used=float(sigma_hat),
+        epsilon=epsilon,
+        probes=probes,
+        denoised=xhat,
+    )
+
+
 def sure_value(
     den: Denoiser,
     x_noisy: Signal,
@@ -120,92 +143,48 @@ def sure_value(
     """
     if sigma_hat <= 0:
         raise SgpsError(f"sigma_hat must be positive, got {sigma_hat}")
-    xhat = den.denoise(x_noisy, sigma_hat)
     eps = probe_epsilon(x_noisy, cfg.epsilon_divisor)
-    b = rng.standard_normal((cfg.mc_probes, x_noisy.n))
-    trace = _trace_with_probes(den, x_noisy, sigma_hat, eps, b, xhat)
-    resid = x_noisy.data - xhat.data
-    data_term = float(resid @ resid)
-    value = sure_identity(x_noisy.n, sigma_hat, data_term, trace)
-    return SureEvaluation(
-        value=value,
-        data_term=data_term,
-        trace_estimate=trace,
-        sigma_used=float(sigma_hat),
-        epsilon=eps,
-        probes=b,
-        denoised=xhat,
-    )
+    probes = rng.standard_normal((cfg.mc_probes, x_noisy.n))
+    return _evaluate(den, x_noisy, sigma_hat, eps, probes)
 
 
-def _sure_expression(
-    den: Denoiser,
-    xv: np.ndarray,
-    template: Signal,
-    sigma_hat: float,
-    epsilon: float,
-    probes: np.ndarray,
-) -> float:
-    """Value of the risk expression at an arbitrary input, with sigma_hat,
-    epsilon, and probes held fixed.  This is the function the gradient
-    differentiates."""
-    x = template.with_data(xv)
-    xhat = den.denoise(x, sigma_hat)
-    trace = _trace_with_probes(den, x, sigma_hat, epsilon, probes, xhat)
-    resid = x.data - xhat.data
-    return sure_identity(x.n, sigma_hat, float(resid @ resid), trace)
+def sure_gradient(den: Denoiser, evaluation: SureEvaluation) -> Signal:
+    """Gradient of the risk expression with respect to the noisy input, at
+    the evaluation's point.
 
-
-def sure_gradient(
-    den: Denoiser,
-    x_noisy: Signal,
-    sigma_hat: float,
-    cfg: SamplerConfig,
-    rng: RngStream,
-    evaluation: SureEvaluation | None = None,
-) -> Signal:
-    """Gradient of the risk expression with respect to the noisy input.
-
-    sigma_hat, the probe step, and the probes are treated as constants.
-    With an analytic denoiser the gradient uses exact Jacobian products and
-    costs no extra denoiser evaluations; otherwise central differences with
-    step 1e-4 * (1 + max|x|) are used.  Passing the evaluation from
-    sure_value reuses its probes and base output; cfg.probe_resample
-    instead draws fresh probes for the gradient.
+    sigma_hat, the probe step, and the probes are the evaluation's and are
+    treated as constants.  With an analytic denoiser the gradient uses
+    exact Jacobian products and the evaluation's base output, and costs no
+    extra denoiser evaluations; otherwise central differences with step
+    1e-4 * (1 + max|x|) are used.
     """
-    if evaluation is None:
-        evaluation = sure_value(den, x_noisy, sigma_hat, cfg, rng)
-    if abs(evaluation.sigma_used - sigma_hat) > 0:
-        raise SgpsError("evaluation was computed at a different sigma_hat")
+    x = evaluation.point
+    sigma_hat = evaluation.sigma_used
     eps = evaluation.epsilon
-    if cfg.probe_resample:
-        probes = rng.standard_normal((cfg.mc_probes, x_noisy.n))
-    else:
-        probes = evaluation.probes
+    probes = evaluation.probes
 
     if den.has_analytic_jacobian:
         s2 = sigma_hat * sigma_hat
         sigma_probe = max(eps, sigma_hat)
-        resid = x_noisy.data - evaluation.denoised.data
-        g = 2.0 * (resid - den.jacobian_vjp(x_noisy, sigma_hat, resid))
-        acc = np.zeros(x_noisy.n)
+        resid = x.data - evaluation.denoised.data
+        g = 2.0 * (resid - den.jacobian_vjp(x, sigma_hat, resid))
+        acc = np.zeros(x.n)
         for b in probes:
-            shifted = x_noisy.with_data(x_noisy.data + eps * b)
+            shifted = x.with_data(x.data + eps * b)
             acc += den.jacobian_vjp(shifted, sigma_probe, b)
-            acc -= den.jacobian_vjp(x_noisy, sigma_hat, b)
+            acc -= den.jacobian_vjp(x, sigma_hat, b)
         g += (2.0 * s2 / (eps * probes.shape[0])) * acc
-        return x_noisy.with_data(g)
+        return x.with_data(g)
 
-    h = 1e-4 * (1.0 + float(np.max(np.abs(x_noisy.data))))
-    g = np.zeros(x_noisy.n)
-    xv = x_noisy.data
-    for i in range(x_noisy.n):
-        step = np.zeros_like(xv)
+    h = 1e-4 * (1.0 + float(np.max(np.abs(x.data))))
+    g = np.zeros(x.n)
+    for i in range(x.n):
+        step = np.zeros_like(x.data)
         step[i] = h
-        fp = _sure_expression(den, xv + step, x_noisy, sigma_hat, eps, probes)
-        fm = _sure_expression(den, xv - step, x_noisy, sigma_hat, eps, probes)
+        fp = _evaluate(den, x.with_data(x.data + step), sigma_hat, eps, probes).value
+        fm = _evaluate(den, x.with_data(x.data - step), sigma_hat, eps, probes).value
         g[i] = (fp - fm) / (2.0 * h)
-    return x_noisy.with_data(g)
+    return x.with_data(g)
 
 
 def sure_update(x: Signal, grad: Signal, alpha: float) -> Signal:

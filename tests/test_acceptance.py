@@ -163,8 +163,8 @@ def test_04_gradient_analytic_vs_numeric():
         sigma = 0.15 + 0.1 * (inst % 4)
         cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.1, mc_probes=1 + inst % 2)
         ev = sure_value(analytic, x, sigma, cfg, g.substream(1))
-        ga = sure_gradient(analytic, x, sigma, cfg, g.substream(2), evaluation=ev)
-        gf = sure_gradient(bare, x, sigma, cfg, g.substream(2), evaluation=ev)
+        ga = sure_gradient(analytic, ev)
+        gf = sure_gradient(bare, ev)
         worst = max(worst, float(np.max(np.abs(ga.data - gf.data))))
     elapsed = time.perf_counter() - t0
     _criterion(4, "gradient check", worst <= 1e-4, f"max deviation {worst:.2e}", elapsed, 30.0)
@@ -380,15 +380,15 @@ def test_12_guided_residuals_gaussian():
             aty = y.data
         per_step = {k: [] for k in range(3)}
         for s in range(seeds):
-            states = chain_prefix(den, op, y, cfg, RngStream(4000 + s, 0), 3)
+            states = chain_prefix(den, op, y, cfg, [RngStream(4000 + s, 0)], 3)
             for k, (sigma_t, x0t, x0ty) in enumerate(states):
                 eta = default_eta(sigma_t, cfg)
                 lam = 1.0 / sigma_t**2 + mask_vec / cfg.sigma_y**2
-                a = (x0t.data / sigma_t**2 + aty / cfg.sigma_y**2) / lam
+                a = (x0t[0] / sigma_t**2 + aty / cfg.sigma_y**2) / lam
                 r = (1.0 - eta * lam) ** cfg.langevin_steps
-                mean = a + (x0t.data - a) * r
+                mean = a + (x0t[0] - a) * r
                 var = 2.0 * eta * (1.0 - r * r) / (1.0 - (1.0 - eta * lam) ** 2)
-                per_step[k].append((x0ty.data - mean) / np.sqrt(var))
+                per_step[k].append((x0ty[0] - mean) / np.sqrt(var))
         for k in range(3):
             z = np.concatenate(per_step[k])
             qq = normality_report(z).qq_correlation

@@ -38,21 +38,22 @@ def test_explicit_eta_overrides_default():
         steps=4, t_max=4.0, sigma_y=sy, langevin_eta=eta, langevin_steps=steps
     )
     anchor = Signal(np.zeros(n), (n,))
-    x0 = Signal(np.ones(n), (n,))
-    out = langevin_guide(x0, anchor, st, op, anchor, cfg, RngStream(1, 0), noise_scale=0.0)
+    x0 = np.ones((1, n))
+    out = langevin_guide(x0, anchor.data[None], st, op, anchor, cfg, [RngStream(1, 0)],
+                         noise_scale=0.0)
     lam = 1.0 / st**2 + 1.0 / sy**2
-    np.testing.assert_allclose(out.data, (1.0 - eta * lam) ** steps * np.ones(n), rtol=1e-12)
+    np.testing.assert_allclose(out[0], (1.0 - eta * lam) ** steps * np.ones(n), rtol=1e-12)
 
 
 def test_deterministic_given_stream():
     n = 8
     op = identity_op((n,))
-    anchor = Signal(np.zeros(n), (n,))
+    anchor = np.zeros((1, n))
     y = Signal(np.ones(n), (n,))
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=20)
-    a = langevin_guide(anchor, anchor, 0.7, op, y, cfg, RngStream(3, 1))
-    b = langevin_guide(anchor, anchor, 0.7, op, y, cfg, RngStream(3, 1))
-    assert np.array_equal(a.data, b.data)
+    a = langevin_guide(anchor, anchor, 0.7, op, y, cfg, [RngStream(3, 1)])
+    b = langevin_guide(anchor, anchor, 0.7, op, y, cfg, [RngStream(3, 1)])
+    assert np.array_equal(a, b)
 
 
 def test_noise_scale_zero_converges_to_map_point():
@@ -65,9 +66,10 @@ def test_noise_scale_zero_converges_to_map_point():
     y = Signal(rng.normal(n), (n,))
     st, sy = 0.4, 0.2
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=sy, langevin_steps=4000)
-    out = langevin_guide(anchor, anchor, st, op, y, cfg, RngStream(5, 0), noise_scale=0.0)
+    rows = anchor.data[None]
+    out = langevin_guide(rows, rows, st, op, y, cfg, [RngStream(5, 0)], noise_scale=0.0)
     want = (anchor.data / st**2 + y.data / sy**2) / (1.0 / st**2 + 1.0 / sy**2)
-    np.testing.assert_allclose(out.data, want, atol=1e-12)
+    np.testing.assert_allclose(out[0], want, atol=1e-12)
 
 
 def guide_from_anchor(seed, reps, anchor, st, op, y, cfg):
@@ -128,10 +130,10 @@ def test_zero_denoiser_evals():
     prior = GmmPrior(np.array([1.0]), np.zeros((1, 4)), 1.0, (4,))
     den = CountingDenoiser(GmmDenoiser(prior))
     op = identity_op((4,))
-    x = Signal(np.zeros(4), (4,))
+    x = np.zeros((1, 4))
     y = Signal(np.zeros(4), (4,))
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=50)
-    langevin_guide(x, x, 0.5, op, y, cfg, RngStream(1, 0))
+    langevin_guide(x, x, 0.5, op, y, cfg, [RngStream(1, 0)])
     assert den.calls == 0
 
 
@@ -139,12 +141,12 @@ def test_zero_denoiser_evals():
 def test_divergence_reported_with_stage():
     n = 4
     op = identity_op((n,))
-    x = Signal(np.ones(n), (n,))
+    x = np.ones((1, n))
     y = Signal(np.zeros(n), (n,))
     # eta far beyond 2/lambda makes the quadratic chain blow up
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=1e-4, langevin_eta=50.0, langevin_steps=2000)
     with pytest.raises(DivergenceError) as err:
-        langevin_guide(x, x, 0.5, op, y, cfg, RngStream(2, 0))
+        langevin_guide(x, x, 0.5, op, y, cfg, [RngStream(2, 0)])
     assert err.value.stage == "langevin"
 
 
@@ -181,9 +183,9 @@ def test_batch_equals_single_chains(batch, n, steps, masked, seed):
                           [RngStream(seed, 1 + b) for b in range(batch)])
     assert np.array_equal(xs, before)
     for b in range(batch):
-        one = langevin_guide(Signal(xs[b], (n,)), Signal(anchors[b], (n,)), 0.6, op, y, cfg,
-                             RngStream(seed, 1 + b))
-        assert np.array_equal(rows[b], one.data)
+        one = langevin_guide(xs[b:b + 1], anchors[b:b + 1], 0.6, op, y, cfg,
+                             [RngStream(seed, 1 + b)])
+        assert np.array_equal(rows[b], one[0])
         want = reference_guide(xs[b], anchors[b], 0.6, keep, y.data, cfg, RngStream(seed, 1 + b))
         assert np.array_equal(rows[b], want)
 
@@ -211,9 +213,9 @@ def test_one_diverging_row_stops_the_batch_at_its_first_iteration():
     xs = np.stack([np.ones(n), np.full(n, 1e250), -np.ones(n)])
     firsts = []
     for b in range(3):
-        x = Signal(xs[b], (n,))
+        x = xs[b:b + 1]
         try:
-            langevin_guide(x, x, 0.5, op, y, cfg, RngStream(6, b))
+            langevin_guide(x, x, 0.5, op, y, cfg, [RngStream(6, b)])
         except DivergenceError as e:
             firsts.append((b, e.step_index))
     assert len(firsts) == 1 and firsts[0][0] == 1

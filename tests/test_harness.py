@@ -119,6 +119,7 @@ class TestConfigParsing:
             (("seed = 3", "seed = 3\nmeasurement_sigma = inf"), "measurement_sigma"),
             (("seed = 3", "seed = 3\npeak = nan"), "peak"),
             (("seed = 3", "seed = 3\npeak = inf"), "peak"),
+            (("steps = 4", "steps = 4\nprobe_resample = true"), "[sampler] probe_resample"),
         ],
     )
     def test_typed_errors_name_section_and_key(self, mutation, fragment):
@@ -475,6 +476,21 @@ class TestCli:
         assert main(["synth", "--sigma", "0.1", "--size", "banana", "--out", "/tmp/x.pgm"]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{img}", "--patch", "0"],
+        ["estimate", "{tmp}/no/such.pgm"],
+        ["synth", "--sigma", "0.1", "--size", "8x8", "--out", "{tmp}/o.pgm", "--maxval", "0"],
+        ["synth", "--sigma", "0.1", "--size", "8x8", "--out", "{tmp}/o.pgm", "--maxval", "70000"],
+        ["synth", "--sigma", "nan", "--size", "8x8", "--out", "{tmp}/o.pgm"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
+        img = tmp_path / "ok.pgm"
+        write_pgm(str(img), Signal(np.full(64, 0.5), (8, 8)))
+        argv = [a.format(img=img, tmp=tmp_path) for a in argv]
+        assert main(argv) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_estimate_bad_image_is_run_error(self, tmp_path, capsys):
         path = tmp_path / "ascii.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
@@ -517,6 +533,10 @@ class TestCli:
         assert "divergence in stage 'estimate' at step 1" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert "overflow" not in proc.stderr
+        # the estimator's config warning is one line, with no source line
+        assert "warning: only 4 patches for 49 dimensions" in proc.stderr
+        assert "return _stage(" not in proc.stderr
+        assert "UserWarning" not in proc.stderr
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 1

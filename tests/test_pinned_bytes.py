@@ -76,10 +76,10 @@ def test_step_csv_and_sample_bytes():
 def test_chain_prefix_state_bytes():
     den, _, op, y, cfg = chain_task()
     h = hashlib.sha256()
-    for sigma_t, x0t, x0ty in chain_prefix(den, op, y, cfg, RngStream(32, 0), 4):
+    for sigma_t, x0t, x0ty in chain_prefix(den, op, y, cfg, [RngStream(32, 0)], 4):
         h.update(struct.pack("<d", sigma_t))
-        h.update(x0t.data.tobytes())
-        h.update(x0ty.data.tobytes())
+        h.update(x0t.tobytes())
+        h.update(x0ty.tobytes())
     assert h.hexdigest() == PREFIX_SHA256
 
 

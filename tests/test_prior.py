@@ -172,18 +172,6 @@ def test_draw_reproducible_and_in_support():
     assert a.shape == (8,)
 
 
-def test_draw_batch_moments():
-    n = 3
-    means = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 1.0]])
-    prior = GmmPrior(np.array([0.5, 0.5]), means, 0.25, (n,))
-    xs = prior.draw_batch(RngStream(2, 0), 4000)
-    assert xs.shape == (4000, n)
-    np.testing.assert_allclose(xs.mean(0), np.zeros(n), atol=0.06)
-    # per-coordinate variance: component scatter plus within-component var
-    expected_var = means.var(axis=0) + 0.25
-    np.testing.assert_allclose(xs.var(0), expected_var, rtol=0.15)
-
-
 class TestGmmDenoiser:
     def test_flags(self):
         den = GmmDenoiser(small_prior())

@@ -157,6 +157,22 @@ class TestClampAndSkip:
             assert math.isnan(r.sure_value)
             assert not r.skipped
 
+    @pytest.mark.parametrize("kw,estimates", [
+        ({"sure_enabled": False}, 5),
+        ({"sigma_floor": 5.0}, 5),  # every step skips
+        ({"sure_repeats": 2}, 15),  # guided, after one update, corrected
+    ])
+    def test_a_sample_that_did_not_move_is_estimated_once(self, kw, estimates):
+        # the corrected sample's estimate is the guided one's when no update
+        # moved it
+        den, op, y, _ = make_task()
+        spy = mock.Mock(side_effect=sgps.sampler.estimate_sigma)
+        with mock.patch.object(sgps.sampler, "estimate_sigma", spy):
+            _, report = sgps_run(den, op, y, run_cfg(5, **kw), RngStream(15, 0))
+        assert spy.call_count == estimates
+        if "sure_repeats" not in kw:
+            assert all(r.sigma_hat_star == r.sigma_hat_raw for r in report.steps)
+
 
 class TestDeterminism:
     def test_bitwise_reproducible(self):
@@ -189,11 +205,11 @@ class TestDeterminism:
         den, op, y, x0 = make_task()
         cfg = run_cfg(6, sure_enabled=False)
         _, report = sgps_run(den, op, y, cfg, RngStream(18, 0), x_true=x0)
-        states = chain_prefix(den, op, y, cfg, RngStream(18, 0), 6)
+        states = chain_prefix(den, op, y, cfg, [RngStream(18, 0)], 6)
         for rec, (sigma_t, x0t, x0ty) in zip(report.steps, states):
             assert rec.sigma_t == sigma_t
-            assert rec.psnr_x0t == psnr(x0t, x0, 1.0)
-            assert rec.psnr_x0ty == psnr(x0ty, x0, 1.0)
+            assert rec.psnr_x0t == psnr(Signal(x0t[0], x0.shape), x0, 1.0)
+            assert rec.psnr_x0ty == psnr(Signal(x0ty[0], x0.shape), x0, 1.0)
 
 
 class TestReportFields:
