@@ -191,17 +191,16 @@ class SamplerConfig:
 
     t_max is the top of the noise ladder (sigma at the first step); steps is
     the number of ladder levels.  langevin_eta None selects the safe step
-    0.5 * min(sigma_t^2, sigma_y^2) / lipschitz_scale at each level.
+    0.5 * min(sigma_t^2, sigma_y^2) / max(1, op.lipschitz_bound) at each
+    level.
     """
 
     steps: int
     t_max: float
     sigma_y: float
     alpha: float = 0.5
-    epsilon_divisor: float = 1000.0
     langevin_steps: int = 100
     langevin_eta: float | None = None
-    lipschitz_scale: float = 1.0
     rho: float = 7.0
     t_min: float = 0.02
     sure_enabled: bool = True
@@ -228,14 +227,10 @@ class SamplerConfig:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.sigma_y <= 0:
             raise ConfigError(f"sigma_y must be positive, got {self.sigma_y}")
-        if self.epsilon_divisor <= 0:
-            raise ConfigError("epsilon_divisor must be positive")
         if self.langevin_steps < 1:
             raise ConfigError("langevin_steps must be >= 1")
         if self.langevin_eta is not None and self.langevin_eta <= 0:
             raise ConfigError("langevin_eta must be positive when given")
-        if self.lipschitz_scale <= 0:
-            raise ConfigError("lipschitz_scale must be positive")
         if self.sure_repeats < 1:
             raise ConfigError("sure_repeats must be >= 1")
         if self.mc_probes < 1:

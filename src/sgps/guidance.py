@@ -25,9 +25,9 @@ from .core import (
 from .operators import ForwardOp
 
 
-def default_eta(sigma_t: float, cfg: SamplerConfig) -> float:
-    """Safe step size 0.5 * min(sigma_t^2, sigma_y^2) / lipschitz_scale."""
-    return 0.5 * min(sigma_t * sigma_t, cfg.sigma_y * cfg.sigma_y) / cfg.lipschitz_scale
+def default_eta(sigma_t: float, cfg: SamplerConfig, op: ForwardOp) -> float:
+    """Safe step size 0.5 * min(sigma_t^2, sigma_y^2) / max(1, op.lipschitz_bound)."""
+    return 0.5 * min(sigma_t * sigma_t, cfg.sigma_y * cfg.sigma_y) / max(1.0, op.lipschitz_bound)
 
 
 def langevin_guide(
@@ -64,7 +64,7 @@ def langevin_guide(
         )
     if sigma_t <= 0:
         raise SgpsError(f"sigma_t must be positive, got {sigma_t}")
-    eta = cfg.langevin_eta if cfg.langevin_eta is not None else default_eta(sigma_t, cfg)
+    eta = cfg.langevin_eta if cfg.langevin_eta is not None else default_eta(sigma_t, cfg, op)
     if eta <= 0:
         raise SgpsError(f"langevin step size must be positive, got {eta}")
 

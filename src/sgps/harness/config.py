@@ -58,14 +58,17 @@ class ExperimentConfig:
 
 
 class _Section:
-    """Typed accessors with section/key names in every error message."""
+    """Typed accessors with section/key names in every error message; the
+    keys asked for are recorded, so a key that nothing read can be rejected."""
 
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self.name = name
         self.present = parser.has_section(name)
         self._p = parser
+        self._read: set[str] = set()
 
     def get(self, key: str, default=None):
+        self._read.add(key)
         if not self.present or not self._p.has_option(self.name, key):
             return default
         return self._p.get(self.name, key).strip()
@@ -95,6 +98,11 @@ class _Section:
 
     def keys(self):
         return list(self._p[self.name].keys()) if self.present else []
+
+    def reject_unread(self) -> None:
+        for key in self.keys():
+            if key not in self._read:
+                raise ConfigError(f"[{self.name}] {key}: unknown, or unused with these settings")
 
 
 def _parse_bool(s: str) -> bool:
@@ -293,9 +301,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"config parse error: {e}") from e
 
     exp = _Section(parser, "experiment")
+    prior_sec = _Section(parser, "prior")
+    op_sec = _Section(parser, "operator")
+    patch_sec = _Section(parser, "patch")
     seed = exp.get_int("seed", 0)
-    prior, den = _build_prior(_Section(parser, "prior"), seed)
-    op = _build_operator(_Section(parser, "operator"), prior.shape, seed)
+    prior, den = _build_prior(prior_sec, seed)
+    op = _build_operator(op_sec, prior.shape, seed)
     measurement_sigma = exp.get_float("measurement_sigma", 0.05)
     if not (math.isfinite(measurement_sigma) and measurement_sigma > 0):
         raise ConfigError(
@@ -303,7 +314,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"got {measurement_sigma}"
         )
     sampler = _build_sampler(_Section(parser, "sampler"), measurement_sigma)
-    patch = _build_patch(_Section(parser, "patch"))
+    patch = _build_patch(patch_sec)
     sweep_axes, max_points = _build_sweep(_Section(parser, "sweep"))
     repeats = exp.get_int("repeats", 1)
     if repeats < 1:
@@ -311,7 +322,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     peak = exp.get_float("peak", 1.0)
     if not (math.isfinite(peak) and peak > 0):
         raise ConfigError(f"[experiment] peak: must be positive and finite, got {peak}")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         name=exp.get("name", "experiment"),
         seed=seed,
         repeats=repeats,
@@ -328,6 +339,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         max_points=max_points,
         config_hash=hashlib.sha256(text.encode()).hexdigest()[:8],
     )
+    for sec in (exp, prior_sec, op_sec, patch_sec):
+        sec.reject_unread()
+    return cfg
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -21,7 +21,8 @@ ENV_OUTPUT_DIR = "SGPS_OUTPUT_DIR"
 
 
 def resolve_output_dir(cfg: ExperimentConfig) -> str:
-    return os.environ.get(ENV_OUTPUT_DIR, cfg.output_dir)
+    """SGPS_OUTPUT_DIR when set to a non-empty path, else the config's."""
+    return os.environ.get(ENV_OUTPUT_DIR) or cfg.output_dir
 
 
 def expand_sweep(cfg: ExperimentConfig) -> list[dict]:

@@ -74,9 +74,6 @@ class Denoiser:
     def denoise(self, x: Signal, sigma: float) -> Signal:
         raise NotImplementedError
 
-    def __call__(self, x: Signal, sigma: float) -> Signal:
-        return self.denoise(x, sigma)
-
     def jacobian_trace(self, x: Signal, sigma: float) -> float:
         """Exact trace of d denoise / d x at (x, sigma)."""
         raise NotImplementedError(f"{type(self).__name__} has no exact Jacobian trace")

@@ -19,14 +19,13 @@ import numpy as np
 from .core import RngStream, RoundoffWarning, SamplerConfig, SgpsError, Signal
 from .prior import Denoiser
 
+EPSILON_DIVISOR = 1000.0
 EPSILON_ABS_FLOOR = 1e-6
 
 
-def probe_epsilon(x_noisy: Signal, divisor: float) -> float:
-    """Probe step max(x)/divisor, floored at 1e-6 * (1 + max|x|)."""
-    if divisor <= 0:
-        raise SgpsError(f"epsilon divisor must be positive, got {divisor}")
-    top = float(np.max(x_noisy.data)) / divisor
+def probe_epsilon(x_noisy: Signal) -> float:
+    """Probe step max(x)/1000, floored at 1e-6 * (1 + max|x|)."""
+    top = float(np.max(x_noisy.data)) / EPSILON_DIVISOR
     floor = EPSILON_ABS_FLOOR * (1.0 + float(np.max(np.abs(x_noisy.data))))
     return max(top, floor)
 
@@ -68,19 +67,17 @@ def mc_trace(
     probes: int,
     epsilon: float,
     rng: RngStream,
-    base: Signal | None = None,
 ) -> float:
     """Monte Carlo Jacobian trace of the denoiser at (x_noisy, sigma).
 
     Each of the `probes` Gaussian probes costs one extra denoiser
-    evaluation; the unperturbed output is computed once (or passed in).
+    evaluation; the unperturbed output is computed once.
     """
     if probes < 1:
         raise SgpsError(f"probes must be >= 1, got {probes}")
     if epsilon <= 0:
         raise SgpsError(f"epsilon must be positive, got {epsilon}")
-    if base is None:
-        base = den.denoise(x_noisy, sigma)
+    base = den.denoise(x_noisy, sigma)
     b = rng.standard_normal((int(probes), x_noisy.n))
     return _trace_with_probes(den, x_noisy, sigma, epsilon, b, base)
 
@@ -143,7 +140,7 @@ def sure_value(
     """
     if sigma_hat <= 0:
         raise SgpsError(f"sigma_hat must be positive, got {sigma_hat}")
-    eps = probe_epsilon(x_noisy, cfg.epsilon_divisor)
+    eps = probe_epsilon(x_noisy)
     probes = rng.standard_normal((cfg.mc_probes, x_noisy.n))
     return _evaluate(den, x_noisy, sigma_hat, eps, probes)
 

@@ -107,7 +107,7 @@ def test_03_trace_probes():
     den = GmmDenoiser(prior)
     x = Signal(rng.normal(n), (n,))
     sigma = 0.35
-    eps = probe_epsilon(x, 1000.0)
+    eps = probe_epsilon(x)
     exact = den.jacobian_trace(x, sigma)
     est = mc_trace(den, x, sigma, 1000, eps, rng.substream(1))
     rel = abs(est - exact) / abs(exact)
@@ -382,7 +382,7 @@ def test_12_guided_residuals_gaussian():
         for s in range(seeds):
             states = chain_prefix(den, op, y, cfg, [RngStream(4000 + s, 0)], 3)
             for k, (sigma_t, x0t, x0ty) in enumerate(states):
-                eta = default_eta(sigma_t, cfg)
+                eta = default_eta(sigma_t, cfg, op)
                 lam = 1.0 / sigma_t**2 + mask_vec / cfg.sigma_y**2
                 a = (x0t[0] / sigma_t**2 + aty / cfg.sigma_y**2) / lam
                 r = (1.0 - eta * lam) ** cfg.langevin_steps

@@ -176,10 +176,8 @@ class TestSamplerConfig:
             {"rho": 0.0},
             {"alpha": -0.1},
             {"sigma_y": 0.0},
-            {"epsilon_divisor": 0.0},
             {"langevin_steps": 0},
             {"langevin_eta": 0.0},
-            {"lipschitz_scale": 0.0},
             {"sure_repeats": 0},
             {"mc_probes": 0},
             {"ode_substeps": 0},

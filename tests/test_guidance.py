@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from sgps import (
     CountingDenoiser,
     DivergenceError,
+    DownsampleOp,
     GmmDenoiser,
     GmmPrior,
+    MagnitudeDftOp,
     MaskOp,
     RngStream,
     SamplerConfig,
@@ -22,10 +24,13 @@ from sgps.guidance import default_eta, langevin_guide
 
 def test_default_eta_formula():
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.3)
-    assert default_eta(0.5, cfg) == pytest.approx(0.5 * 0.09)
-    assert default_eta(0.2, cfg) == pytest.approx(0.5 * 0.04)
-    cfg2 = cfg.replace(lipschitz_scale=4.0)
-    assert default_eta(0.5, cfg2) == pytest.approx(0.5 * 0.09 / 4.0)
+    op = identity_op((4,))
+    assert default_eta(0.5, cfg, op) == pytest.approx(0.5 * 0.09)
+    assert default_eta(0.2, cfg, op) == pytest.approx(0.5 * 0.04)
+    # a bound above 1 divides the step (8 padded bins here); one below 1
+    # leaves it unchanged
+    assert default_eta(0.5, cfg, MagnitudeDftOp((4,))) == pytest.approx(0.5 * 0.09 / 8.0)
+    assert default_eta(0.5, cfg, DownsampleOp((4,), 2)) == default_eta(0.5, cfg, op)
 
 
 def test_explicit_eta_overrides_default():
@@ -92,7 +97,7 @@ def test_discrete_chain_moments_identity():
     anchor = Signal(np.linspace(0.5, 1.0, n), (n,))
     y = Signal(np.linspace(-0.2, 0.4, n), (n,))
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=sy, langevin_steps=600)
-    eta = default_eta(st, cfg)
+    eta = default_eta(st, cfg, op)
     lam = 1.0 / st**2 + 1.0 / sy**2
     mu_exact = (anchor.data / st**2 + y.data / sy**2) / lam
     var_exact = 2.0 * eta / (1.0 - (1.0 - eta * lam) ** 2)
@@ -115,7 +120,7 @@ def test_unobserved_coordinates_follow_anchor_potential():
     op = MaskOp((n,), np.array([0, 1]))
     st = 0.5
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.2, langevin_steps=400)
-    eta = default_eta(st, cfg)
+    eta = default_eta(st, cfg, op)
     lam = 1.0 / st**2
     var_exact = 2.0 * eta / (1.0 - (1.0 - eta * lam) ** 2)
     anchor = Signal(np.zeros(n), (n,))
@@ -152,7 +157,7 @@ def test_divergence_reported_with_stage():
 
 def reference_guide(x, anchor, sigma_t, keep, y, cfg, rng):
     """The one-chain Langevin loop written out for a mask operator."""
-    eta = default_eta(sigma_t, cfg)
+    eta = default_eta(sigma_t, cfg, MaskOp((x.size,), keep))
     for _ in range(cfg.langevin_steps):
         grad = (x - anchor) / (sigma_t * sigma_t)
         fid = np.zeros(x.size)

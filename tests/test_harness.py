@@ -120,6 +120,12 @@ class TestConfigParsing:
             (("seed = 3", "seed = 3\npeak = nan"), "peak"),
             (("seed = 3", "seed = 3\npeak = inf"), "peak"),
             (("steps = 4", "steps = 4\nprobe_resample = true"), "[sampler] probe_resample"),
+            (("seed = 3", "seed = 3\nreapeats = 5"), "[experiment] reapeats"),
+            (("s2 = 0.04", "s2 = 0.04\ns_2 = 0.5"), "[prior] s_2"),
+            (("kind = identity", "kind = blur\nkernal_size = 3"), "[operator] kernal_size"),
+            (("kind = identity", "kind = blur\nfactor = 2"), "[operator] factor"),
+            (("langevin_steps = 20", "langevin_steps = 20\n[patch]\npatchsize = 5"),
+             "[patch] patchsize"),
         ],
     )
     def test_typed_errors_name_section_and_key(self, mutation, fragment):
@@ -190,6 +196,15 @@ steps = 2
     def test_parse_config_missing_file(self):
         with pytest.raises(ConfigError, match="no such config"):
             parse_config("/nonexistent/path.cfg")
+
+    def test_readme_example_parses(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config_text(block)
+        assert isinstance(cfg.op, BlurOp)
+        assert cfg.prior.shape == (24, 24)
 
 
 class TestSweepConfig:
@@ -498,14 +513,16 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_numerical_failure_is_a_failed_run(self, tmp_path, monkeypatch, capsys):
-        # magnitude-DFT guidance at default settings blows the iterate up, so
-        # the first noise estimate meets a covariance that is not finite
+        # magnitude-DFT guidance at the step of an operator bound of 1 blows
+        # the iterate up, so the first noise estimate meets a covariance that
+        # is not finite
         monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
         path = tmp_path / "exp.cfg"
         path.write_text(minimal_with(out=str(tmp_path / "out"))
                         .replace("shape = 16 16", "shape = 8 8")
                         .replace("kind = identity", "kind = magnitude-dft")
-                        .replace("steps = 4\nlangevin_steps = 20", "steps = 8"))
+                        .replace("steps = 4\nlangevin_steps = 20",
+                                 "steps = 8\nlangevin_eta = 0.00125"))
         with pytest.warns(UserWarning):  # 4 patches for 49 dimensions
             assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
@@ -522,7 +539,8 @@ class TestCli:
         path.write_text(minimal_with(out=str(tmp_path / "out"))
                         .replace("shape = 16 16", "shape = 8 8")
                         .replace("kind = identity", "kind = magnitude-dft")
-                        .replace("steps = 4\nlangevin_steps = 20", "steps = 8"))
+                        .replace("steps = 4\nlangevin_steps = 20",
+                                 "steps = 8\nlangevin_eta = 0.00125"))
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(sgps.__file__)))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -537,6 +555,28 @@ class TestCli:
         assert "warning: only 4 patches for 49 dimensions" in proc.stderr
         assert "return _stage(" not in proc.stderr
         assert "UserWarning" not in proc.stderr
+
+    def test_empty_output_dir_variable_is_unset(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SGPS_OUTPUT_DIR", "")
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out")))
+        assert main(["run", str(path)]) == 0
+        assert len(os.listdir(tmp_path / "out")) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind", ["identity", "mask", "blur", "downsample", "magnitude-dft", "range-clip"]
+    )
+    def test_every_operator_runs_at_default_settings(self, kind, tmp_path, monkeypatch):
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("kind = identity", f"kind = {kind}")
+                        .replace("steps = 4\nlangevin_steps = 20", "steps = 8"))
+        assert main(["run", str(path)]) == 0
+        cfg = parse_config(str(path))
+        rows = (tmp_path / "out" / summary_csv_name(cfg)).read_text().strip().split("\n")
+        assert len(rows) == 2 and rows[1].split(",")[2] == "ok"
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 1

@@ -266,6 +266,23 @@ OPERATOR_MAKERS = {
 }
 
 
+@pytest.mark.parametrize("kind", sorted(OPERATOR_MAKERS))
+@pytest.mark.parametrize("shape", [(12,), (6, 8)])
+def test_lipschitz_bound_covers_the_jacobian(kind, shape):
+    # the Jacobian at a random point by central differences, which are exact
+    # for a linear operator up to roundoff
+    op = OPERATOR_MAKERS[kind](shape)
+    n = int(np.prod(op.input_shape))
+    x = RngStream(15, 0).standard_normal(n)
+    steps = 1e-6 * np.eye(n)
+    jac = (op.apply(x + steps) - op.apply(x - steps)) / 2e-6
+    norm2 = np.linalg.norm(jac, 2) ** 2
+    assert norm2 <= op.lipschitz_bound * (1 + 1e-6)
+    if op.linear:
+        # attained: a kept pixel, a block mean, and the blur's DC response
+        assert norm2 == pytest.approx(op.lipschitz_bound, rel=1e-6)
+
+
 class TestBatchEqualsLoop:
     """Row b of a batched call is the Signal call on row b, bit for bit."""
 

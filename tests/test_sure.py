@@ -46,20 +46,15 @@ def base_config(**kw):
 class TestProbeEpsilon:
     def test_formula(self):
         x = Signal(np.array([0.5, 2.0, -1.0]), (3,))
-        assert probe_epsilon(x, 1000.0) == 2.0 / 1000.0
+        assert probe_epsilon(x) == 2.0 / 1000.0
 
     def test_floor_when_max_is_negative(self):
         x = Signal(np.array([-3.0, -4.0]), (2,))
-        assert probe_epsilon(x, 1000.0) == EPSILON_ABS_FLOOR * 5.0
+        assert probe_epsilon(x) == EPSILON_ABS_FLOOR * 5.0
 
     def test_floor_when_signal_tiny(self):
         x = Signal(np.full(4, 1e-9), (4,))
-        assert probe_epsilon(x, 1000.0) == pytest.approx(EPSILON_ABS_FLOOR, rel=1e-6)
-
-    def test_bad_divisor(self):
-        x = Signal(np.ones(2), (2,))
-        with pytest.raises(SgpsError):
-            probe_epsilon(x, 0.0)
+        assert probe_epsilon(x) == pytest.approx(EPSILON_ABS_FLOOR, rel=1e-6)
 
 
 class TestSureValue:
@@ -89,7 +84,7 @@ class TestSureValue:
         want_trace = np.mean([b @ (m @ b) for b in ev.probes])
         assert ev.trace_estimate == pytest.approx(want_trace, rel=1e-9)
         assert ev.probes.shape == (3, n)
-        assert ev.epsilon == probe_epsilon(x, cfg.epsilon_divisor)
+        assert ev.epsilon == probe_epsilon(x)
 
     def test_probes_frozen_and_2d(self):
         den = GmmDenoiser(small_prior())
@@ -149,22 +144,13 @@ class TestMcTrace:
         want = np.mean([bi @ (m @ bi) for bi in b])
         assert est == pytest.approx(want, rel=1e-9)
 
-    def test_base_argument_is_equivalent(self):
-        den = GmmDenoiser(small_prior())
-        g = RngStream(32, 0)
-        x = Signal(g.normal(8), (8,))
-        base = den.denoise(x, 0.3)
-        a = mc_trace(den, x, 0.3, 4, 1e-3, RngStream(32, 1))
-        b = mc_trace(den, x, 0.3, 4, 1e-3, RngStream(32, 1), base=base)
-        assert a == b
-
     def test_converges_to_exact_trace(self):
         prior = small_prior(n=8, k=3, seed=33, s2=0.5)
         den = GmmDenoiser(prior)
         g = RngStream(33, 5)
         x = Signal(g.normal(8), (8,))
         exact = den.jacobian_trace(x, 0.4)
-        est = mc_trace(den, x, 0.4, 3000, probe_epsilon(x, 1000.0), g.substream(1))
+        est = mc_trace(den, x, 0.4, 3000, probe_epsilon(x), g.substream(1))
         assert abs(est - exact) / abs(exact) < 0.05
 
     def test_validation(self):
