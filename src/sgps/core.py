@@ -185,14 +185,20 @@ class RngStream:
         return RngStream(self.seed, self.stream_id)
 
 
+# floor and warp of the noise ladder (Karras et al. 2022)
+T_MIN = 0.02
+RHO = 7.0
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs for the sampling loop.  Defaults follow the reference recipe.
 
-    t_max is the top of the noise ladder (sigma at the first step); steps is
-    the number of ladder levels.  langevin_eta None selects the safe step
-    0.5 * min(sigma_t^2, sigma_y^2) / max(1, op.lipschitz_bound) at each
-    level.
+    t_max is the top of the noise ladder (sigma at the first step), which
+    runs down to T_MIN; steps is the number of ladder levels.  sure_repeats
+    is the number of risk corrections per level, 0 for none.  langevin_eta
+    None selects the safe step 0.5 * min(sigma_t^2, sigma_y^2) /
+    max(1, op.lipschitz_bound) at each level.
     """
 
     steps: int
@@ -201,9 +207,6 @@ class SamplerConfig:
     alpha: float = 0.5
     langevin_steps: int = 100
     langevin_eta: float | None = None
-    rho: float = 7.0
-    t_min: float = 0.02
-    sure_enabled: bool = True
     sure_repeats: int = 1
     mc_probes: int = 1
     ode_substeps: int = 1
@@ -217,12 +220,8 @@ class SamplerConfig:
                 raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.steps < 2:
             raise ConfigError(f"steps must be >= 2, got {self.steps}")
-        if not (0 < self.t_min < self.t_max):
-            raise ConfigError(
-                f"need 0 < t_min < t_max, got t_min={self.t_min} t_max={self.t_max}"
-            )
-        if self.rho <= 0:
-            raise ConfigError(f"rho must be positive, got {self.rho}")
+        if not self.t_max > T_MIN:
+            raise ConfigError(f"t_max must be above {T_MIN}, got {self.t_max}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.sigma_y <= 0:
@@ -231,8 +230,8 @@ class SamplerConfig:
             raise ConfigError("langevin_steps must be >= 1")
         if self.langevin_eta is not None and self.langevin_eta <= 0:
             raise ConfigError("langevin_eta must be positive when given")
-        if self.sure_repeats < 1:
-            raise ConfigError("sure_repeats must be >= 1")
+        if self.sure_repeats < 0:
+            raise ConfigError("sure_repeats must be >= 0")
         if self.mc_probes < 1:
             raise ConfigError("mc_probes must be >= 1")
         if self.ode_substeps < 1:

@@ -222,8 +222,6 @@ _SAMPLER_FIELDS = {f.name: f for f in dataclasses.fields(SamplerConfig)}
 
 def _sampler_value(name: str, raw: str):
     f = _SAMPLER_FIELDS[name]
-    if f.type in ("bool",):
-        return _parse_bool(raw)
     if f.type in ("int",):
         return int(raw)
     return float(raw)
@@ -263,7 +261,6 @@ def _build_patch(sec: _Section) -> PatchConfig:
         return PatchConfig(
             patch_size=sec.get_int("patch_size", 7),
             stride=sec.get_int("stride", 1),
-            rel_tol=sec.get_float("rel_tol", 1e-3),
         )
     except Exception as e:
         raise ConfigError(f"[patch]: {e}") from e

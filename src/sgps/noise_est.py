@@ -14,20 +14,20 @@ import numpy as np
 
 from .core import ConfigError, NonFiniteError, SgpsError, Signal
 
+# relative mean/median tolerance that marks the noise floor (Chen, Zhu & Heng 2015)
+REL_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class PatchConfig:
     patch_size: int = 7
     stride: int = 1
-    rel_tol: float = 1e-3
 
     def __post_init__(self):
         if self.patch_size < 1:
             raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if self.rel_tol < 0:
-            raise ConfigError(f"rel_tol must be >= 0, got {self.rel_tol}")
 
 
 def extract_patches(x: Signal, cfg: PatchConfig = PatchConfig()) -> np.ndarray:
@@ -96,6 +96,6 @@ def estimate_sigma(x: Signal, cfg: PatchConfig = PatchConfig()) -> float:
         # of the middle two, exactly as np.median computes it
         mid, odd = divmod(m, 2)
         med = float(tail[mid]) if odd else float((tail[mid - 1] + tail[mid]) / 2.0)
-        if mean <= med or abs(mean - med) <= cfg.rel_tol * med:
+        if mean <= med or abs(mean - med) <= REL_TOL * med:
             return float(np.sqrt(max(mean, 0.0)))
     return float(np.sqrt(lam[-1]))

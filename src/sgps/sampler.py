@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RHO,
+    T_MIN,
+    ConfigError,
     DivergenceError,
     NonFiniteError,
     RngStream,
@@ -34,25 +37,19 @@ from .guidance import langevin_guide
 from .noise_est import PatchConfig, estimate_sigma
 from .operators import ForwardOp
 from .prior import CountingDenoiser, Denoiser
-from .schedule import SigmaSchedule, build_schedule
+from .schedule import build_schedule
 from .sure import sure_gradient, sure_update, sure_value
 
 # substream ids of one run
 STREAM_INIT, STREAM_GUIDE, STREAM_PROBE, STREAM_RENOISE = range(4)
 
 
-def denoise_step(
-    den: Denoiser,
-    x_t: Signal,
-    sigma_t: float,
-    substeps: int,
-    schedule: SigmaSchedule,
-) -> Signal:
+def denoise_step(den: Denoiser, x_t: Signal, sigma_t: float, substeps: int) -> Signal:
     """Clean-signal estimate from x_t at level sigma_t.
 
     substeps == 1 is a raw denoiser call.  substeps > 1 runs Euler steps of
     the flow dx/dsigma = (x - D(x, sigma)) / sigma along a geometric ladder
-    of evaluation points from sigma_t down to the schedule floor, with an
+    of evaluation points from sigma_t down to the ladder floor T_MIN, with an
     implicit terminal level of zero; the cost is exactly substeps denoiser
     evaluations either way.
     """
@@ -62,7 +59,7 @@ def denoise_step(
         raise SgpsError(f"sigma_t must be positive, got {sigma_t}")
     if substeps == 1:
         return den.denoise(x_t, sigma_t)
-    low = min(schedule.t_min, sigma_t)
+    low = min(T_MIN, sigma_t)
     pts = np.geomspace(sigma_t, low, substeps)
     x = x_t.data.copy()
     for j in range(substeps):
@@ -122,22 +119,22 @@ def walk_ladder(
     last level's rows are returned as is.  Row b draws only from rngs[b],
     so it is the chain that rngs[b] alone walks, bit for bit.
     """
-    sched = build_schedule(cfg.steps, cfg.t_min, cfg.t_max, cfg.rho)
-    if not (1 <= depth <= len(sched)):
-        raise SgpsError(f"depth must be in [1, {len(sched)}], got {depth}")
+    sigmas = build_schedule(cfg.steps, T_MIN, cfg.t_max, RHO)
+    if not (1 <= depth <= sigmas.size):
+        raise SgpsError(f"depth must be in [1, {sigmas.size}], got {depth}")
     shape = op.input_shape
     n = math.prod(shape)
     rng_guide = [r.substream(STREAM_GUIDE) for r in rngs]
     rng_renoise = [r.substream(STREAM_RENOISE) for r in rngs]
-    top = float(sched.sigmas[0])
+    top = float(sigmas[0])
     x = np.stack([top * r.substream(STREAM_INIT).normal(n) for r in rngs])
     for k in range(depth):
-        sigma_t = float(sched.sigmas[k])
+        sigma_t = float(sigmas[k])
         step_no = k + 1
         x0t = np.stack([
             _stage(
                 lambda: denoise_step(
-                    den, Signal._adopt(row, shape), sigma_t, cfg.ode_substeps, sched
+                    den, Signal._adopt(row, shape), sigma_t, cfg.ode_substeps
                 ).data,
                 "denoise", step_no,
             )
@@ -149,7 +146,7 @@ def walk_ladder(
         )
         x = finish(k, sigma_t, x0t, x0ty)
         if k + 1 < depth:
-            x = _stage(lambda: _renoised(x, sched.sigma_after(k), rng_renoise),
+            x = _stage(lambda: _renoised(x, float(sigmas[k + 1]), rng_renoise),
                        "renoise", step_no)
     return x
 
@@ -197,32 +194,29 @@ def sgps_run(
             return _stage(lambda: estimate_sigma(x, patch), "estimate", step_no)
 
         sigma_raw = estimate(x0ty)
-        # sigma_current is the estimate of current, None once current moves
+        # sigma_current is always the estimate of current
         current, sigma_current = x0ty, sigma_raw
         sigma_used_rec = math.nan
         sure_rec = math.nan
         skipped = False
-        if cfg.sure_enabled:
-            for rep in range(cfg.sure_repeats):
-                if sigma_current is None:
-                    sigma_current = estimate(current)
-                used = correction_level(sigma_current, sigma_t, cfg)
-                if used is None:
-                    skipped = rep == 0
-                    break
-                ev = _stage(
-                    lambda: sure_value(counting, current, used, cfg, rng_probe),
-                    "sure-value", step_no,
-                )
-                grad = _stage(lambda: sure_gradient(counting, ev), "sure-gradient", step_no)
-                current = _stage(
-                    lambda: sure_update(current, grad, cfg.alpha),
-                    "sure-update", step_no,
-                )
-                sigma_current = None
-                if rep == 0:
-                    sigma_used_rec = used
-                    sure_rec = ev.value
+        for rep in range(cfg.sure_repeats):
+            used = correction_level(sigma_current, sigma_t, cfg)
+            if used is None:
+                skipped = rep == 0
+                break
+            ev = _stage(
+                lambda: sure_value(counting, current, used, cfg, rng_probe),
+                "sure-value", step_no,
+            )
+            grad = _stage(lambda: sure_gradient(counting, ev), "sure-gradient", step_no)
+            current = _stage(
+                lambda: sure_update(current, grad, cfg.alpha),
+                "sure-update", step_no,
+            )
+            sigma_current = estimate(current)
+            if rep == 0:
+                sigma_used_rec = used
+                sure_rec = ev.value
         records.append(
             StepRecord(
                 step=step_no,
@@ -234,7 +228,7 @@ def sgps_run(
                 psnr_x0ty=_maybe_psnr(x0ty, x_true, peak),
                 psnr_star=_maybe_psnr(current, x_true, peak),
                 nfe_step=counting.calls - calls_before,
-                sigma_hat_star=estimate(current) if sigma_current is None else sigma_current,
+                sigma_hat_star=sigma_current,
                 skipped=skipped,
             )
         )
@@ -322,12 +316,13 @@ def noise_influx_trace(
     x_true: Signal | None = None,
     peak: float = 1.0,
 ) -> InfluxTrace:
-    """Run the sampler twice from identical seeds, with and without the
-    risk-gradient correction, and return the aligned per-step curves."""
-    _, rep_with = sgps_run(
-        den, op, y, cfg.replace(sure_enabled=True), rng.clone(), patch, x_true, peak
-    )
+    """Run the sampler twice from identical seeds, as cfg (the corrected
+    arm) and with sure_repeats = 0, and return the aligned per-step curves.
+    cfg itself must correct, or the pair would have nothing to compare."""
+    if cfg.sure_repeats == 0:
+        raise ConfigError("noise_influx_trace needs sure_repeats >= 1")
+    _, rep_with = sgps_run(den, op, y, cfg, rng.clone(), patch, x_true, peak)
     _, rep_without = sgps_run(
-        den, op, y, cfg.replace(sure_enabled=False), rng.clone(), patch, x_true, peak
+        den, op, y, cfg.replace(sure_repeats=0), rng.clone(), patch, x_true, peak
     )
     return InfluxTrace(report_with=rep_with, report_without=rep_without)

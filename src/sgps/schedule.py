@@ -1,42 +1,19 @@
 """Polynomially warped noise ladder for the sampling loop."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ConfigError
 
 
-@dataclass(frozen=True)
-class SigmaSchedule:
-    """Strictly decreasing noise levels; the terminal level after the last
-    entry is implicitly zero."""
-
-    sigmas: np.ndarray
-    t_min: float
-    t_max: float
-    rho: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.sigmas, dtype=np.float64).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "sigmas", arr)
-
-    def __len__(self) -> int:
-        return int(self.sigmas.size)
-
-    def sigma_after(self, i: int) -> float:
-        """Noise level after step i; 0.0 past the end of the ladder."""
-        return float(self.sigmas[i + 1]) if i + 1 < len(self) else 0.0
-
-
-def build_schedule(steps: int, t_min: float, t_max: float, rho: float) -> SigmaSchedule:
-    """Ladder sigma_i = (t_max^(1/rho) + i/(steps-1) * (t_min^(1/rho) - t_max^(1/rho)))^rho.
+def build_schedule(steps: int, t_min: float, t_max: float, rho: float) -> np.ndarray:
+    """Ladder sigma_i = (t_max^(1/rho) + i/(steps-1) * (t_min^(1/rho) - t_max^(1/rho)))^rho,
+    as a read-only array of strictly decreasing levels.
 
     steps must be >= 2 and 0 < t_min < t_max; rho > 0.  Index 0 lands on
-    t_max and index steps-1 on t_min.  rho > 1 concentrates levels near
-    t_min so consecutive gaps shrink as sigma decreases.
+    t_max and index steps-1 on t_min; the terminal level after the last
+    entry is implicitly zero.  rho > 1 concentrates levels near t_min so
+    consecutive gaps shrink as sigma decreases.
     """
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
@@ -47,4 +24,5 @@ def build_schedule(steps: int, t_min: float, t_max: float, rho: float) -> SigmaS
     inv = 1.0 / float(rho)
     ramp = np.linspace(0.0, 1.0, int(steps), dtype=np.float64)
     sigmas = (t_max**inv + ramp * (t_min**inv - t_max**inv)) ** float(rho)
-    return SigmaSchedule(sigmas=sigmas, t_min=float(t_min), t_max=float(t_max), rho=float(rho))
+    sigmas.flags.writeable = False
+    return sigmas

@@ -189,13 +189,13 @@ def test_06_ladder_exactness():
     details = []
     for steps, t_min, t_max, rho in ((16, 0.02, 16.0, 7.0), (33, 0.02, 33.0, 7.0), (9, 0.05, 4.0, 7.0)):
         s = build_schedule(steps, t_min, t_max, rho)
-        end_err = max(abs(s.sigmas[0] - t_max) / t_max, abs(s.sigmas[-1] - t_min) / t_min)
-        mono = bool(np.all(np.diff(s.sigmas) < 0))
+        end_err = max(abs(s[0] - t_max) / t_max, abs(s[-1] - t_min) / t_min)
+        mono = bool(np.all(np.diff(s) < 0))
         ok = ok and end_err <= 1e-12 and mono
         details.append(f"T={steps}: end rel {end_err:.1e}")
     lin = build_schedule(12, 0.1, 3.0, 1.0)
     affine = np.linspace(3.0, 0.1, 12)
-    lin_err = float(np.max(np.abs(lin.sigmas - affine)))
+    lin_err = float(np.max(np.abs(lin - affine)))
     ok = ok and lin_err <= 1e-12 * 3.0
     elapsed = time.perf_counter() - t0
     _criterion(6, "ladder exactness", ok, "; ".join(details) + f"; affine {lin_err:.1e}", elapsed, 1.0)

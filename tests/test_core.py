@@ -18,7 +18,15 @@ from sgps import (
     mse,
     psnr,
 )
-from sgps.core import STEP_CSV_COLUMNS, RunReport, StepRecord, all_finite, format_float
+from sgps.core import (
+    RHO,
+    STEP_CSV_COLUMNS,
+    T_MIN,
+    RunReport,
+    StepRecord,
+    all_finite,
+    format_float,
+)
 
 
 class TestSignal:
@@ -158,9 +166,8 @@ class TestSamplerConfig:
         assert cfg.mc_probes == 1
         assert cfg.sure_repeats == 1
         assert cfg.ode_substeps == 1
-        assert cfg.rho == 7.0
-        assert cfg.t_min == 0.02
-        assert cfg.sure_enabled
+        assert RHO == 7.0
+        assert T_MIN == 0.02
 
     def test_replace(self):
         cfg = SamplerConfig(steps=16, t_max=16.0, sigma_y=0.05)
@@ -172,13 +179,13 @@ class TestSamplerConfig:
         "kwargs",
         [
             {"steps": 1},
-            {"t_max": 0.01},  # below t_min
-            {"rho": 0.0},
+            {"t_max": 0.01},  # below T_MIN
+            {"t_max": 0.02},  # at T_MIN
             {"alpha": -0.1},
             {"sigma_y": 0.0},
             {"langevin_steps": 0},
             {"langevin_eta": 0.0},
-            {"sure_repeats": 0},
+            {"sure_repeats": -1},
             {"mc_probes": 0},
             {"ode_substeps": 0},
             {"sigma_floor": 0.0},

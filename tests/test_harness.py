@@ -1,14 +1,18 @@
 """Experiment harness: config parsing, task construction, PGM and SVG I/O,
 the driver's artifact layout, and the CLI."""
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgps
-from sgps.core import ConfigError, RngStream, Signal
+from sgps.core import ConfigError, RngStream, SamplerConfig, Signal
 from sgps.harness.cli import main
 from sgps.harness.config import (
     make_task,
@@ -25,6 +29,7 @@ from sgps.harness.runner import (
     summary_csv_name,
 )
 from sgps.harness.svg import polyline_chart
+from sgps.noise_est import PatchConfig
 from sgps.operators import BlurOp, MaskOp
 
 
@@ -83,18 +88,20 @@ class TestConfigParsing:
     def test_sampler_fields_pass_through(self):
         text = MINIMAL.replace(
             "steps = 4",
-            "steps = 4\nalpha = 0.7\nmc_probes = 3\nsure_enabled = off\nsigma_hat_scale = 1.5",
+            "steps = 4\nalpha = 0.7\nmc_probes = 3\nsure_repeats = 0\nsigma_hat_scale = 1.5",
         )
         cfg = parse_config_text(text)
         assert cfg.sampler.alpha == 0.7
         assert cfg.sampler.mc_probes == 3
-        assert cfg.sampler.sure_enabled is False
+        assert cfg.sampler.sure_repeats == 0
         assert cfg.sampler.sigma_hat_scale == 1.5
 
     @pytest.mark.parametrize("token,value", [("yes", True), ("0", False), ("ON", True)])
     def test_bool_tokens(self, token, value):
-        cfg = parse_config_text(MINIMAL.replace("steps = 4", f"steps = 4\nsure_enabled = {token}"))
-        assert cfg.sampler.sure_enabled is value
+        cfg = parse_config_text(
+            MINIMAL.replace("kind = identity", f"kind = range-clip\nsmooth = {token}")
+        )
+        assert cfg.op.smooth is value
 
     @pytest.mark.parametrize(
         "mutation,fragment",
@@ -108,7 +115,7 @@ class TestConfigParsing:
             (("seed = 3", "seed = 3\nmeasurement_sigma = -1"), "measurement_sigma"),
             (("seed = 3", "seed = 3\nrepeats = 0"), "repeats"),
             (("seed = 3", "seed = 3\npeak = 0"), "peak"),
-            (("steps = 4", "steps = 4\nsure_enabled = maybe"), "[sampler] sure_enabled"),
+            (("steps = 4", "steps = 4\nsure_enabled = false"), "[sampler] sure_enabled"),
             (("steps = 4", "steps = 4\nlangevin_step = 5"), "[sampler] langevin_step"),
             (("steps = 4", "steps = 4\nseed = 99"), "[sampler] seed"),
             (("langevin_steps = 20", "langevin_steps = 20\n[sweep]\nseed = 1 2 3"),
@@ -126,6 +133,11 @@ class TestConfigParsing:
             (("kind = identity", "kind = blur\nfactor = 2"), "[operator] factor"),
             (("langevin_steps = 20", "langevin_steps = 20\n[patch]\npatchsize = 5"),
              "[patch] patchsize"),
+            (("kind = identity", "kind = range-clip\nsmooth = maybe"), "[operator] smooth"),
+            (("steps = 4", "steps = 4\nrho = 5"), "[sampler] rho"),
+            (("steps = 4", "steps = 4\nt_min = 0.1"), "[sampler] t_min"),
+            (("langevin_steps = 20", "langevin_steps = 20\n[patch]\nrel_tol = 0.01"),
+             "[patch] rel_tol"),
         ],
     )
     def test_typed_errors_name_section_and_key(self, mutation, fragment):
@@ -205,6 +217,46 @@ steps = 2
         cfg = parse_config_text(block)
         assert isinstance(cfg.op, BlurOp)
         assert cfg.prior.shape == (24, 24)
+        # the [sampler] note lists the keys it lets a config set after
+        # "is an error:", up to the next full stop
+        section = block.split("[sampler]\n", 1)[1].split("\n[", 1)[0]
+        note = " ".join(ln[1:].strip() for ln in section.splitlines() if ln.startswith(";"))
+        listed = note.split("is an error:", 1)[1].split(".", 1)[0]
+        keys = {re.sub(r"\(.*?\)", "", k).strip() for k in listed.split(",")}
+        fields = {f.name for f in dataclasses.fields(SamplerConfig)}
+        assert keys <= fields
+        assert keys | {"steps", "t_max", "sigma_y"} == fields
+
+
+_DELETED_KEYS = ("sure_enabled", "rho", "t_min", "rel_tol")
+_FUZZ_KEYS = st.one_of(
+    st.sampled_from(
+        [f.name for f in dataclasses.fields(SamplerConfig)]
+        + [f.name for f in dataclasses.fields(PatchConfig)]
+        + list(_DELETED_KEYS)
+    ),
+    st.from_regex(r"[a-z_][a-z0-9_]{0,11}", fullmatch=True),
+)
+_FUZZ_VALUES = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["nan", "inf", "1e400", "true", "", "1 2"]),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=12),
+)
+_FUZZ_SECTION = st.dictionaries(_FUZZ_KEYS, _FUZZ_VALUES, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampler=_FUZZ_SECTION, patch=_FUZZ_SECTION)
+def test_fuzzed_sampler_and_patch_sections_raise_only_config_errors(sampler, patch):
+    sampler.setdefault("steps", "4")
+    text = MINIMAL.split("[sampler]", 1)[0]
+    for name, sec in (("sampler", sampler), ("patch", patch)):
+        text += f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        return
+    assert not set(_DELETED_KEYS) & (set(sampler) | set(patch))
 
 
 class TestSweepConfig:

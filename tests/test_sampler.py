@@ -10,6 +10,9 @@ import sgps.sampler
 
 from sgps.analysis import chain_prefix, smooth_field
 from sgps.core import (
+    RHO,
+    T_MIN,
+    ConfigError,
     DivergenceError,
     NonFiniteError,
     RngStream,
@@ -49,40 +52,37 @@ def run_cfg(steps, **kw):
 class TestDenoiseStep:
     def test_single_substep_is_raw_denoise(self):
         den, _, _, _ = make_task()
-        sched = build_schedule(8, 0.02, 8.0, 7.0)
         g = RngStream(1, 0)
         x = Signal(g.normal(256), (16, 16))
-        a = denoise_step(den, x, 0.7, 1, sched)
+        a = denoise_step(den, x, 0.7, 1)
         b = den.denoise(x, 0.7)
         assert np.array_equal(a.data, b.data)
 
     def test_validation(self):
         den, _, _, _ = make_task()
-        sched = build_schedule(8, 0.02, 8.0, 7.0)
         x = Signal(np.zeros(256), (16, 16))
         with pytest.raises(SgpsError):
-            denoise_step(den, x, 0.7, 0, sched)
+            denoise_step(den, x, 0.7, 0)
         with pytest.raises(SgpsError):
-            denoise_step(den, x, 0.0, 1, sched)
+            denoise_step(den, x, 0.0, 1)
 
     def test_substep_ladder_converges_to_flow_limit(self):
         # K=1 closed form: running the probability-flow from sigma_t down to
         # the floor and denoising once there lands at
-        # m + (x - m) s^2 / (sqrt(s^2 + t_min^2) sqrt(s^2 + sigma_t^2))
+        # m + (x - m) s^2 / (sqrt(s^2 + T_MIN^2) sqrt(s^2 + sigma_t^2))
         n = 8
         m = np.linspace(-1.0, 1.0, n)
         s2 = 0.8
         prior = GmmPrior(np.array([1.0]), m[None, :], s2, (n,))
         den = GmmDenoiser(prior)
-        sched = build_schedule(8, 0.02, 4.0, 7.0)
         sigma_t = 1.5
         x = Signal(m + 1.2 * RngStream(3, 0).normal(n), (n,))
         limit = m + (x.data - m) * s2 / (
-            math.sqrt(s2 + sched.t_min**2) * math.sqrt(s2 + sigma_t**2)
+            math.sqrt(s2 + T_MIN**2) * math.sqrt(s2 + sigma_t**2)
         )
         errs = []
         for k in (2, 4, 8, 16, 32):
-            out = denoise_step(den, x, sigma_t, k, sched)
+            out = denoise_step(den, x, sigma_t, k)
             errs.append(float(np.max(np.abs(out.data - limit))))
         for a, b in zip(errs, errs[1:]):
             assert b < 0.62 * a
@@ -96,6 +96,7 @@ class TestEvaluationBudget:
             (16, 1, 1, 1, 48),
             (33, 1, 1, 1, 99),
             (5, 2, 2, 3, 50),
+            (7, 2, 0, 1, 14),  # no correction: steps * substeps
         ],
     )
     def test_budget_law_with_correction(self, steps, substeps, repeats, probes, total):
@@ -111,7 +112,7 @@ class TestEvaluationBudget:
 
     def test_budget_without_correction(self):
         den, op, y, _ = make_task()
-        cfg = run_cfg(7, ode_substeps=2, sure_enabled=False)
+        cfg = run_cfg(7, ode_substeps=2, sure_repeats=0)
         _, report = sgps_run(den, op, y, cfg, RngStream(10, 0))
         assert report.total_nfe == 14
         assert all(r.nfe_step == 2 for r in report.steps)
@@ -149,7 +150,7 @@ class TestClampAndSkip:
 
     def test_correction_disabled_records(self):
         den, op, y, x0 = make_task()
-        cfg = run_cfg(6, sure_enabled=False)
+        cfg = run_cfg(6, sure_repeats=0)
         _, report = sgps_run(den, op, y, cfg, RngStream(14, 0), x_true=x0)
         for r in report.steps:
             assert r.psnr_star == r.psnr_x0ty
@@ -158,7 +159,7 @@ class TestClampAndSkip:
             assert not r.skipped
 
     @pytest.mark.parametrize("kw,estimates", [
-        ({"sure_enabled": False}, 5),
+        ({"sure_repeats": 0}, 5),
         ({"sigma_floor": 5.0}, 5),  # every step skips
         ({"sure_repeats": 2}, 15),  # guided, after one update, corrected
     ])
@@ -170,7 +171,7 @@ class TestClampAndSkip:
         with mock.patch.object(sgps.sampler, "estimate_sigma", spy):
             _, report = sgps_run(den, op, y, run_cfg(5, **kw), RngStream(15, 0))
         assert spy.call_count == estimates
-        if "sure_repeats" not in kw:
+        if kw.get("sure_repeats", 1) < 2:
             assert all(r.sigma_hat_star == r.sigma_hat_raw for r in report.steps)
 
 
@@ -189,7 +190,7 @@ class TestDeterminism:
         # correction on must reproduce the correction-off trajectory exactly
         den, op, y, _ = make_task()
         xa, ra = sgps_run(den, op, y, run_cfg(6, alpha=0.0), RngStream(16, 0))
-        xb, rb = sgps_run(den, op, y, run_cfg(6, sure_enabled=False), RngStream(16, 0))
+        xb, rb = sgps_run(den, op, y, run_cfg(6, sure_repeats=0), RngStream(16, 0))
         assert np.array_equal(xa.data, xb.data)
         assert ra.total_nfe == 18 and rb.total_nfe == 6
 
@@ -203,7 +204,7 @@ class TestDeterminism:
 
     def test_matches_uncorrected_prefix(self):
         den, op, y, x0 = make_task()
-        cfg = run_cfg(6, sure_enabled=False)
+        cfg = run_cfg(6, sure_repeats=0)
         _, report = sgps_run(den, op, y, cfg, RngStream(18, 0), x_true=x0)
         states = chain_prefix(den, op, y, cfg, [RngStream(18, 0)], 6)
         for rec, (sigma_t, x0t, x0ty) in zip(report.steps, states):
@@ -241,10 +242,10 @@ class TestInfluxTrace:
         # identical seeds: the two runs share the first denoised estimate
         cols = {c: i for i, c in enumerate(INFLUX_CSV_COLUMNS)}
         assert first[cols["psnr_x0t_with"]] == first[cols["psnr_x0t_without"]]
-        sched = build_schedule(cfg.steps, cfg.t_min, cfg.t_max, cfg.rho)
+        sigmas = build_schedule(cfg.steps, T_MIN, cfg.t_max, RHO)
         for k, row in enumerate(lines[1:]):
             parts = row.split(",")
-            assert float(parts[cols["sigma_t"]]) == float(sched.sigmas[k])
+            assert float(parts[cols["sigma_t"]]) == float(sigmas[k])
         w, wo = trace.mean_sigma_hat()
         assert w == pytest.approx(
             np.mean([r.sigma_hat_star for r in trace.report_with.steps]), rel=1e-12
@@ -258,6 +259,12 @@ class TestInfluxTrace:
         trace = noise_influx_trace(den, op, y, run_cfg(5), RngStream(22, 0))
         assert trace.report_with.total_nfe == 15
         assert trace.report_without.total_nfe == 5
+
+    def test_uncorrected_cfg_is_rejected(self):
+        # with sure_repeats = 0 both arms would be the same uncorrected run
+        den, op, y, _ = make_task()
+        with pytest.raises(ConfigError, match="sure_repeats"):
+            noise_influx_trace(den, op, y, run_cfg(5, sure_repeats=0), RngStream(22, 0))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

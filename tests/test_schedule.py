@@ -7,44 +7,41 @@ from sgps import ConfigError, build_schedule
 
 
 def test_endpoints_exact():
-    sched = build_schedule(16, 0.02, 16.0, 7.0)
-    assert abs(sched.sigmas[0] - 16.0) <= 1e-12 * 16.0
-    assert abs(sched.sigmas[-1] - 0.02) <= 1e-12 * 0.02
+    sigmas = build_schedule(16, 0.02, 16.0, 7.0)
+    assert abs(sigmas[0] - 16.0) <= 1e-12 * 16.0
+    assert abs(sigmas[-1] - 0.02) <= 1e-12 * 0.02
 
 
 def test_strictly_decreasing():
-    sched = build_schedule(33, 0.02, 33.0, 7.0)
-    assert np.all(np.diff(sched.sigmas) < 0)
+    sigmas = build_schedule(33, 0.02, 33.0, 7.0)
+    assert np.all(np.diff(sigmas) < 0)
 
 
 def test_rho_one_is_affine():
     # rho = 1 degenerates to an arithmetic ramp
-    sched = build_schedule(9, 0.5, 4.5, 1.0)
+    sigmas = build_schedule(9, 0.5, 4.5, 1.0)
     expected = np.linspace(4.5, 0.5, 9)
-    np.testing.assert_allclose(sched.sigmas, expected, rtol=1e-15)
+    np.testing.assert_allclose(sigmas, expected, rtol=1e-15)
 
 
 def test_closed_form_midpoints():
     steps, t_min, t_max, rho = 12, 0.02, 10.0, 7.0
-    sched = build_schedule(steps, t_min, t_max, rho)
+    sigmas = build_schedule(steps, t_min, t_max, rho)
     i = np.arange(steps)
     inv = 1.0 / rho
     expected = (t_max**inv + i / (steps - 1) * (t_min**inv - t_max**inv)) ** rho
-    np.testing.assert_allclose(sched.sigmas, expected, rtol=4e-15)
+    np.testing.assert_allclose(sigmas, expected, rtol=4e-15)
 
 
 def test_len_and_terminal_level():
-    sched = build_schedule(8, 0.02, 8.0, 7.0)
-    assert len(sched) == 8
-    # the ladder ends at an implicit sigma = 0 after the last level
-    assert sched.sigma_after(6) == sched.sigmas[7]
-    assert sched.sigma_after(7) == 0.0
+    sigmas = build_schedule(8, 0.02, 8.0, 7.0)
+    assert len(sigmas) == 8
 
 
 def test_sigmas_read_only():
-    sched = build_schedule(4, 0.02, 4.0, 7.0)
+    sigmas = build_schedule(4, 0.02, 4.0, 7.0)
     with pytest.raises(ValueError):
-        sched.sigmas[0] = 1.0
+        sigmas[0] = 1.0
 
 
 @pytest.mark.parametrize(
@@ -65,9 +62,9 @@ def test_validation(steps, t_min, t_max, rho):
 )
 def test_schedule_properties(steps, t_min, span, rho):
     t_max = t_min * span
-    sched = build_schedule(steps, t_min, t_max, rho)
-    assert sched.sigmas.shape == (steps,)
-    assert abs(sched.sigmas[0] - t_max) <= 1e-12 * t_max
-    assert abs(sched.sigmas[-1] - t_min) <= 1e-12 * max(t_min, 1.0)
-    assert np.all(np.diff(sched.sigmas) < 0)
-    assert np.all(np.isfinite(sched.sigmas))
+    sigmas = build_schedule(steps, t_min, t_max, rho)
+    assert sigmas.shape == (steps,)
+    assert abs(sigmas[0] - t_max) <= 1e-12 * t_max
+    assert abs(sigmas[-1] - t_min) <= 1e-12 * max(t_min, 1.0)
+    assert np.all(np.diff(sigmas) < 0)
+    assert np.all(np.isfinite(sigmas))

@@ -22,6 +22,9 @@ def load_script(name: str):
                               "--steps", "2", "--out", "out"]),
         ("influx_trace", ["--size", "16", "--steps", "2", "--seeds", "1", "--out", "out"]),
         ("theory_checks", ["--w2-samples", "20", "--kl-trials", "1", "--kl-samples", "2"]),
+        # the correction off and on, through the ordinary sweep
+        ("hyperparam_sweep", ["--axis", "sure_repeats", "--values", "0 1", "--repeats", "1",
+                              "--size", "16", "--steps", "2", "--out", "out"]),
     ],
 )
 def test_script_runs(name, argv, tmp_path, monkeypatch, capsys):
