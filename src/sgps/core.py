@@ -188,6 +188,8 @@ class RngStream:
 # floor and warp of the noise ladder (Karras et al. 2022)
 T_MIN = 0.02
 RHO = 7.0
+# the ladder is built as an array of steps levels; a bound keeps that finite
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -218,8 +220,8 @@ class SamplerConfig:
             v = getattr(self, f.name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{f.name} must be finite, got {v}")
-        if self.steps < 2:
-            raise ConfigError(f"steps must be >= 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ConfigError(f"steps must be in [2, {MAX_STEPS}], got {self.steps}")
         if not self.t_max > T_MIN:
             raise ConfigError(f"t_max must be above {T_MIN}, got {self.t_max}")
         if self.alpha < 0:

@@ -7,6 +7,9 @@ that the derivative is zero exactly at non-differentiable points.
 """
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 
 from .core import SgpsError, ShapeMismatchError, Signal
@@ -130,57 +133,56 @@ class BlurOp(ForwardOp):
     """Circular convolution with a stored kernel.
 
     The kernel has the same number of axes as the signal and is anchored at
-    its center tap, so a symmetric kernel gives a self-adjoint operator.
+    its center tap, so a symmetric kernel gives a self-adjoint operator.  Its
+    taps must be finite, and at least one must be nonzero.
     """
 
     kind = "blur"
     linear = True
 
     def __init__(self, input_shape: tuple[int, ...], kernel: np.ndarray):
+        # scipy.sparse costs start-up time and memory that only blur tasks need
+        import scipy.sparse
+
         k = np.asarray(kernel, dtype=np.float64)
+        if k.size == 0:
+            raise SgpsError("kernel is empty")
         if k.ndim != len(input_shape):
             raise SgpsError(
                 f"kernel ndim {k.ndim} does not match signal ndim {len(input_shape)}"
             )
         if any(ks > s for ks, s in zip(k.shape, input_shape)):
             raise SgpsError(f"kernel {k.shape} larger than signal {input_shape}")
+        if not np.all(np.isfinite(k)):
+            raise SgpsError("kernel taps must be finite")
+        nonzero = k != 0.0
+        if not nonzero.any():
+            raise SgpsError("kernel has no nonzero tap")
         super().__init__(input_shape, input_shape)
         self.kernel = k
         # no frequency response exceeds the kernel's absolute sum
         self.lipschitz_bound = float(np.abs(k).sum()) ** 2
-        # centered tap offsets per axis; the signal is wrap-padded by the
-        # widest offset so that every tap reads a plain window of the padding
-        offsets = [[j - (dim - 1) // 2 for j in range(dim)] for dim in k.shape]
-        pads = [max(abs(o) for o in offs) for offs in offsets]
-        # flat indices of the padded signal, so padding a row is one take
-        axes = [np.arange(-p, size + p) % size for p, size in zip(pads, self.input_shape)]
-        self._wrap = np.ravel_multi_index(np.ix_(*axes), self.input_shape)
-        self._taps = {}
-        for flip in (False, True):
-            sign = -1 if flip else 1
-            taps = []
-            for tap_idx in np.ndindex(k.shape):
-                c = k[tap_idx]
-                if c == 0.0:
-                    continue
-                # the leading slice keeps every row of the batch
-                window = (slice(None),) + tuple(
-                    slice(p - sign * offsets[ax][j], p - sign * offsets[ax][j] + size)
-                    for ax, (j, p, size) in enumerate(zip(tap_idx, pads, self.input_shape))
-                )
-                taps.append((c, window))
-            self._taps[flip] = taps
+        # centered offsets of the nonzero taps, in kernel order: (ndim, 1, taps)
+        offsets = (np.argwhere(nonzero) - (np.array(k.shape) - 1) // 2).T[:, None, :]
+        n = math.prod(self.input_shape)
+        grid = np.indices(self.input_shape).reshape(k.ndim, n, 1)
+        data = np.tile(k[nonzero], n)
+        indptr = np.arange(0, data.size + 1, offsets.shape[2])
+        # output i reads input i - offset (apply) or i + offset (adjoint).
+        # Each row keeps its taps in kernel order, unsorted: the product adds
+        # data[jj] * x[col[jj]] to 0.0 in storage order, so a row equals the
+        # sum of np.roll'ed taps bit for bit
+        self._matrices = {}
+        for flip, sign in ((False, -1), (True, 1)):
+            cols = np.ravel_multi_index(
+                tuple(grid + sign * offsets), self.input_shape, mode="wrap"
+            )
+            self._matrices[flip] = scipy.sparse.csr_array(
+                (data, cols.reshape(-1), indptr), shape=(n, n)
+            )
 
     def _convolve(self, xs: np.ndarray, flip: bool) -> np.ndarray:
-        # the window of a tap with shift s holds np.roll(row, s), and the taps
-        # are summed in kernel order, so each row is that of rolling
-        padded = xs.take(self._wrap, axis=-1)
-        out = np.zeros((len(xs),) + self.input_shape)
-        term = np.empty_like(out)
-        for c, window in self._taps[flip]:
-            np.multiply(c, padded[window], out=term)
-            out += term
-        return out.reshape(len(xs), -1)
+        return np.ascontiguousarray((self._matrices[flip] @ xs.T).T)
 
     def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
         return self._convolve(xs, flip=False)
@@ -299,7 +301,10 @@ class RangeClipOp(ForwardOp):
 
 def load_kernel(path: str) -> np.ndarray:
     """Kernel taps from a whitespace-separated text file; rows become axes."""
-    k = np.loadtxt(path, dtype=np.float64)
+    with warnings.catch_warnings():
+        # an empty file gives an empty kernel, which BlurOp rejects in one line
+        warnings.simplefilter("ignore", UserWarning)
+        k = np.loadtxt(path, dtype=np.float64)
     return np.atleast_1d(k)
 
 

@@ -19,6 +19,7 @@ from sgps import (
     psnr,
 )
 from sgps.core import (
+    MAX_STEPS,
     RHO,
     STEP_CSV_COLUMNS,
     T_MIN,
@@ -190,6 +191,8 @@ class TestSamplerConfig:
             {"ode_substeps": 0},
             {"sigma_floor": 0.0},
             {"sigma_hat_scale": 0.0},
+            {"steps": MAX_STEPS + 1},
+            {"steps": 10**30},
         ],
     )
     def test_validation(self, kwargs):

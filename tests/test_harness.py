@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgps
-from sgps.core import ConfigError, RngStream, SamplerConfig, Signal
+from sgps.core import MAX_STEPS, ConfigError, RngStream, SamplerConfig, Signal
 from sgps.harness.cli import main
 from sgps.harness.config import (
     make_task,
@@ -138,6 +138,8 @@ class TestConfigParsing:
             (("steps = 4", "steps = 4\nt_min = 0.1"), "[sampler] t_min"),
             (("langevin_steps = 20", "langevin_steps = 20\n[patch]\nrel_tol = 0.01"),
              "[patch] rel_tol"),
+            (("steps = 4", f"steps = {10**30}"), "[sampler]: steps must be in [2, 1000000]"),
+            (("steps = 4", f"steps = {MAX_STEPS + 1}"), "[sampler]: steps must be in [2, 1000000]"),
         ],
     )
     def test_typed_errors_name_section_and_key(self, mutation, fragment):
@@ -629,6 +631,39 @@ class TestCli:
         cfg = parse_config(str(path))
         rows = (tmp_path / "out" / summary_csv_name(cfg)).read_text().strip().split("\n")
         assert len(rows) == 2 and rows[1].split(",")[2] == "ok"
+
+    @pytest.mark.parametrize(
+        "taps,message",
+        [
+            ("", "kernel is empty"),
+            ("0.1 0.1 0.1\n0.1 nan 0.1\n0.1 0.1 0.1\n", "kernel taps must be finite"),
+            ("0 0 0\n0 inf 0\n0 0 0\n", "kernel taps must be finite"),
+            ("0 0 0\n0 0 0\n0 0 0\n", "kernel has no nonzero tap"),
+        ],
+    )
+    def test_degenerate_kernel_file_is_a_config_error(self, taps, message, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        kfile = tmp_path / "kernel.txt"
+        kfile.write_text(taps)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("kind = identity", f"kind = blur\nkernel_file = {kfile}"))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: [operator] kind=blur: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_steps_above_the_cap_are_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # far above the cap, so a run that got past the parser would fail
+        # building its ladder instead of running for hours
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("steps = 4", f"steps = {10**30}"))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: [sampler]: steps must be in [2, {MAX_STEPS}], got {10**30}\n"
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 1

@@ -1,8 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sgps
 from sgps import (
     BlurOp,
     DownsampleOp,
@@ -154,6 +160,75 @@ class TestBlur:
         y = Signal(rng.normal(6), (6,))
         got = op.fidelity_gradient(x, y, 0.5).data
         np.testing.assert_allclose(got, fd_fidelity(op, x, y, 0.5), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "kernel,message",
+        [
+            (np.zeros(0), "empty"),
+            (np.array([0.25, np.nan, 0.25]), "finite"),
+            (np.array([np.inf, 1.0, 0.0]), "finite"),
+            (np.zeros(3), "no nonzero tap"),
+        ],
+    )
+    def test_rejects_degenerate_kernels(self, kernel, message):
+        with pytest.raises(SgpsError, match=message):
+            BlurOp((7,), kernel)
+
+
+def rolled_tap_sum(kern, grids, flip):
+    """Oracle for BlurOp: each nonzero tap's np.roll of the (B, *shape)
+    grids, added to zeros in kernel order (flip -1 for the adjoint)."""
+    axes = tuple(range(1, grids.ndim))
+    out = np.zeros(grids.shape)
+    for tap in np.ndindex(kern.shape):
+        if kern[tap] == 0.0:
+            continue
+        shift = tuple(flip * (j - (k - 1) // 2) for j, k in zip(tap, kern.shape))
+        out += kern[tap] * np.roll(grids, shift, axis=axes)
+    return out.reshape(len(grids), -1)
+
+
+_BLUR_SHAPES = st.sampled_from([(1, 32), (2, 10), (3, 6)]).flatmap(
+    lambda spec: st.lists(st.integers(1, spec[1]), min_size=spec[0], max_size=spec[0]).map(tuple)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_BLUR_SHAPES, data=st.data())
+def test_sparse_blur_equals_rolled_taps(shape, data):
+    # odd and even kernel sizes up to the signal size, some taps zero
+    kshape = tuple(data.draw(st.integers(1, s)) for s in shape)
+    batch = data.draw(st.integers(1, 4))
+    zero_frac = data.draw(st.floats(0.0, 0.9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kern = rng.standard_normal(kshape)
+    kern[rng.random(kshape) < zero_frac] = 0.0
+    assume(np.any(kern != 0.0))
+    op = BlurOp(shape, kern)
+    xs = rng.standard_normal((batch, math.prod(shape)))
+    for flip, method in ((1, op.apply), (-1, op.adjoint)):
+        got = method(xs)
+        assert np.array_equal(got, rolled_tap_sum(kern, xs.reshape((batch,) + shape), flip))
+        for b in range(batch):
+            assert np.array_equal(got[b], method(xs[b : b + 1])[0])
+
+
+def test_only_blur_imports_scipy_sparse():
+    # the sparse matrices cost start-up time and memory that tasks without a
+    # blur must not pay, so nothing else may import scipy.sparse
+    code = (
+        "import sys, numpy as np, sgps, sgps.analysis\n"
+        "sgps.identity_op((4, 4)); sgps.DownsampleOp((4, 4), 2)\n"
+        "assert 'scipy.sparse' not in sys.modules, 'imported early'\n"
+        "sgps.BlurOp((4, 4), np.ones((3, 3)))\n"
+        "assert 'scipy.sparse' in sys.modules, 'blur did not import it'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgps.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDownsample:

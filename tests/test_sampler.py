@@ -1,6 +1,7 @@
 """Sampling loop: evaluation budget, substep ladder, clamping and skipping,
 determinism, and the common-random-numbers pairing contract."""
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from sgps.core import (
     psnr,
 )
 from sgps.noise_est import PatchConfig
-from sgps.operators import identity_op
+from sgps.operators import BlurOp, gaussian_kernel, identity_op
 from sgps.prior import CountingDenoiser, Denoiser, GmmDenoiser, GmmPrior
 from sgps.sampler import INFLUX_CSV_COLUMNS, denoise_step, noise_influx_trace, sgps_run
 from sgps.schedule import build_schedule
@@ -278,6 +279,23 @@ def test_guidance_divergence_is_labeled_with_sampler_step():
         sgps_run(den, op, y, cfg, RngStream(23, 0))
     assert err.value.stage == "guidance"
     assert err.value.step_index == 1
+
+
+def test_blur_guidance_divergence_is_typed_and_silent():
+    # a step far above the default 0.5 * sigma_y^2 / lipschitz_bound blows
+    # the blurred iterate up; the guide reports it as a divergence, and
+    # numpy prints nothing
+    den, _, _, _ = make_task()
+    op = BlurOp((16, 16), gaussian_kernel(5, 1.2, 2))
+    y = op.apply(smooth_field(RngStream(72, 0), (16, 16), 0.5))
+    cfg = run_cfg(4, langevin_eta=100.0 / op.lipschitz_bound, langevin_steps=100)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError) as err:
+            sgps_run(den, op, y, cfg, RngStream(27, 0))
+    assert err.value.stage == "guidance"
+    assert err.value.step_index == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class _FailingDenoiser(Denoiser):
