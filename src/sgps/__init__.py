@@ -43,6 +43,6 @@ from .prior import (
 )
 from .sampler import InfluxTrace, denoise_step, noise_influx_trace, sgps_run
 from .schedule import build_schedule
-from .sure import SureEvaluation, mc_trace, probe_epsilon, sure_gradient, sure_update, sure_value
+from .sure import SureEvaluation, probe_epsilon, sure_gradient, sure_update, sure_value
 
 __version__ = "0.1.0"

@@ -38,7 +38,6 @@ def langevin_guide(
     y: Signal,
     cfg: SamplerConfig,
     rngs: Sequence[RngStream],
-    noise_scale: float = 1.0,
 ) -> np.ndarray:
     """Guided rows after cfg.langevin_steps unadjusted Langevin updates.
 
@@ -47,9 +46,6 @@ def langevin_guide(
     advance in lockstep, and row b draws its noise from rngs[b] alone, so
     it is the chain that stream would walk by itself.  A divergence is
     reported at the first iteration where any row is not finite.
-
-    noise_scale scales the injected noise and exists for deterministic
-    diagnostics; 1.0 is the sampling dynamics.
     """
     n = math.prod(op.input_shape)
     if x_init.ndim != 2 or x_init.shape[1] != n:
@@ -69,7 +65,7 @@ def langevin_guide(
         raise SgpsError(f"langevin step size must be positive, got {eta}")
 
     st2 = sigma_t * sigma_t
-    root = math.sqrt(2.0 * eta) * noise_scale
+    root = math.sqrt(2.0 * eta)
     noise = np.empty(x_init.shape)
     fills = [(r.normal_into, row) for r, row in zip(rngs, noise)]
     x = x_init.copy()

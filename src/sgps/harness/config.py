@@ -9,6 +9,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -53,7 +54,8 @@ class ExperimentConfig:
     sampler: SamplerConfig
     patch: PatchConfig
     sweep_axes: dict = field(default_factory=dict)
-    max_points: int = 64
+    # (overrides, sampler config) per sweep point, built and checked at parse
+    sweep_points: tuple = ()
     config_hash: str = ""
 
 
@@ -266,11 +268,12 @@ def _build_patch(sec: _Section) -> PatchConfig:
         raise ConfigError(f"[patch]: {e}") from e
 
 
-def _build_sweep(sec: _Section) -> tuple[dict, int]:
+def _build_sweep(sec: _Section, sampler: SamplerConfig) -> tuple[dict, tuple]:
+    """The axes and the points of the cartesian sweep, axes in name order
+    with the last varying fastest; each point is (overrides, sampler
+    config).  The point count is checked against max_points before any
+    point is built, and every point's config is validated here."""
     axes: dict = {}
-    max_points = 64
-    if not sec.present:
-        return axes, max_points
     for key in sec.keys():
         if key == "max_points":
             continue
@@ -284,10 +287,22 @@ def _build_sweep(sec: _Section) -> tuple[dict, int]:
         if not values:
             raise ConfigError(f"[sweep] {key}: empty axis")
         axes[key] = values
-    raw_cap = sec.get_int("max_points", 64)
-    if raw_cap < 1:
-        raise ConfigError(f"[sweep] max_points: must be >= 1, got {raw_cap}")
-    return axes, raw_cap
+    cap = sec.get_int("max_points", 64)
+    if cap < 1:
+        raise ConfigError(f"[sweep] max_points: must be >= 1, got {cap}")
+    count = math.prod(len(v) for v in axes.values())
+    if count > cap:
+        raise ConfigError(f"[sweep]: {count} points, above the cap of {cap}")
+    names = sorted(axes)
+    points = []
+    for combo in itertools.product(*(axes[k] for k in names)):
+        overrides = dict(zip(names, combo))
+        try:
+            points.append((overrides, sampler.replace(**overrides)))
+        except ConfigError as e:
+            where = " ".join(f"{k}={v}" for k, v in overrides.items())
+            raise ConfigError(f"[sweep] {where}: {e}") from e
+    return axes, tuple(points)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -312,7 +327,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         )
     sampler = _build_sampler(_Section(parser, "sampler"), measurement_sigma)
     patch = _build_patch(patch_sec)
-    sweep_axes, max_points = _build_sweep(_Section(parser, "sweep"))
+    sweep_axes, sweep_points = _build_sweep(_Section(parser, "sweep"), sampler)
     repeats = exp.get_int("repeats", 1)
     if repeats < 1:
         raise ConfigError(f"[experiment] repeats: must be >= 1, got {repeats}")
@@ -333,7 +348,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         sampler=sampler,
         patch=patch,
         sweep_axes=sweep_axes,
-        max_points=max_points,
+        sweep_points=sweep_points,
         config_hash=hashlib.sha256(text.encode()).hexdigest()[:8],
     )
     for sec in (exp, prior_sec, op_sec, patch_sec):

@@ -1,11 +1,10 @@
-"""Experiment driver: expand sweeps, run repeats, write CSV and SVG artifacts.
+"""Experiment driver: run sweep points and repeats, write CSV and SVG artifacts.
 
 Artifact names are pure functions of (config hash, sweep point, repeat), so
 reruns of the same config land on the same files with identical bytes.
 """
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -23,22 +22,6 @@ ENV_OUTPUT_DIR = "SGPS_OUTPUT_DIR"
 def resolve_output_dir(cfg: ExperimentConfig) -> str:
     """SGPS_OUTPUT_DIR when set to a non-empty path, else the config's."""
     return os.environ.get(ENV_OUTPUT_DIR) or cfg.output_dir
-
-
-def expand_sweep(cfg: ExperimentConfig) -> list[dict]:
-    """Cartesian product of the sweep axes, capped at max_points."""
-    if not cfg.sweep_axes:
-        return [{}]
-    names = sorted(cfg.sweep_axes)
-    points = [
-        dict(zip(names, combo))
-        for combo in itertools.product(*(cfg.sweep_axes[k] for k in names))
-    ]
-    if len(points) > cfg.max_points:
-        raise ConfigError(
-            f"sweep has {len(points)} points, above the cap of {cfg.max_points}"
-        )
-    return points
 
 
 def step_csv_name(cfg: ExperimentConfig, point: int, repeat: int) -> str:
@@ -105,19 +88,18 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool) -> int:
     0 when every run succeeded, 2 when any run failed (the summary records
     per-run status, distinguishing partial from total failure).
     """
-    points = expand_sweep(cfg) if sweep else [{}]
     if sweep and not cfg.sweep_axes:
         raise ConfigError("sweep requested but the config has no [sweep] axes")
+    points = cfg.sweep_points if sweep else [({}, cfg.sampler)]
     out_dir = resolve_output_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     x0, y = make_task(cfg)
 
     axis_names = sorted(cfg.sweep_axes) if sweep else []
     results: list[RunResult] = []
-    for p_idx, overrides in enumerate(points):
+    for p_idx, (overrides, scfg) in enumerate(points):
         point_results: list[RunResult] = []
         for rep in range(cfg.repeats):
-            scfg = cfg.sampler.replace(**overrides) if overrides else cfg.sampler
             rng = run_stream(cfg, p_idx, rep)
             try:
                 _, report = sgps_run(

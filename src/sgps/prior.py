@@ -7,6 +7,7 @@ exact.  That gives every downstream estimator an oracle to test against.
 """
 from __future__ import annotations
 
+import abc
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -60,27 +61,27 @@ def _check_sigma(sigma: float) -> float:
     return s
 
 
-class Denoiser:
-    """Minimal denoiser interface.
+class Denoiser(abc.ABC):
+    """The denoiser contract.
 
     Implementations map (noisy signal, noise level) to an estimate of the
-    clean signal.  has_analytic_jacobian advertises that jacobian_trace and
-    jacobian_vjp are exact; consumers fall back to finite differences when
-    it is False.
+    clean signal, and give exact products with the transpose of that map's
+    Jacobian.  The risk gradient is built from those products alone, so it
+    costs no denoiser evaluation and the evaluation budget holds for every
+    denoiser.
     """
 
-    has_analytic_jacobian: bool = False
-
+    @abc.abstractmethod
     def denoise(self, x: Signal, sigma: float) -> Signal:
-        raise NotImplementedError
+        """Estimate of the clean signal given x at noise level sigma."""
+
+    @abc.abstractmethod
+    def jacobian_vjp(self, x: Signal, sigma: float, v: np.ndarray) -> np.ndarray:
+        """Exact J(x, sigma)^T v."""
 
     def jacobian_trace(self, x: Signal, sigma: float) -> float:
         """Exact trace of d denoise / d x at (x, sigma)."""
         raise NotImplementedError(f"{type(self).__name__} has no exact Jacobian trace")
-
-    def jacobian_vjp(self, x: Signal, sigma: float, v: np.ndarray) -> np.ndarray:
-        """Exact J(x, sigma)^T v."""
-        raise NotImplementedError(f"{type(self).__name__} has no analytic Jacobian products")
 
 
 @dataclass(frozen=True)
@@ -232,8 +233,6 @@ class GmmPrior:
 class GmmDenoiser(Denoiser):
     """Denoiser view of a GmmPrior; all diagnostics are exact."""
 
-    has_analytic_jacobian = True
-
     def __init__(self, prior: GmmPrior):
         self.prior = prior
 
@@ -256,11 +255,7 @@ class PerturbedDenoiser(Denoiser):
     default) reduces to the wrapped denoiser exactly.
     """
 
-    has_analytic_jacobian = True
-
     def __init__(self, base: Denoiser, amplitude: float = 0.0, frequency: float = 1.0):
-        if not base.has_analytic_jacobian:
-            raise SgpsError("PerturbedDenoiser needs an analytic base denoiser")
         self.base = base
         self.amplitude = float(amplitude)
         self.frequency = float(frequency)
@@ -303,8 +298,6 @@ class LinearDenoiser(Denoiser):
     this the reference case for trace-estimator tests.
     """
 
-    has_analytic_jacobian = True
-
     def __init__(self, matrix: np.ndarray, offset: np.ndarray | None = None):
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -337,7 +330,6 @@ class CountingDenoiser(Denoiser):
     def __init__(self, base: Denoiser):
         self.base = base
         self.calls = 0
-        self.has_analytic_jacobian = base.has_analytic_jacobian
 
     def denoise(self, x: Signal, sigma: float) -> Signal:
         self.calls += 1

@@ -60,28 +60,6 @@ def _trace_with_probes(
     return total / probes.shape[0]
 
 
-def mc_trace(
-    den: Denoiser,
-    x_noisy: Signal,
-    sigma: float,
-    probes: int,
-    epsilon: float,
-    rng: RngStream,
-) -> float:
-    """Monte Carlo Jacobian trace of the denoiser at (x_noisy, sigma).
-
-    Each of the `probes` Gaussian probes costs one extra denoiser
-    evaluation; the unperturbed output is computed once.
-    """
-    if probes < 1:
-        raise SgpsError(f"probes must be >= 1, got {probes}")
-    if epsilon <= 0:
-        raise SgpsError(f"epsilon must be positive, got {epsilon}")
-    base = den.denoise(x_noisy, sigma)
-    b = rng.standard_normal((int(probes), x_noisy.n))
-    return _trace_with_probes(den, x_noisy, sigma, epsilon, b, base)
-
-
 @dataclass(frozen=True)
 class SureEvaluation:
     """One risk evaluation: where it was taken, its terms, and the frozen
@@ -150,37 +128,24 @@ def sure_gradient(den: Denoiser, evaluation: SureEvaluation) -> Signal:
     the evaluation's point.
 
     sigma_hat, the probe step, and the probes are the evaluation's and are
-    treated as constants.  With an analytic denoiser the gradient uses
-    exact Jacobian products and the evaluation's base output, and costs no
-    extra denoiser evaluations; otherwise central differences with step
-    1e-4 * (1 + max|x|) are used.
+    treated as constants.  The gradient is built from exact Jacobian
+    products and the evaluation's base output, so it costs no denoiser
+    evaluation.
     """
     x = evaluation.point
     sigma_hat = evaluation.sigma_used
     eps = evaluation.epsilon
     probes = evaluation.probes
-
-    if den.has_analytic_jacobian:
-        s2 = sigma_hat * sigma_hat
-        sigma_probe = max(eps, sigma_hat)
-        resid = x.data - evaluation.denoised.data
-        g = 2.0 * (resid - den.jacobian_vjp(x, sigma_hat, resid))
-        acc = np.zeros(x.n)
-        for b in probes:
-            shifted = x.with_data(x.data + eps * b)
-            acc += den.jacobian_vjp(shifted, sigma_probe, b)
-            acc -= den.jacobian_vjp(x, sigma_hat, b)
-        g += (2.0 * s2 / (eps * probes.shape[0])) * acc
-        return x.with_data(g)
-
-    h = 1e-4 * (1.0 + float(np.max(np.abs(x.data))))
-    g = np.zeros(x.n)
-    for i in range(x.n):
-        step = np.zeros_like(x.data)
-        step[i] = h
-        fp = _evaluate(den, x.with_data(x.data + step), sigma_hat, eps, probes).value
-        fm = _evaluate(den, x.with_data(x.data - step), sigma_hat, eps, probes).value
-        g[i] = (fp - fm) / (2.0 * h)
+    s2 = sigma_hat * sigma_hat
+    sigma_probe = max(eps, sigma_hat)
+    resid = x.data - evaluation.denoised.data
+    g = 2.0 * (resid - den.jacobian_vjp(x, sigma_hat, resid))
+    acc = np.zeros(x.n)
+    for b in probes:
+        shifted = x.with_data(x.data + eps * b)
+        acc += den.jacobian_vjp(shifted, sigma_probe, b)
+        acc -= den.jacobian_vjp(x, sigma_hat, b)
+    g += (2.0 * s2 / (eps * probes.shape[0])) * acc
     return x.with_data(g)
 
 

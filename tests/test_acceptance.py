@@ -25,10 +25,10 @@ from sgps.core import RngStream, SamplerConfig, Signal
 from sgps.guidance import default_eta
 from sgps.noise_est import PatchConfig
 from sgps.operators import BlurOp, MaskOp, gaussian_kernel, identity_op
-from sgps.prior import Denoiser, GmmDenoiser, GmmPrior, LinearDenoiser
+from sgps.prior import GmmDenoiser, GmmPrior, LinearDenoiser
 from sgps.sampler import noise_influx_trace, sgps_run
 from sgps.schedule import build_schedule
-from sgps.sure import mc_trace, probe_epsilon, sure_value
+from sgps.sure import sure_gradient, sure_value
 
 
 def _criterion(num: int, label: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -107,9 +107,13 @@ def test_03_trace_probes():
     den = GmmDenoiser(prior)
     x = Signal(rng.normal(n), (n,))
     sigma = 0.35
-    eps = probe_epsilon(x)
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.1)
+
+    def probe_trace(d, probes, stream):
+        return sure_value(d, x, sigma, cfg.replace(mc_probes=probes), stream).trace_estimate
+
     exact = den.jacobian_trace(x, sigma)
-    est = mc_trace(den, x, sigma, 1000, eps, rng.substream(1))
+    est = probe_trace(den, 1000, rng.substream(1))
     rel = abs(est - exact) / abs(exact)
 
     # a denoiser-like contraction: diagonally dominant, trace well away
@@ -117,16 +121,13 @@ def test_03_trace_probes():
     m = 0.6 * np.eye(n) + 0.05 * RngStream(7, 9).standard_normal((n, n))
     lin = LinearDenoiser(m)
     lin_exact = float(np.trace(m))
-    lin_est = mc_trace(lin, x, sigma, 1000, eps, rng.substream(2))
+    lin_est = probe_trace(lin, 1000, rng.substream(2))
     lin_rel = abs(lin_est - lin_exact) / abs(lin_exact)
 
     probe_counts = (10, 40, 160)
     variances = []
     for p in probe_counts:
-        vals = [
-            mc_trace(den, x, sigma, p, eps, rng.substream(100 + p * 1000 + r))
-            for r in range(200)
-        ]
+        vals = [probe_trace(den, p, rng.substream(100 + p * 1000 + r)) for r in range(200)]
         variances.append(np.var(vals, ddof=1))
     slope = loglog_slope(probe_counts, variances)
     elapsed = time.perf_counter() - t0
@@ -135,18 +136,8 @@ def test_03_trace_probes():
     _criterion(3, "trace probes", ok, detail, elapsed, 30.0)
 
 
-class _DenoiseOnly(Denoiser):
-    def __init__(self, prior):
-        self._inner = GmmDenoiser(prior)
-
-    def denoise(self, x, sigma):
-        return self._inner.denoise(x, sigma)
-
-
-def test_04_gradient_analytic_vs_numeric():
+def test_04_gradient_analytic_vs_numeric(central_difference_gradient):
     t0 = time.perf_counter()
-    from sgps.sure import sure_gradient
-
     worst = 0.0
     sizes = (8, 16, 32, 64)
     for inst in range(50):
@@ -157,14 +148,13 @@ def test_04_gradient_analytic_vs_numeric():
         means = gm.standard_normal((k, n)) * 0.8
         prior = GmmPrior(np.arange(1.0, k + 1.0) / np.arange(1.0, k + 1.0).sum(), means,
                          0.2 + 0.1 * (inst % 2), (n,))
-        analytic = GmmDenoiser(prior)
-        bare = _DenoiseOnly(prior)
+        den = GmmDenoiser(prior)
         x = Signal(g.normal(n), (n,))
         sigma = 0.15 + 0.1 * (inst % 4)
         cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.1, mc_probes=1 + inst % 2)
-        ev = sure_value(analytic, x, sigma, cfg, g.substream(1))
-        ga = sure_gradient(analytic, ev)
-        gf = sure_gradient(bare, ev)
+        ev = sure_value(den, x, sigma, cfg, g.substream(1))
+        ga = sure_gradient(den, ev)
+        gf = central_difference_gradient(den, ev)
         worst = max(worst, float(np.max(np.abs(ga.data - gf.data))))
     elapsed = time.perf_counter() - t0
     _criterion(4, "gradient check", worst <= 1e-4, f"max deviation {worst:.2e}", elapsed, 30.0)

@@ -34,20 +34,20 @@ def test_default_eta_formula():
 
 
 def test_explicit_eta_overrides_default():
-    # with noise off and y == anchor the update contracts by (1 - eta*lam)
-    # per step, so the endpoint pins down which eta was actually used
+    # the guide walks the written-out loop at the configured step, bit for bit
     n = 4
-    op = identity_op((n,))
-    st, sy, eta, steps = 0.5, 0.4, 0.0151, 7
-    cfg = SamplerConfig(
-        steps=4, t_max=4.0, sigma_y=sy, langevin_eta=eta, langevin_steps=steps
-    )
-    anchor = Signal(np.zeros(n), (n,))
-    x0 = np.ones((1, n))
-    out = langevin_guide(x0, anchor.data[None], st, op, anchor, cfg, [RngStream(1, 0)],
-                         noise_scale=0.0)
-    lam = 1.0 / st**2 + 1.0 / sy**2
-    np.testing.assert_allclose(out[0], (1.0 - eta * lam) ** steps * np.ones(n), rtol=1e-12)
+    keep = np.arange(n)
+    op = MaskOp((n,), keep)
+    st, eta = 0.5, 0.0151
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.4, langevin_eta=eta, langevin_steps=7)
+    assert eta != default_eta(st, cfg, op)
+    g = RngStream(1, 0)
+    x0 = g.standard_normal((1, n))
+    anchor = g.standard_normal((1, n))
+    y = Signal(g.normal(n), (n,))
+    out = langevin_guide(x0, anchor, st, op, y, cfg, [RngStream(1, 1)])
+    want = reference_guide(x0[0], anchor[0], st, keep, y.data, cfg, RngStream(1, 1), eta=eta)
+    assert np.array_equal(out[0], want)
 
 
 def test_deterministic_given_stream():
@@ -61,22 +61,6 @@ def test_deterministic_given_stream():
     assert np.array_equal(a, b)
 
 
-def test_noise_scale_zero_converges_to_map_point():
-    # without injected noise the chain is plain gradient descent on the
-    # quadratic potential, so it must approach the closed-form minimizer
-    n = 6
-    op = identity_op((n,))
-    rng = RngStream(4, 0)
-    anchor = Signal(rng.normal(n), (n,))
-    y = Signal(rng.normal(n), (n,))
-    st, sy = 0.4, 0.2
-    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=sy, langevin_steps=4000)
-    rows = anchor.data[None]
-    out = langevin_guide(rows, rows, st, op, y, cfg, [RngStream(5, 0)], noise_scale=0.0)
-    want = (anchor.data / st**2 + y.data / sy**2) / (1.0 / st**2 + 1.0 / sy**2)
-    np.testing.assert_allclose(out[0], want, atol=1e-12)
-
-
 def guide_from_anchor(seed, reps, anchor, st, op, y, cfg):
     """reps chains started at anchor + st * noise, each from stream (seed, r)
     with its guide noise from that stream's substream 1, guided as one batch."""
@@ -87,10 +71,11 @@ def guide_from_anchor(seed, reps, anchor, st, op, y, cfg):
 
 
 def test_discrete_chain_moments_identity():
-    # stationary mean and variance of the exact discrete-time update
-    # x' = x - eta * grad U + sqrt(2 eta) xi for the quadratic potential;
-    # the discrete variance 2 eta / (1 - (1 - eta lam)^2) exceeds the
-    # continuous-limit 1 / lam and is what the sampler actually produces
+    # stationary mean (the minimizer of the potential) and variance of the
+    # exact discrete-time update x' = x - eta * grad U + sqrt(2 eta) xi for
+    # the quadratic potential; the discrete variance
+    # 2 eta / (1 - (1 - eta lam)^2) exceeds the continuous-limit 1 / lam
+    # and is what the sampler actually produces
     st, sy = 0.4, 0.3
     n = 6
     op = identity_op((n,))
@@ -155,9 +140,11 @@ def test_divergence_reported_with_stage():
     assert err.value.stage == "langevin"
 
 
-def reference_guide(x, anchor, sigma_t, keep, y, cfg, rng):
-    """The one-chain Langevin loop written out for a mask operator."""
-    eta = default_eta(sigma_t, cfg, MaskOp((x.size,), keep))
+def reference_guide(x, anchor, sigma_t, keep, y, cfg, rng, eta=None):
+    """The one-chain Langevin loop written out for a mask operator, at step
+    eta (by default the operator's default step)."""
+    if eta is None:
+        eta = default_eta(sigma_t, cfg, MaskOp((x.size,), keep))
     for _ in range(cfg.langevin_steps):
         grad = (x - anchor) / (sigma_t * sigma_t)
         fid = np.zeros(x.size)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from sgps.harness.config import (
 from sgps.harness.pgm import read_pgm, write_pgm
 from sgps.harness.runner import (
     curves_svg_name,
-    expand_sweep,
     run_experiment,
     step_csv_name,
     summary_csv_name,
@@ -140,6 +140,8 @@ class TestConfigParsing:
              "[patch] rel_tol"),
             (("steps = 4", f"steps = {10**30}"), "[sampler]: steps must be in [2, 1000000]"),
             (("steps = 4", f"steps = {MAX_STEPS + 1}"), "[sampler]: steps must be in [2, 1000000]"),
+            (("langevin_steps = 20", "langevin_steps = 20\n[sweep]\nalpha = 0.5 -1.0"),
+             "[sweep] alpha=-1.0: alpha must be >= 0"),
         ],
     )
     def test_typed_errors_name_section_and_key(self, mutation, fragment):
@@ -265,13 +267,14 @@ class TestSweepConfig:
     def test_axes_parse_and_expand_order(self):
         text = MINIMAL + "\n[sweep]\nalpha = 0.25 0.5\nmc_probes = 1 3\n"
         cfg = parse_config_text(text)
-        pts = expand_sweep(cfg)
+        pts = [overrides for overrides, _ in cfg.sweep_points]
         assert pts == [
             {"alpha": 0.25, "mc_probes": 1},
             {"alpha": 0.25, "mc_probes": 3},
             {"alpha": 0.5, "mc_probes": 1},
             {"alpha": 0.5, "mc_probes": 3},
         ]
+        assert [s for _, s in cfg.sweep_points] == [cfg.sampler.replace(**o) for o in pts]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError, match=r"\[sweep\] girth"):
@@ -283,12 +286,12 @@ class TestSweepConfig:
 
     def test_cap_enforced(self):
         text = MINIMAL + "\n[sweep]\nmax_points = 3\nalpha = 0.1 0.2 0.3 0.4\n"
-        cfg = parse_config_text(text)
         with pytest.raises(ConfigError, match="cap"):
-            expand_sweep(cfg)
+            parse_config_text(text)
 
     def test_no_axes_expands_to_single_point(self):
-        assert expand_sweep(parse_config_text(MINIMAL)) == [{}]
+        cfg = parse_config_text(MINIMAL)
+        assert cfg.sweep_points == (({}, cfg.sampler),)
 
 
 class TestMakeTask:
@@ -520,6 +523,27 @@ class TestAlphaSweep:
 
 
 class TestCli:
+    def test_invalid_sweep_value_runs_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        out = tmp_path / "out"
+        out.mkdir()
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(out)) + "\n[sweep]\nalpha = 0.5 -1.0\n")
+        assert main(["sweep", str(path)]) == 1
+        assert "[sweep]" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_oversized_sweep_rejected_before_building_points(self, tmp_path, capsys):
+        axis = " ".join(str(0.01 * (i + 1)) for i in range(60))
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL + f"\n[sweep]\nalpha = {axis}\nsigma_hat_scale = {axis}\n"
+                        f"sigma_floor = {axis}\n")
+        with mock.patch.object(SamplerConfig, "replace") as build:
+            assert main(["sweep", str(path)]) == 1
+        build.assert_not_called()
+        err = capsys.readouterr().err
+        assert "[sweep]: 216000 points, above the cap of 64" in err
+
     def test_run_subcommand(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
         path = tmp_path / "exp.cfg"

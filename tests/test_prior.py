@@ -6,6 +6,7 @@ from scipy.stats import multivariate_normal
 
 from sgps import (
     CountingDenoiser,
+    Denoiser,
     GmmDenoiser,
     GmmPrior,
     LinearDenoiser,
@@ -173,11 +174,6 @@ def test_draw_reproducible_and_in_support():
 
 
 class TestGmmDenoiser:
-    def test_flags(self):
-        den = GmmDenoiser(small_prior())
-        assert den.has_analytic_jacobian
-        assert CountingDenoiser(den).has_analytic_jacobian
-
     def test_delegates(self):
         prior = small_prior(seed=20)
         den = GmmDenoiser(prior)
@@ -253,6 +249,17 @@ class TestLinearDenoiser:
     def test_rejects_non_square(self):
         with pytest.raises(SgpsError):
             LinearDenoiser(np.zeros((2, 3)))
+
+
+def test_denoiser_without_jacobian_products_cannot_be_built():
+    # the risk gradient needs exact products, so a denoise-only map is not
+    # a Denoiser
+    class DenoiseOnly(Denoiser):
+        def denoise(self, x, sigma):
+            return x
+
+    with pytest.raises(TypeError, match="jacobian_vjp"):
+        DenoiseOnly()
 
 
 def test_counting_denoiser_counts_only_denoise():

@@ -24,7 +24,7 @@ from sgps.core import (
 )
 from sgps.noise_est import PatchConfig
 from sgps.operators import BlurOp, gaussian_kernel, identity_op
-from sgps.prior import CountingDenoiser, Denoiser, GmmDenoiser, GmmPrior
+from sgps.prior import CountingDenoiser, Denoiser, GmmDenoiser, GmmPrior, PerturbedDenoiser
 from sgps.sampler import INFLUX_CSV_COLUMNS, denoise_step, noise_influx_trace, sgps_run
 from sgps.schedule import build_schedule
 
@@ -102,14 +102,15 @@ class TestEvaluationBudget:
     )
     def test_budget_law_with_correction(self, steps, substeps, repeats, probes, total):
         den, op, y, _ = make_task()
-        counter = CountingDenoiser(den)
         cfg = run_cfg(steps, ode_substeps=substeps, sure_repeats=repeats, mc_probes=probes)
-        _, report = sgps_run(counter, op, y, cfg, RngStream(10, 0))
-        assert report.total_nfe == total
-        assert counter.calls == total
         per_step = substeps + repeats * (1 + probes)
-        assert all(r.nfe_step == per_step for r in report.steps)
-        assert not any(r.skipped for r in report.steps)
+        for base in (den, PerturbedDenoiser(den, amplitude=0.02, frequency=3.0)):
+            counter = CountingDenoiser(base)
+            _, report = sgps_run(counter, op, y, cfg, RngStream(10, 0))
+            assert report.total_nfe == total
+            assert counter.calls == total
+            assert all(r.nfe_step == per_step for r in report.steps)
+            assert not any(r.skipped for r in report.steps)
 
     def test_budget_without_correction(self):
         den, op, y, _ = make_task()
@@ -306,6 +307,9 @@ class _FailingDenoiser(Denoiser):
 
     def denoise(self, x, sigma):
         return self.fail(x)
+
+    def jacobian_vjp(self, x, sigma, v):
+        return self.fail(x).data
 
 
 def test_non_finite_denoise_is_labeled_with_sampler_step():

@@ -1,15 +1,21 @@
-"""Risk estimator: probe plumbing, trace estimates, analytic vs FD gradients."""
+"""Risk estimator: probe plumbing, trace estimates, exact vs central-difference
+gradients."""
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from sgps.core import RngStream, RoundoffWarning, SamplerConfig, SgpsError, Signal
-from sgps.prior import Denoiser, GmmDenoiser, GmmPrior, LinearDenoiser
+from sgps.prior import (
+    CountingDenoiser,
+    GmmDenoiser,
+    GmmPrior,
+    LinearDenoiser,
+    PerturbedDenoiser,
+)
 from sgps.sure import (
     EPSILON_ABS_FLOOR,
     SureEvaluation,
-    mc_trace,
     probe_epsilon,
     sure_gradient,
     sure_identity,
@@ -23,17 +29,6 @@ def small_prior(n=8, k=2, seed=3, s2=0.25):
     means = g.standard_normal((k, n))
     w = np.arange(1.0, k + 1.0)
     return GmmPrior(w / w.sum(), means, s2, (n,))
-
-
-class BareDenoiser(Denoiser):
-    """Same map as GmmDenoiser but exposing only denoise, so every consumer
-    must take its finite-difference path."""
-
-    def __init__(self, prior):
-        self._inner = GmmDenoiser(prior)
-
-    def denoise(self, x, sigma):
-        return self._inner.denoise(x, sigma)
 
 
 def base_config(**kw):
@@ -132,14 +127,17 @@ class TestSureValue:
 
 
 class TestMcTrace:
+    def trace(self, den, x, sigma, probes, rng):
+        """The Monte Carlo trace estimate that sure_value records."""
+        return sure_value(den, x, sigma, base_config(mc_probes=probes), rng).trace_estimate
+
     def test_matches_manual_probe_average(self):
         g = RngStream(31, 0)
         n = 5
         m = g.standard_normal((n, n)) * 0.3
         den = LinearDenoiser(m)
         x = Signal(g.normal(n), (n,))
-        eps = 1e-3
-        est = mc_trace(den, x, 0.5, 8, eps, RngStream(31, 1))
+        est = self.trace(den, x, 0.5, 8, RngStream(31, 1))
         b = RngStream(31, 1).standard_normal((8, n))
         want = np.mean([bi @ (m @ bi) for bi in b])
         assert est == pytest.approx(want, rel=1e-9)
@@ -150,20 +148,12 @@ class TestMcTrace:
         g = RngStream(33, 5)
         x = Signal(g.normal(8), (8,))
         exact = den.jacobian_trace(x, 0.4)
-        est = mc_trace(den, x, 0.4, 3000, probe_epsilon(x), g.substream(1))
+        est = self.trace(den, x, 0.4, 3000, g.substream(1))
         assert abs(est - exact) / abs(exact) < 0.05
-
-    def test_validation(self):
-        den = GmmDenoiser(small_prior())
-        x = Signal(np.zeros(8), (8,))
-        with pytest.raises(SgpsError):
-            mc_trace(den, x, 0.3, 0, 1e-3, RngStream(1, 0))
-        with pytest.raises(SgpsError):
-            mc_trace(den, x, 0.3, 2, 0.0, RngStream(1, 0))
 
 
 class TestSureGradient:
-    def test_analytic_matches_central_differences(self):
+    def test_analytic_matches_central_differences(self, central_difference_gradient):
         # the acceptance suite runs 50 instances; a dozen here for speed
         worst = 0.0
         for inst in range(12):
@@ -171,14 +161,13 @@ class TestSureGradient:
             n = int(4 + 4 * (inst % 3))
             k = 1 + inst % 3
             prior = small_prior(n=n, k=k, seed=600 + inst, s2=0.2 + 0.1 * (inst % 2))
-            analytic = GmmDenoiser(prior)
-            bare = BareDenoiser(prior)
+            den = GmmDenoiser(prior)
             x = Signal(g.normal(n), (n,))
             sigma = 0.15 + 0.1 * (inst % 4)
             cfg = base_config(mc_probes=2)
-            ev = sure_value(analytic, x, sigma, cfg, g.substream(1))
-            ga = sure_gradient(analytic, ev)
-            gf = sure_gradient(bare, ev)
+            ev = sure_value(den, x, sigma, cfg, g.substream(1))
+            ga = sure_gradient(den, ev)
+            gf = central_difference_gradient(den, ev)
             worst = max(worst, float(np.max(np.abs(ga.data - gf.data))))
         assert worst <= 1e-4
 
@@ -223,6 +212,21 @@ class TestSureGradient:
         after = _evaluate(den, moved, 0.3, ev.epsilon, ev.probes).value
         assert after < before
 
+    @pytest.mark.parametrize("kind", ["gmm", "perturbed", "linear"])
+    def test_costs_no_denoiser_evaluation(self, kind):
+        g = RngStream(47, 0)
+        gmm = GmmDenoiser(small_prior(k=3))
+        den = {
+            "gmm": gmm,
+            "perturbed": PerturbedDenoiser(gmm, amplitude=0.05, frequency=3.0),
+            "linear": LinearDenoiser(0.2 * g.standard_normal((8, 8)), g.normal(8)),
+        }[kind]
+        counter = CountingDenoiser(den)
+        x = Signal(g.normal(8), (8,))
+        ev = sure_value(counter, x, 0.3, base_config(mc_probes=3), g.substream(1))
+        assert counter.calls == 4
+        sure_gradient(counter, ev)
+        assert counter.calls == 4
 
     @pytest.mark.parametrize("probes", [1, 4, 15])
     def test_gradient_reuses_the_value_posteriors(self, probes):
