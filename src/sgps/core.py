@@ -212,7 +212,6 @@ class SamplerConfig:
     sure_repeats: int = 1
     mc_probes: int = 1
     ode_substeps: int = 1
-    sigma_floor: float = 1e-3
     sigma_hat_scale: float = 1.0
 
     def __post_init__(self):
@@ -238,8 +237,6 @@ class SamplerConfig:
             raise ConfigError("mc_probes must be >= 1")
         if self.ode_substeps < 1:
             raise ConfigError("ode_substeps must be >= 1")
-        if self.sigma_floor <= 0:
-            raise ConfigError("sigma_floor must be positive")
         if self.sigma_hat_scale <= 0:
             raise ConfigError("sigma_hat_scale must be positive")
 
@@ -301,18 +298,12 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Full trace of one sampling run.
-
-    wall_time is informational only and deliberately excluded from CSV
-    serialization so that identical (seed, config) runs serialize
-    identically byte for byte.
-    """
+    """Full trace of one sampling run."""
 
     steps: tuple[StepRecord, ...]
     psnr_final: float
     mse_final: float
     total_nfe: int
-    wall_time: float = 0.0
 
     def step_csv(self) -> str:
         lines = [",".join(STEP_CSV_COLUMNS)]
@@ -334,11 +325,10 @@ def mse(a: Signal, b: Signal) -> float:
     return float(np.dot(d, d) / d.size)
 
 
-def psnr(a: Signal, b: Signal, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the signals are equal."""
-    if peak <= 0:
-        raise SgpsError(f"peak must be positive, got {peak}")
+def psnr(a: Signal, b: Signal) -> float:
+    """Peak signal-to-noise ratio in dB for signals in [0, 1]; +inf when
+    the signals are equal."""
     m = mse(a, b)
     if m == 0.0:
         return math.inf
-    return float(10.0 * math.log10(peak * peak / m))
+    return float(10.0 * math.log10(1.0 / m))

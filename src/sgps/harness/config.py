@@ -46,7 +46,6 @@ class ExperimentConfig:
     repeats: int
     output_dir: str
     measurement_sigma: float
-    peak: float
     image: str | None
     prior: GmmPrior
     denoiser: Denoiser
@@ -268,11 +267,15 @@ def _build_patch(sec: _Section) -> PatchConfig:
         raise ConfigError(f"[patch]: {e}") from e
 
 
-def _build_sweep(sec: _Section, sampler: SamplerConfig) -> tuple[dict, tuple]:
+def _build_sweep(
+    sec: _Section, sampler: SamplerConfig, t_max_follows_steps: bool
+) -> tuple[dict, tuple]:
     """The axes and the points of the cartesian sweep, axes in name order
     with the last varying fastest; each point is (overrides, sampler
     config).  The point count is checked against max_points before any
-    point is built, and every point's config is validated here."""
+    point is built, and every point's config is validated here.  When
+    [sampler] sets no t_max, a point that sets steps but not t_max gets
+    t_max = float(steps), as the base config does."""
     axes: dict = {}
     for key in sec.keys():
         if key == "max_points":
@@ -297,8 +300,11 @@ def _build_sweep(sec: _Section, sampler: SamplerConfig) -> tuple[dict, tuple]:
     points = []
     for combo in itertools.product(*(axes[k] for k in names)):
         overrides = dict(zip(names, combo))
+        fields = dict(overrides)
+        if t_max_follows_steps and "steps" in fields and "t_max" not in fields:
+            fields["t_max"] = float(fields["steps"])
         try:
-            points.append((overrides, sampler.replace(**overrides)))
+            points.append((overrides, sampler.replace(**fields)))
         except ConfigError as e:
             where = " ".join(f"{k}={v}" for k, v in overrides.items())
             raise ConfigError(f"[sweep] {where}: {e}") from e
@@ -325,22 +331,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"[experiment] measurement_sigma: must be positive and finite, "
             f"got {measurement_sigma}"
         )
-    sampler = _build_sampler(_Section(parser, "sampler"), measurement_sigma)
+    sampler_sec = _Section(parser, "sampler")
+    sampler = _build_sampler(sampler_sec, measurement_sigma)
     patch = _build_patch(patch_sec)
-    sweep_axes, sweep_points = _build_sweep(_Section(parser, "sweep"), sampler)
+    sweep_axes, sweep_points = _build_sweep(
+        _Section(parser, "sweep"), sampler, sampler_sec.get("t_max") in (None, "")
+    )
     repeats = exp.get_int("repeats", 1)
     if repeats < 1:
         raise ConfigError(f"[experiment] repeats: must be >= 1, got {repeats}")
-    peak = exp.get_float("peak", 1.0)
-    if not (math.isfinite(peak) and peak > 0):
-        raise ConfigError(f"[experiment] peak: must be positive and finite, got {peak}")
     cfg = ExperimentConfig(
         name=exp.get("name", "experiment"),
         seed=seed,
         repeats=repeats,
         output_dir=exp.get("output_dir", "out"),
         measurement_sigma=measurement_sigma,
-        peak=peak,
         image=exp.get("image"),
         prior=prior,
         denoiser=den,

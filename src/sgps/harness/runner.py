@@ -104,7 +104,7 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool) -> int:
             try:
                 _, report = sgps_run(
                     cfg.denoiser, cfg.op, y, scfg, rng,
-                    patch=cfg.patch, x_true=x0, peak=cfg.peak,
+                    patch=cfg.patch, x_true=x0,
                 )
                 res = RunResult(p_idx, rep, overrides, report)
                 path = os.path.join(out_dir, step_csv_name(cfg, p_idx, rep))

@@ -11,7 +11,6 @@ sgps_run and the chain experiments in analysis both run on it.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -79,10 +78,10 @@ def _stage(fn, stage: str, step_index: int):
         raise DivergenceError(stage, step_index, str(e)) from e
 
 
-def _maybe_psnr(a: Signal, truth: Signal | None, peak: float) -> float:
+def _maybe_psnr(a: Signal, truth: Signal | None) -> float:
     if truth is None:
         return math.nan
-    return psnr(a, truth, peak)
+    return psnr(a, truth)
 
 
 def probe_stream(rng: RngStream) -> RngStream:
@@ -90,12 +89,16 @@ def probe_stream(rng: RngStream) -> RngStream:
     return rng.substream(STREAM_PROBE)
 
 
+# scaled estimates below this skip the risk correction
+SIGMA_FLOOR = 1e-3
+
+
 def correction_level(sigma_raw: float, sigma_t: float, cfg: SamplerConfig) -> float | None:
     """Noise level for the risk correction from a raw estimate: scaled by
-    cfg.sigma_hat_scale, None (skip the correction) below cfg.sigma_floor,
+    cfg.sigma_hat_scale, None (skip the correction) below SIGMA_FLOOR,
     otherwise clamped to the ladder level sigma_t."""
     scaled = sigma_raw * cfg.sigma_hat_scale
-    if scaled < cfg.sigma_floor:
+    if scaled < SIGMA_FLOOR:
         return None
     return min(scaled, sigma_t)
 
@@ -166,7 +169,6 @@ def sgps_run(
     rng: RngStream,
     patch: PatchConfig | None = None,
     x_true: Signal | None = None,
-    peak: float = 1.0,
 ) -> tuple[Signal, RunReport]:
     """One full sampling run; returns the final sample and its trace.
 
@@ -224,9 +226,9 @@ def sgps_run(
                 sigma_hat_raw=sigma_raw,
                 sigma_hat_used=sigma_used_rec,
                 sure_value=sure_rec,
-                psnr_x0t=_maybe_psnr(x0t, x_true, peak),
-                psnr_x0ty=_maybe_psnr(x0ty, x_true, peak),
-                psnr_star=_maybe_psnr(current, x_true, peak),
+                psnr_x0t=_maybe_psnr(x0t, x_true),
+                psnr_x0ty=_maybe_psnr(x0ty, x_true),
+                psnr_star=_maybe_psnr(current, x_true),
                 nfe_step=counting.calls - calls_before,
                 sigma_hat_star=sigma_current,
                 skipped=skipped,
@@ -235,18 +237,16 @@ def sgps_run(
         calls_before = counting.calls
         return current.data[None]
 
-    t_start = time.perf_counter()
     x_star = Signal._adopt(walk_ladder(counting, op, y, cfg, [rng], correct, cfg.steps)[0], shape)
     final_mse = final_psnr = math.nan
     if x_true is not None:
         final_mse = mse(x_star, x_true)
-        final_psnr = psnr(x_star, x_true, peak)
+        final_psnr = psnr(x_star, x_true)
     report = RunReport(
         steps=tuple(records),
         psnr_final=final_psnr,
         mse_final=final_mse,
         total_nfe=counting.calls,
-        wall_time=time.perf_counter() - t_start,
     )
     return x_star, report
 
@@ -314,15 +314,12 @@ def noise_influx_trace(
     rng: RngStream,
     patch: PatchConfig | None = None,
     x_true: Signal | None = None,
-    peak: float = 1.0,
 ) -> InfluxTrace:
     """Run the sampler twice from identical seeds, as cfg (the corrected
     arm) and with sure_repeats = 0, and return the aligned per-step curves.
     cfg itself must correct, or the pair would have nothing to compare."""
     if cfg.sure_repeats == 0:
         raise ConfigError("noise_influx_trace needs sure_repeats >= 1")
-    _, rep_with = sgps_run(den, op, y, cfg, rng.clone(), patch, x_true, peak)
-    _, rep_without = sgps_run(
-        den, op, y, cfg.replace(sure_repeats=0), rng.clone(), patch, x_true, peak
-    )
+    _, rep_with = sgps_run(den, op, y, cfg, rng.clone(), patch, x_true)
+    _, rep_without = sgps_run(den, op, y, cfg.replace(sure_repeats=0), rng.clone(), patch, x_true)
     return InfluxTrace(report_with=rep_with, report_without=rep_without)

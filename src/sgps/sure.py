@@ -30,13 +30,6 @@ def probe_epsilon(x_noisy: Signal) -> float:
     return max(top, floor)
 
 
-def sure_identity(n: int, sigma_hat: float, data_term: float, trace_estimate: float) -> float:
-    """The defining combination; kept as one expression so callers can
-    recompute a stored value bit for bit."""
-    s2 = sigma_hat * sigma_hat
-    return -(n * s2) + data_term + 2.0 * s2 * trace_estimate
-
-
 def _trace_with_probes(
     den: Denoiser,
     x_noisy: Signal,
@@ -67,7 +60,6 @@ class SureEvaluation:
 
     point: Signal
     value: float
-    data_term: float
     trace_estimate: float
     sigma_used: float
     epsilon: float
@@ -91,11 +83,10 @@ def _evaluate(
     xhat = den.denoise(x, sigma_hat)
     trace = _trace_with_probes(den, x, sigma_hat, epsilon, probes, xhat)
     resid = x.data - xhat.data
-    data_term = float(resid @ resid)
+    s2 = sigma_hat * sigma_hat
     return SureEvaluation(
         point=x,
-        value=sure_identity(x.n, sigma_hat, data_term, trace),
-        data_term=data_term,
+        value=-(x.n * s2) + float(resid @ resid) + 2.0 * s2 * trace,
         trace_estimate=trace,
         sigma_used=float(sigma_hat),
         epsilon=epsilon,

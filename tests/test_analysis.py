@@ -350,10 +350,10 @@ class TestChainExperiments:
         # per trial, and one estimate per chain and one update per corrected
         # chain; a chain whose correction is skipped stays as it is
         den, prior, op, y, cfg = self.make_task()
-        cfg = cfg.replace(sigma_floor=sigma_floor)
         names = ("chain_prefix", "estimate_sigma", "sure_value", "sure_gradient", "sure_update")
         spies = {name: mock.Mock(side_effect=getattr(sgps.analysis, name)) for name in names}
-        with mock.patch.multiple(sgps.analysis, **spies):
+        with mock.patch.multiple(sgps.analysis, **spies), \
+                mock.patch.object(sgps.sampler, "SIGMA_FLOOR", sigma_floor):
             out = kl_trend_trials(den, prior, op, y, cfg, PatchConfig(patch_size=3),
                                   trials=2, samples=5, depth=3, seed=17)
         assert spies["chain_prefix"].call_count == 2

@@ -63,7 +63,6 @@ class TestConfigParsing:
         assert cfg.seed == 3
         assert cfg.repeats == 1
         assert cfg.measurement_sigma == 0.05
-        assert cfg.peak == 1.0
         assert cfg.image is None
         assert cfg.sampler.steps == 4
         assert cfg.sampler.t_max == 4.0
@@ -114,7 +113,7 @@ class TestConfigParsing:
             (("kind = identity", "kind = teleport"), "[operator] kind"),
             (("seed = 3", "seed = 3\nmeasurement_sigma = -1"), "measurement_sigma"),
             (("seed = 3", "seed = 3\nrepeats = 0"), "repeats"),
-            (("seed = 3", "seed = 3\npeak = 0"), "peak"),
+            (("seed = 3", "seed = 3\npeak = 1"), "[experiment] peak"),
             (("steps = 4", "steps = 4\nsure_enabled = false"), "[sampler] sure_enabled"),
             (("steps = 4", "steps = 4\nlangevin_step = 5"), "[sampler] langevin_step"),
             (("steps = 4", "steps = 4\nseed = 99"), "[sampler] seed"),
@@ -124,8 +123,9 @@ class TestConfigParsing:
             (("steps = 4", "steps = 4\nalpha = nan"), "alpha must be finite"),
             (("seed = 3", "seed = 3\nmeasurement_sigma = nan"), "measurement_sigma"),
             (("seed = 3", "seed = 3\nmeasurement_sigma = inf"), "measurement_sigma"),
-            (("seed = 3", "seed = 3\npeak = nan"), "peak"),
-            (("seed = 3", "seed = 3\npeak = inf"), "peak"),
+            (("steps = 4", "steps = 4\nsigma_floor = 0.001"), "[sampler] sigma_floor"),
+            (("langevin_steps = 20", "langevin_steps = 20\n[sweep]\nalpha = 0.5 -1.0"),
+             "[sweep] alpha=-1.0: alpha must be >= 0"),
             (("steps = 4", "steps = 4\nprobe_resample = true"), "[sampler] probe_resample"),
             (("seed = 3", "seed = 3\nreapeats = 5"), "[experiment] reapeats"),
             (("s2 = 0.04", "s2 = 0.04\ns_2 = 0.5"), "[prior] s_2"),
@@ -140,8 +140,6 @@ class TestConfigParsing:
              "[patch] rel_tol"),
             (("steps = 4", f"steps = {10**30}"), "[sampler]: steps must be in [2, 1000000]"),
             (("steps = 4", f"steps = {MAX_STEPS + 1}"), "[sampler]: steps must be in [2, 1000000]"),
-            (("langevin_steps = 20", "langevin_steps = 20\n[sweep]\nalpha = 0.5 -1.0"),
-             "[sweep] alpha=-1.0: alpha must be >= 0"),
         ],
     )
     def test_typed_errors_name_section_and_key(self, mutation, fragment):
@@ -232,7 +230,7 @@ steps = 2
         assert keys | {"steps", "t_max", "sigma_y"} == fields
 
 
-_DELETED_KEYS = ("sure_enabled", "rho", "t_min", "rel_tol")
+_DELETED_KEYS = ("sure_enabled", "rho", "t_min", "rel_tol", "sigma_floor")
 _FUZZ_KEYS = st.one_of(
     st.sampled_from(
         [f.name for f in dataclasses.fields(SamplerConfig)]
@@ -288,6 +286,20 @@ class TestSweepConfig:
         text = MINIMAL + "\n[sweep]\nmax_points = 3\nalpha = 0.1 0.2 0.3 0.4\n"
         with pytest.raises(ConfigError, match="cap"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("base,axes,want", [
+        ("", "steps = 4 16", [4.0, 16.0]),
+        ("t_max = 8\n", "steps = 4 16", [8.0, 8.0]),
+        ("", "steps = 4 16\nt_max = 6", [6.0, 6.0]),
+    ])
+    def test_swept_steps_set_t_max_unless_given(self, base, axes, want):
+        # t_max defaults to float(steps) at each point, as in [sampler]; the
+        # overrides stay the swept values alone
+        text = MINIMAL.replace("steps = 4\n", f"steps = 4\n{base}") + f"\n[sweep]\n{axes}\n"
+        cfg = parse_config_text(text)
+        assert [s.t_max for _, s in cfg.sweep_points] == want
+        assert [s.steps for _, s in cfg.sweep_points] == [4, 16]
+        assert all("t_max" not in o for o, _ in cfg.sweep_points) == ("t_max" not in axes)
 
     def test_no_axes_expands_to_single_point(self):
         cfg = parse_config_text(MINIMAL)
@@ -537,7 +549,7 @@ class TestCli:
         axis = " ".join(str(0.01 * (i + 1)) for i in range(60))
         path = tmp_path / "exp.cfg"
         path.write_text(MINIMAL + f"\n[sweep]\nalpha = {axis}\nsigma_hat_scale = {axis}\n"
-                        f"sigma_floor = {axis}\n")
+                        f"sigma_y = {axis}\n")
         with mock.patch.object(SamplerConfig, "replace") as build:
             assert main(["sweep", str(path)]) == 1
         build.assert_not_called()

@@ -25,6 +25,9 @@ def load_script(name: str):
         # the correction off and on, through the ordinary sweep
         ("hyperparam_sweep", ["--axis", "sure_repeats", "--values", "0 1", "--repeats", "1",
                               "--size", "16", "--steps", "2", "--out", "out"]),
+        # a steps axis, each point on its own ladder top
+        ("hyperparam_sweep", ["--axis", "steps", "--values", "2 3", "--repeats", "1",
+                              "--size", "16", "--steps", "2", "--out", "out"]),
     ],
 )
 def test_script_runs(name, argv, tmp_path, monkeypatch, capsys):

@@ -18,7 +18,6 @@ from sgps.sure import (
     SureEvaluation,
     probe_epsilon,
     sure_gradient,
-    sure_identity,
     sure_update,
     sure_value,
 )
@@ -58,7 +57,9 @@ class TestSureValue:
         g = RngStream(9, 0)
         x = Signal(g.normal(8), (8,))
         ev = sure_value(den, x, 0.3, base_config(), g.substream(1))
-        again = sure_identity(x.n, ev.sigma_used, ev.data_term, ev.trace_estimate)
+        resid = x.data - ev.denoised.data
+        s2 = ev.sigma_used * ev.sigma_used
+        again = -(x.n * s2) + float(resid @ resid) + 2.0 * s2 * ev.trace_estimate
         assert again == ev.value
 
     def test_fields_against_manual_linear(self):
@@ -74,10 +75,14 @@ class TestSureValue:
         want_hat = m @ x.data + c
         np.testing.assert_allclose(ev.denoised.data, want_hat, rtol=1e-12)
         resid = x.data - want_hat
-        assert ev.data_term == pytest.approx(float(resid @ resid), rel=1e-12)
+        got = x.data - ev.denoised.data
+        assert float(got @ got) == pytest.approx(float(resid @ resid), rel=1e-12)
         # perturbed - base = eps * M b exactly in the linear case
         want_trace = np.mean([b @ (m @ b) for b in ev.probes])
         assert ev.trace_estimate == pytest.approx(want_trace, rel=1e-9)
+        s2 = 0.4 * 0.4
+        want_value = -(n * s2) + float(resid @ resid) + 2.0 * s2 * want_trace
+        assert ev.value == pytest.approx(want_value, rel=1e-9)
         assert ev.probes.shape == (3, n)
         assert ev.epsilon == probe_epsilon(x)
 
@@ -89,7 +94,7 @@ class TestSureValue:
         with pytest.raises(ValueError):
             ev.probes[0, 0] = 0.0
         with pytest.raises(SgpsError):
-            SureEvaluation(x, 0.0, 0.0, 0.0, 0.3, 1e-3, np.zeros(4), x)
+            SureEvaluation(x, 0.0, 0.0, 0.3, 1e-3, np.zeros(4), x)
 
     def test_sigma_must_be_positive(self):
         den = GmmDenoiser(small_prior())
