@@ -7,7 +7,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import RngStream, SamplerConfig, SgpsError, Signal
 from .guidance import langevin_guide
@@ -28,6 +27,9 @@ class NormalityReport:
 
 
 def _qq_correlation(sorted_std: np.ndarray) -> float:
+    # scipy.special costs start-up time that only the normality checks need
+    from scipy.special import ndtri
+
     n = sorted_std.size
     # Blom plotting positions for the normal probability plot
     q = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))

@@ -73,7 +73,10 @@ def _cmd_synth(args) -> int:
     rng = RngStream(args.seed, 0)
     vals = 0.5 + args.sigma * rng.normal(h * w)
     image = Signal(np.clip(vals, 0.0, 1.0), (h, w))
-    write_pgm(args.out, image, maxval=args.maxval)
+    try:
+        write_pgm(args.out, image, maxval=args.maxval)
+    except OSError as e:
+        raise ConfigError(f"cannot write --out {args.out}: {e.strerror}") from e
     print(args.out)
     return 0
 

@@ -364,8 +364,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def parse_config(path: str) -> ExperimentConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"no such config file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
+    return parse_config_text(text)
 
 
 def make_task(cfg: ExperimentConfig) -> tuple[Signal, Signal]:

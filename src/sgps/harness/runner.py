@@ -92,7 +92,10 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool) -> int:
         raise ConfigError("sweep requested but the config has no [sweep] axes")
     points = cfg.sweep_points if sweep else [({}, cfg.sampler)]
     out_dir = resolve_output_dir(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out_dir}: {e.strerror}") from e
     x0, y = make_task(cfg)
 
     axis_names = sorted(cfg.sweep_axes) if sweep else []

@@ -24,9 +24,10 @@ class ForwardOp:
     batch, so row b of a batched call equals the call on row b's Signal
     bit for bit.
 
-    lipschitz_bound is an upper bound on ||A^T A||; for a nonlinear operator
-    it bounds the Gauss-Newton term of the fidelity gradient.  The default
-    Langevin step divides by it.
+    lipschitz_bound is ||A^T A|| up to rounding for a linear operator (an
+    upper bound for a blur kernel with negative taps); for a nonlinear
+    operator it bounds the Gauss-Newton term of the fidelity gradient.  The
+    default Langevin step divides by it.
     """
 
     kind: str = "abstract"

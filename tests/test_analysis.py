@@ -200,6 +200,14 @@ class TestNormality:
         mid = qq_correlation_threshold(400, 200, 0.5, RngStream(6, 0))
         assert 0.9 < lo < mid < 1.0
 
+    def test_qq_correlation_pinned(self):
+        # exact bits: a different normal quantile function or plotting
+        # position moves them
+        z = RngStream(5, 0).normal(2000)
+        assert normality_report(z).qq_correlation == 0.9996658229872415
+        thr = qq_correlation_threshold(n=200, trials=50, quantile=0.05, rng=RngStream(7, 0))
+        assert thr == 0.9924148622064436
+
 
 class TestSmoothField:
     def test_deterministic_and_shaped(self):

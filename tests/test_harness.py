@@ -567,6 +567,14 @@ class TestCli:
         assert main(["run", "/no/such/file.cfg"]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"\xff\xfe[experiment]\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}: ")
+        assert err.count("\n") == 1
+
     def test_synth_then_estimate(self, tmp_path, capsys):
         img = str(tmp_path / "noisy.pgm")
         assert main(["synth", "--sigma", "0.08", "--size", "32x32", "--out", img, "--seed", "3"]) == 0
@@ -576,6 +584,23 @@ class TestCli:
         val = float(printed)
         assert printed == f"{val:.6f}"
         assert abs(val - 0.08) / 0.08 < 0.25
+
+    @pytest.mark.parametrize("via", ["config", "environment"])
+    def test_uncreatable_output_dir_is_a_config_error(self, via, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        path = tmp_path / "exp.cfg"
+        if via == "config":
+            monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+            path.write_text(minimal_with(out=out))
+        else:
+            monkeypatch.setenv("SGPS_OUTPUT_DIR", out)
+            path.write_text(MINIMAL)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
 
     def test_synth_bad_size(self, capsys):
         assert main(["synth", "--sigma", "0.1", "--size", "banana", "--out", "/tmp/x.pgm"]) == 1
@@ -587,13 +612,15 @@ class TestCli:
         ["synth", "--sigma", "0.1", "--size", "8x8", "--out", "{tmp}/o.pgm", "--maxval", "0"],
         ["synth", "--sigma", "0.1", "--size", "8x8", "--out", "{tmp}/o.pgm", "--maxval", "70000"],
         ["synth", "--sigma", "nan", "--size", "8x8", "--out", "{tmp}/o.pgm"],
+        ["synth", "--sigma", "0.1", "--size", "8x8", "--out", "{img}/o.pgm"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
         img = tmp_path / "ok.pgm"
         write_pgm(str(img), Signal(np.full(64, 0.5), (8, 8)))
         argv = [a.format(img=img, tmp=tmp_path) for a in argv]
         assert main(argv) == 1
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "o.pgm").exists()
 
     def test_estimate_bad_image_is_run_error(self, tmp_path, capsys):

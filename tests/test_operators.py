@@ -1,14 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import sgps
 from sgps import (
     BlurOp,
     DownsampleOp,
@@ -16,9 +12,11 @@ from sgps import (
     MaskOp,
     RangeClipOp,
     RngStream,
+    SamplerConfig,
     SgpsError,
     ShapeMismatchError,
     Signal,
+    default_eta,
     gaussian_kernel,
     identity_op,
     load_kernel,
@@ -213,24 +211,6 @@ def test_sparse_blur_equals_rolled_taps(shape, data):
             assert np.array_equal(got[b], method(xs[b : b + 1])[0])
 
 
-def test_only_blur_imports_scipy_sparse():
-    # the sparse matrices cost start-up time and memory that tasks without a
-    # blur must not pay, so nothing else may import scipy.sparse
-    code = (
-        "import sys, numpy as np, sgps, sgps.analysis\n"
-        "sgps.identity_op((4, 4)); sgps.DownsampleOp((4, 4), 2)\n"
-        "assert 'scipy.sparse' not in sys.modules, 'imported early'\n"
-        "sgps.BlurOp((4, 4), np.ones((3, 3)))\n"
-        "assert 'scipy.sparse' in sys.modules, 'blur did not import it'\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sgps.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-
-
 class TestDownsample:
     def test_block_mean_1d(self):
         op = DownsampleOp((6,), 2)
@@ -356,6 +336,27 @@ def test_lipschitz_bound_covers_the_jacobian(kind, shape):
     if op.linear:
         # attained: a kept pixel, a block mean, and the blur's DC response
         assert norm2 == pytest.approx(op.lipschitz_bound, rel=1e-6)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_blur_bound_is_the_spectral_peak_up_to_rounding(ndim):
+    # for a nonnegative kernel ||A^T A|| = max |H|^2 is the zero-frequency
+    # gain (sum k)^2; the stored taps need not sum to exactly 1, and the
+    # float64 sum may round either way, so the bound is exact up to rounding
+    for size in range(1, 12, 2):
+        for width in (0.5, 0.8, 1.0, 1.2, 2.0, 3.0):
+            k = gaussian_kernel(size, width, ndim)
+            op = BlurOp((32,) * ndim, k)
+            spectrum = np.fft.fftn(k, s=(32,) * ndim, axes=tuple(range(ndim)))
+            peak = float(np.max(np.abs(spectrum) ** 2))
+            assert abs(op.lipschitz_bound - peak) <= 1e-15, (size, width)
+
+
+def test_default_eta_of_the_readme_blur_divides_by_one():
+    op = BlurOp((16, 16), gaussian_kernel(5, 1.2, 2))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.05)
+    assert op.lipschitz_bound <= 1.0
+    assert default_eta(0.3, cfg, op) == 0.5 * (0.05 * 0.05) / 1.0
 
 
 class TestBatchEqualsLoop:
