@@ -38,7 +38,6 @@ from .prior import (
     Denoiser,
     GmmDenoiser,
     GmmPrior,
-    LinearDenoiser,
     PerturbedDenoiser,
 )
 from .sampler import InfluxTrace, denoise_step, noise_influx_trace, sgps_run

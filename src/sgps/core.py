@@ -141,6 +141,10 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# seeds are the 64-bit unsigned integers, 0 to MAX_SEED
+MAX_SEED = 2**64 - 1
+
+
 class RngStream:
     """Deterministic random stream keyed by (seed, stream_id).
 
@@ -152,7 +156,7 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         seed = int(seed)
         stream_id = int(stream_id)
-        if not (0 <= seed < 2**64):
+        if not (0 <= seed <= MAX_SEED):
             raise SgpsError(f"seed must be a 64-bit unsigned integer, got {seed}")
         if not (0 <= stream_id < 2**64):
             raise SgpsError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")

@@ -15,11 +15,14 @@ import warnings
 
 import numpy as np
 
-from ..core import ConfigError, RngStream, SgpsError, Signal
+from ..core import MAX_SEED, ConfigError, RngStream, SgpsError, Signal
 from ..noise_est import PatchConfig, estimate_sigma
 from .config import parse_config
 from .pgm import read_pgm, write_pgm
 from .runner import run_experiment
+
+# synth draws one normal per pixel, so its image size is bounded
+MAX_SYNTH_PIXELS = 2**22
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,6 +69,10 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"--size must look like 64x64, got {args.size!r}")
     if h < 1 or w < 1:
         raise ConfigError(f"--size must be positive, got {args.size!r}")
+    if h * w > MAX_SYNTH_PIXELS:
+        raise ConfigError(f"--size must have at most {MAX_SYNTH_PIXELS} pixels, got {args.size!r}")
+    if not 0 <= args.seed <= MAX_SEED:
+        raise ConfigError(f"--seed must be in [0, {MAX_SEED}], got {args.seed}")
     if not (0 <= args.sigma < math.inf):
         raise ConfigError(f"--sigma must be finite and >= 0, got {args.sigma}")
     if not (0 < args.maxval < 65536):

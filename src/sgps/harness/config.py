@@ -12,12 +12,12 @@ import hashlib
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..analysis import smooth_field
-from ..core import ConfigError, RngStream, SamplerConfig, Signal
+from ..core import MAX_SEED, ConfigError, RngStream, SamplerConfig, Signal
 from ..noise_est import PatchConfig
 from ..operators import (
     BlurOp,
@@ -52,10 +52,10 @@ class ExperimentConfig:
     op: ForwardOp
     sampler: SamplerConfig
     patch: PatchConfig
-    sweep_axes: dict = field(default_factory=dict)
-    # (overrides, sampler config) per sweep point, built and checked at parse
-    sweep_points: tuple = ()
-    config_hash: str = ""
+    # (overrides, sampler config) per sweep point, built and checked at
+    # parse; the overrides' keys are the sweep's axes
+    sweep_points: tuple
+    config_hash: str
 
 
 class _Section:
@@ -88,6 +88,12 @@ class _Section:
 
     def get_int(self, key: str, default=None):
         return self._convert(key, int, default, "an integer")
+
+    def get_seed(self, key: str, default: int) -> int:
+        seed = self.get_int(key, default)
+        if not 0 <= seed <= MAX_SEED:
+            raise ConfigError(f"[{self.name}] {key}: must be in [0, {MAX_SEED}], got {seed}")
+        return seed
 
     def get_bool(self, key: str, default=None):
         return self._convert(key, _parse_bool, default, "a boolean")
@@ -141,7 +147,7 @@ def _build_prior(sec: _Section, seed: int) -> tuple[GmmPrior, Denoiser]:
         means = np.zeros((k, n))
     elif mean_kind == "smooth":
         amp = sec.get_float("mean_amplitude", 0.5)
-        mean_seed = sec.get_int("mean_seed", seed)
+        mean_seed = sec.get_seed("mean_seed", seed)
         rng = RngStream(mean_seed, 0)
         means = np.stack([smooth_field(rng.substream(j), shape, amp).data for j in range(k)])
     elif mean_kind == "inline":
@@ -228,33 +234,33 @@ def _sampler_value(name: str, raw: str):
     return float(raw)
 
 
-def _build_sampler(sec: _Section, measurement_sigma: float) -> SamplerConfig:
+def _sampler_fields(sec: _Section, measurement_sigma: float) -> dict:
+    """The [sampler] settings as SamplerConfig keyword arguments; t_max is
+    left out when unset, for _sampler_config to fill in."""
     if not sec.present:
         raise ConfigError("missing [sampler] section")
     steps = sec.get_int("steps")
     if steps is None:
         raise ConfigError("[sampler] steps: required")
-    kwargs = {
-        "steps": steps,
-        "t_max": sec.get_float("t_max", float(steps)),
-        "sigma_y": sec.get_float("sigma_y", measurement_sigma),
-    }
+    fields = {"steps": steps, "sigma_y": sec.get_float("sigma_y", measurement_sigma)}
     for name in sec.keys():
         if name not in _SAMPLER_FIELDS:
             raise ConfigError(f"[sampler] {name}: not a sampler field")
-        if name in kwargs:
+        if name in fields:
             continue
         raw = sec.get(name)
         if raw is None or raw == "":
             continue
         try:
-            kwargs[name] = _sampler_value(name, raw)
+            fields[name] = _sampler_value(name, raw)
         except ValueError:
             raise ConfigError(f"[sampler] {name}: could not parse {raw!r}")
-    try:
-        return SamplerConfig(**kwargs)
-    except ConfigError as e:
-        raise ConfigError(f"[sampler]: {e}") from e
+    return fields
+
+
+def _sampler_config(fields: dict) -> SamplerConfig:
+    """The config for these settings; t_max defaults to float(steps)."""
+    return SamplerConfig(**{"t_max": float(fields["steps"]), **fields})
 
 
 def _build_patch(sec: _Section) -> PatchConfig:
@@ -267,15 +273,12 @@ def _build_patch(sec: _Section) -> PatchConfig:
         raise ConfigError(f"[patch]: {e}") from e
 
 
-def _build_sweep(
-    sec: _Section, sampler: SamplerConfig, t_max_follows_steps: bool
-) -> tuple[dict, tuple]:
-    """The axes and the points of the cartesian sweep, axes in name order
-    with the last varying fastest; each point is (overrides, sampler
-    config).  The point count is checked against max_points before any
-    point is built, and every point's config is validated here.  When
-    [sampler] sets no t_max, a point that sets steps but not t_max gets
-    t_max = float(steps), as the base config does."""
+def _build_sweep(sec: _Section, base: dict) -> tuple:
+    """The points of the cartesian sweep over the [sampler] settings base,
+    axes in name order with the last varying fastest; each point is
+    (overrides, sampler config).  The point count is checked against
+    max_points before any point is built, and every point's config is
+    validated here.  With no axes there is one point, with no overrides."""
     axes: dict = {}
     for key in sec.keys():
         if key == "max_points":
@@ -300,15 +303,12 @@ def _build_sweep(
     points = []
     for combo in itertools.product(*(axes[k] for k in names)):
         overrides = dict(zip(names, combo))
-        fields = dict(overrides)
-        if t_max_follows_steps and "steps" in fields and "t_max" not in fields:
-            fields["t_max"] = float(fields["steps"])
         try:
-            points.append((overrides, sampler.replace(**fields)))
+            points.append((overrides, _sampler_config({**base, **overrides})))
         except ConfigError as e:
             where = " ".join(f"{k}={v}" for k, v in overrides.items())
             raise ConfigError(f"[sweep] {where}: {e}") from e
-    return axes, tuple(points)
+    return tuple(points)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -322,7 +322,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     prior_sec = _Section(parser, "prior")
     op_sec = _Section(parser, "operator")
     patch_sec = _Section(parser, "patch")
-    seed = exp.get_int("seed", 0)
+    seed = exp.get_seed("seed", 0)
     prior, den = _build_prior(prior_sec, seed)
     op = _build_operator(op_sec, prior.shape, seed)
     measurement_sigma = exp.get_float("measurement_sigma", 0.05)
@@ -331,12 +331,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"[experiment] measurement_sigma: must be positive and finite, "
             f"got {measurement_sigma}"
         )
-    sampler_sec = _Section(parser, "sampler")
-    sampler = _build_sampler(sampler_sec, measurement_sigma)
+    sampler_fields = _sampler_fields(_Section(parser, "sampler"), measurement_sigma)
+    try:
+        sampler = _sampler_config(sampler_fields)
+    except ConfigError as e:
+        raise ConfigError(f"[sampler]: {e}") from e
     patch = _build_patch(patch_sec)
-    sweep_axes, sweep_points = _build_sweep(
-        _Section(parser, "sweep"), sampler, sampler_sec.get("t_max") in (None, "")
-    )
+    sweep_points = _build_sweep(_Section(parser, "sweep"), sampler_fields)
     repeats = exp.get_int("repeats", 1)
     if repeats < 1:
         raise ConfigError(f"[experiment] repeats: must be >= 1, got {repeats}")
@@ -352,7 +353,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         op=op,
         sampler=sampler,
         patch=patch,
-        sweep_axes=sweep_axes,
         sweep_points=sweep_points,
         config_hash=hashlib.sha256(text.encode()).hexdigest()[:8],
     )

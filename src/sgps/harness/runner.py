@@ -88,7 +88,8 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool) -> int:
     0 when every run succeeded, 2 when any run failed (the summary records
     per-run status, distinguishing partial from total failure).
     """
-    if sweep and not cfg.sweep_axes:
+    axis_names = list(cfg.sweep_points[0][0]) if sweep else []
+    if sweep and not axis_names:
         raise ConfigError("sweep requested but the config has no [sweep] axes")
     points = cfg.sweep_points if sweep else [({}, cfg.sampler)]
     out_dir = resolve_output_dir(cfg)
@@ -98,7 +99,6 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool) -> int:
         raise ConfigError(f"cannot create output directory {out_dir}: {e.strerror}") from e
     x0, y = make_task(cfg)
 
-    axis_names = sorted(cfg.sweep_axes) if sweep else []
     results: list[RunResult] = []
     for p_idx, (overrides, scfg) in enumerate(points):
         point_results: list[RunResult] = []

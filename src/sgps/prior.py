@@ -2,8 +2,8 @@
 
 A Gaussian mixture with shared isotropic component variance s^2 has a
 closed-form posterior mean under additive Gaussian noise, which makes it a
-denoiser whose score, Jacobian trace, and Jacobian-vector products are all
-exact.  That gives every downstream estimator an oracle to test against.
+denoiser whose Jacobian trace and Jacobian-vector products are exact.  That
+gives every downstream estimator an oracle to test against.
 """
 from __future__ import annotations
 
@@ -171,17 +171,6 @@ class GmmPrior:
             self._memo.popitem(last=False)
         return g, mbar
 
-    def responsibilities(self, xv: np.ndarray, sigma: float) -> np.ndarray:
-        return self._moments(xv, sigma)[0]
-
-    def log_density(self, x: Signal, sigma: float) -> float:
-        """Log density of the sigma-smoothed mixture at x."""
-        sigma = _check_sigma(sigma)
-        v2 = self.var_scale + sigma * sigma
-        lr = self._log_resp(x.data, v2)
-        norm = 0.5 * self.n * np.log(_TWO_PI * v2)
-        return float(logsumexp(lr) - norm)
-
     def posterior_mean(self, x: Signal, sigma: float) -> Signal:
         """MMSE estimate of the clean signal given x = clean + sigma * noise."""
         sigma = _check_sigma(sigma)
@@ -189,13 +178,6 @@ class GmmPrior:
         v2 = s2 + sigma * sigma
         mbar = self._moments(x.data, sigma)[1]
         return x.with_data((s2 * x.data + sigma * sigma * mbar) / v2)
-
-    def score(self, x: Signal, sigma: float) -> Signal:
-        """Gradient of log_density at x."""
-        sigma = _check_sigma(sigma)
-        v2 = self.var_scale + sigma * sigma
-        mbar = self._moments(x.data, sigma)[1]
-        return x.with_data((mbar - x.data) / v2)
 
     def trace_jacobian(self, x: Signal, sigma: float) -> float:
         """Exact trace of the posterior-mean Jacobian.
@@ -251,11 +233,10 @@ class PerturbedDenoiser(Denoiser):
 
     Emulates the residual structure of a learned denoiser while keeping every
     diagnostic exact.  The perturbation a * sin(f * x + phase) is bounded by
-    |a|, differentiable, and a pure function of the input; amplitude 0 (the
-    default) reduces to the wrapped denoiser exactly.
+    |a|, differentiable, and a pure function of the input.
     """
 
-    def __init__(self, base: Denoiser, amplitude: float = 0.0, frequency: float = 1.0):
+    def __init__(self, base: Denoiser, amplitude: float, frequency: float = 1.0):
         self.base = base
         self.amplitude = float(amplitude)
         self.frequency = float(frequency)
@@ -267,15 +248,11 @@ class PerturbedDenoiser(Denoiser):
     def denoise(self, x: Signal, sigma: float) -> Signal:
         _check_sigma(sigma)
         d = self.base.denoise(x, sigma)
-        if self.amplitude == 0.0:
-            return d
         bump = self.amplitude * np.sin(self.frequency * x.data + self._phase(x.n))
         return x.with_data(d.data + bump)
 
     def jacobian_trace(self, x: Signal, sigma: float) -> float:
         t = self.base.jacobian_trace(x, sigma)
-        if self.amplitude == 0.0:
-            return t
         diag = self.amplitude * self.frequency * np.cos(
             self.frequency * x.data + self._phase(x.n)
         )
@@ -283,41 +260,10 @@ class PerturbedDenoiser(Denoiser):
 
     def jacobian_vjp(self, x: Signal, sigma: float, v: np.ndarray) -> np.ndarray:
         out = self.base.jacobian_vjp(x, sigma, v)
-        if self.amplitude == 0.0:
-            return out
         diag = self.amplitude * self.frequency * np.cos(
             self.frequency * x.data + self._phase(x.n)
         )
         return out + diag * v
-
-
-class LinearDenoiser(Denoiser):
-    """D(x) = M x + offset with a stored matrix; trace and products are exact.
-
-    The noise level argument is validated but otherwise ignored, which makes
-    this the reference case for trace-estimator tests.
-    """
-
-    def __init__(self, matrix: np.ndarray, offset: np.ndarray | None = None):
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise SgpsError(f"matrix must be square, got shape {m.shape}")
-        self.matrix = m
-        self.offset = (
-            np.zeros(m.shape[0]) if offset is None else np.asarray(offset, dtype=np.float64)
-        )
-
-    def denoise(self, x: Signal, sigma: float) -> Signal:
-        _check_sigma(sigma)
-        return x.with_data(self.matrix @ x.data + self.offset)
-
-    def jacobian_trace(self, x: Signal, sigma: float) -> float:
-        _check_sigma(sigma)
-        return float(np.trace(self.matrix))
-
-    def jacobian_vjp(self, x: Signal, sigma: float, v: np.ndarray) -> np.ndarray:
-        _check_sigma(sigma)
-        return self.matrix.T @ v
 
 
 class CountingDenoiser(Denoiser):

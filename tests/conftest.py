@@ -1,7 +1,11 @@
 """Shared test oracles."""
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
+from sgps.core import SgpsError
+from sgps.prior import Denoiser
 from sgps.sure import _evaluate
 
 
@@ -27,3 +31,69 @@ def _central_difference_gradient(den, evaluation):
 def central_difference_gradient():
     """The reference the exact risk gradient is checked against."""
     return _central_difference_gradient
+
+
+class LinearDenoiser(Denoiser):
+    """D(x) = M x + offset with a stored matrix; trace and products are exact.
+
+    The noise level is ignored, which makes this the reference case for
+    trace-estimator tests.
+    """
+
+    def __init__(self, matrix, offset=None):
+        m = np.asarray(matrix, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise SgpsError(f"matrix must be square, got shape {m.shape}")
+        self.matrix = m
+        self.offset = np.zeros(len(m)) if offset is None else np.asarray(offset, dtype=np.float64)
+
+    def denoise(self, x, sigma):
+        return x.with_data(self.matrix @ x.data + self.offset)
+
+    def jacobian_trace(self, x, sigma):
+        return float(np.trace(self.matrix))
+
+    def jacobian_vjp(self, x, sigma, v):
+        return self.matrix.T @ v
+
+
+@pytest.fixture
+def linear_denoiser():
+    """The LinearDenoiser class."""
+    return LinearDenoiser
+
+
+def _mixture_score(prior, x, sigma):
+    """Gradient of the sigma-smoothed mixture's log density at the Signal x,
+    (g @ means - x) / (s^2 + sigma^2), from the prior's own moments."""
+    v2 = prior.var_scale + sigma * sigma
+    mbar = prior._moments(x.data, sigma)[1]
+    return x.with_data((mbar - x.data) / v2)
+
+
+def _mixture_responsibilities(prior, xv, sigma):
+    """Posterior component probabilities at the flat point xv."""
+    return prior._moments(xv, sigma)[0]
+
+
+def _mixture_log_density(prior, xv, sigma):
+    """Log density at xv of the sigma-smoothed mixture, from scipy's
+    multivariate normal and nothing of the prior but its parameters."""
+    cov = (prior.var_scale + sigma * sigma) * np.eye(prior.n)
+    logs = [multivariate_normal(mean=m, cov=cov).logpdf(xv) for m in prior.means]
+    return float(logsumexp(np.log(prior.weights) + np.array(logs)))
+
+
+@pytest.fixture
+def mixture_score():
+    return _mixture_score
+
+
+@pytest.fixture
+def mixture_responsibilities():
+    return _mixture_responsibilities
+
+
+@pytest.fixture
+def mixture_log_density():
+    return _mixture_log_density

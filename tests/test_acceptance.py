@@ -25,7 +25,7 @@ from sgps.core import RngStream, SamplerConfig, Signal
 from sgps.guidance import default_eta
 from sgps.noise_est import PatchConfig
 from sgps.operators import BlurOp, MaskOp, gaussian_kernel, identity_op
-from sgps.prior import GmmDenoiser, GmmPrior, LinearDenoiser
+from sgps.prior import GmmDenoiser, GmmPrior
 from sgps.sampler import noise_influx_trace, sgps_run
 from sgps.schedule import build_schedule
 from sgps.sure import sure_gradient, sure_value
@@ -98,7 +98,7 @@ def test_02_risk_estimate_unbiased():
     _criterion(2, "risk estimate unbiased", worst <= 3.0, "; ".join(details), elapsed, 60.0)
 
 
-def test_03_trace_probes():
+def test_03_trace_probes(linear_denoiser):
     t0 = time.perf_counter()
     rng = RngStream(7, 0)
     n = 24
@@ -119,7 +119,7 @@ def test_03_trace_probes():
     # a denoiser-like contraction: diagonally dominant, trace well away
     # from zero so the relative tolerance is meaningful
     m = 0.6 * np.eye(n) + 0.05 * RngStream(7, 9).standard_normal((n, n))
-    lin = LinearDenoiser(m)
+    lin = linear_denoiser(m)
     lin_exact = float(np.trace(m))
     lin_est = probe_trace(lin, 1000, rng.substream(2))
     lin_rel = abs(lin_est - lin_exact) / abs(lin_exact)

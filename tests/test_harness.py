@@ -68,7 +68,6 @@ class TestConfigParsing:
         assert cfg.sampler.t_max == 4.0
         assert cfg.sampler.sigma_y == 0.05
         assert cfg.patch.patch_size == 7
-        assert cfg.sweep_axes == {}
         assert len(cfg.config_hash) == 8
 
     def test_sigma_y_defaults_to_measurement_sigma(self):
@@ -550,9 +549,11 @@ class TestCli:
         path = tmp_path / "exp.cfg"
         path.write_text(MINIMAL + f"\n[sweep]\nalpha = {axis}\nsigma_hat_scale = {axis}\n"
                         f"sigma_y = {axis}\n")
-        with mock.patch.object(SamplerConfig, "replace") as build:
+        with mock.patch.object(sgps.harness.config, "_sampler_config",
+                               side_effect=sgps.harness.config._sampler_config) as build:
             assert main(["sweep", str(path)]) == 1
-        build.assert_not_called()
+        # the [sampler] config alone, no sweep point
+        build.assert_called_once()
         err = capsys.readouterr().err
         assert "[sweep]: 216000 points, above the cap of 64" in err
 
@@ -613,6 +614,11 @@ class TestCli:
         ["synth", "--sigma", "0.1", "--size", "8x8", "--out", "{tmp}/o.pgm", "--maxval", "70000"],
         ["synth", "--sigma", "nan", "--size", "8x8", "--out", "{tmp}/o.pgm"],
         ["synth", "--sigma", "0.1", "--size", "8x8", "--out", "{img}/o.pgm"],
+        ["synth", "--sigma", "0.1", "--size", "8x8", "--out", "{tmp}/o.pgm", "--seed", "-1"],
+        ["synth", "--sigma", "0.1", "--size", "8x8", "--out", "{tmp}/o.pgm",
+         "--seed", str(2**64)],
+        # one pixel above MAX_SYNTH_PIXELS
+        ["synth", "--sigma", "0.1", "--size", "2049x2048", "--out", "{tmp}/o.pgm"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
         img = tmp_path / "ok.pgm"
@@ -622,6 +628,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "o.pgm").exists()
+
+    @pytest.mark.parametrize("mutation,where", [
+        (("seed = 3", "seed = -1"), "[experiment] seed"),
+        (("seed = 3", f"seed = {2**64}"), "[experiment] seed"),
+        (("s2 = 0.04", "s2 = 0.04\nmean_seed = -5"), "[prior] mean_seed"),
+    ])
+    def test_bad_seed_is_a_config_error(self, mutation, where, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out")).replace(*mutation))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}: must be in [0, {2**64 - 1}], got ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_without_axes_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out")))
+        assert main(["sweep", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: sweep requested but the config has no [sweep] axes\n"
+        assert not (tmp_path / "out").exists()
 
     def test_estimate_bad_image_is_run_error(self, tmp_path, capsys):
         path = tmp_path / "ascii.pgm"

@@ -118,7 +118,7 @@ def test_mixture_step_csv_and_sample_bytes():
     assert sha256(x.data.tobytes()) == MIXTURE_SAMPLE_SHA256
 
 
-def test_mixture_diagnostic_bytes():
+def test_mixture_diagnostic_bytes(mixture_score, mixture_responsibilities):
     prior, _, _, _ = mixture_task()
     g = RngStream(73, 0)
     h = hashlib.sha256()
@@ -131,6 +131,6 @@ def test_mixture_diagnostic_bytes():
         h.update(prior.posterior_mean(x, sigma).data.tobytes())
         h.update(prior.jacobian_vjp(x, sigma, v).tobytes())
         h.update(struct.pack("<d", prior.trace_jacobian(x, sigma)))
-        h.update(prior.score(x, sigma).data.tobytes())
-        h.update(prior.responsibilities(x.data, sigma).tobytes())
+        h.update(mixture_score(prior, x, sigma).data.tobytes())
+        h.update(mixture_responsibilities(prior, x.data, sigma).tobytes())
     assert h.hexdigest() == MIXTURE_DIAGNOSTICS_SHA256

@@ -2,14 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal
 
 from sgps import (
     CountingDenoiser,
     Denoiser,
     GmmDenoiser,
     GmmPrior,
-    LinearDenoiser,
     PerturbedDenoiser,
     RngStream,
     SgpsError,
@@ -78,38 +76,24 @@ def test_logsumexp_matches_scipy_bitwise():
         assert logsumexp(a) == scipy_logsumexp(a)
 
 
-def test_log_density_matches_scipy_mixture():
-    prior = small_prior(k=3, n=4, seed=2)
-    sigma = 0.7
-    v2 = prior.var_scale + sigma * sigma
-    x = Signal(RngStream(5, 0).normal(4), (4,))
-    ref = 0.0
-    dens = np.array(
-        [
-            multivariate_normal(mean=m, cov=v2 * np.eye(4)).pdf(x.data)
-            for m in prior.means
-        ]
-    )
-    ref = np.log(np.dot(prior.weights, dens))
-    assert prior.log_density(x, sigma) == pytest.approx(ref, rel=1e-10)
-
-
-def test_score_is_gradient_of_log_density():
+def test_posterior_mean_is_tweedie_on_scipy_mixture(mixture_log_density):
+    # D(x) = x + sigma^2 * grad log p_sigma(x), the gradient taken by
+    # central differences of scipy's mixture density, with K > 1
     prior = small_prior(k=3, n=5, seed=3)
     sigma = 0.4
     x = Signal(RngStream(6, 0).normal(5), (5,))
-    got = prior.score(x, sigma).data
-    want = fd_gradient(lambda v: prior.log_density(Signal(v, (5,)), sigma), x.data.copy())
-    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
+    grad = fd_gradient(lambda v: mixture_log_density(prior, v, sigma), x.data.copy())
+    np.testing.assert_allclose(prior.posterior_mean(x, sigma).data,
+                               x.data + sigma * sigma * grad, rtol=1e-6, atol=1e-8)
 
 
-def test_posterior_mean_tweedie_identity():
+def test_posterior_mean_tweedie_identity(mixture_score):
     # D(x) = x + sigma^2 * score(x) for the smoothed density
     prior = small_prior(k=2, n=6, seed=4)
     sigma = 0.6
     x = Signal(RngStream(7, 0).normal(6), (6,))
     lhs = prior.posterior_mean(x, sigma).data
-    rhs = x.data + sigma * sigma * prior.score(x, sigma).data
+    rhs = x.data + sigma * sigma * mixture_score(prior, x, sigma).data
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -231,24 +215,26 @@ class TestPerturbedDenoiser:
 
 
 class TestLinearDenoiser:
-    def test_exact_trace_and_vjp(self):
+    """The linear test denoiser is itself an oracle, so it is checked too."""
+
+    def test_exact_trace_and_vjp(self, linear_denoiser):
         rng = RngStream(31, 0)
         m = rng.standard_normal((6, 6)) * 0.3
-        den = LinearDenoiser(m)
+        den = linear_denoiser(m)
         x = Signal(rng.normal(6), (6,))
         v = rng.normal(6)
         assert den.jacobian_trace(x, 0.5) == pytest.approx(np.trace(m), rel=1e-14)
         np.testing.assert_allclose(den.jacobian_vjp(x, 0.5, v), m.T @ v, rtol=1e-14)
 
-    def test_offset(self):
+    def test_offset(self, linear_denoiser):
         m = np.eye(3) * 0.5
-        den = LinearDenoiser(m, offset=np.ones(3))
+        den = linear_denoiser(m, offset=np.ones(3))
         x = Signal(np.full(3, 2.0), (3,))
         np.testing.assert_allclose(den.denoise(x, 0.1).data, np.full(3, 2.0))
 
-    def test_rejects_non_square(self):
+    def test_rejects_non_square(self, linear_denoiser):
         with pytest.raises(SgpsError):
-            LinearDenoiser(np.zeros((2, 3)))
+            linear_denoiser(np.zeros((2, 3)))
 
 
 def test_denoiser_without_jacobian_products_cannot_be_built():
@@ -277,7 +263,7 @@ def test_counting_denoiser_counts_only_denoise():
 class TestMixtureMemo:
     """The posterior is computed once per point; repeats reuse it bit for bit."""
 
-    def test_diagnostics_after_denoise_equal_a_fresh_prior(self):
+    def test_diagnostics_after_denoise_equal_a_fresh_prior(self, mixture_score):
         prior = small_prior(k=9, n=13, seed=40, var=0.3)
         g = RngStream(41, 0)
         for sigma in (2.0, 0.7, 0.2):
@@ -288,7 +274,8 @@ class TestMixtureMemo:
             assert np.array_equal(prior.jacobian_vjp(x, sigma, v),
                                   fresh[0].jacobian_vjp(x, sigma, v))
             assert prior.trace_jacobian(x, sigma) == fresh[1].trace_jacobian(x, sigma)
-            assert np.array_equal(prior.score(x, sigma).data, fresh[2].score(x, sigma).data)
+            assert np.array_equal(mixture_score(prior, x, sigma).data,
+                                  mixture_score(fresh[2], x, sigma).data)
 
     def test_moments_are_read_only(self):
         prior = small_prior(k=4, n=5, seed=42)

@@ -10,7 +10,6 @@ from sgps.prior import (
     CountingDenoiser,
     GmmDenoiser,
     GmmPrior,
-    LinearDenoiser,
     PerturbedDenoiser,
 )
 from sgps.sure import (
@@ -62,13 +61,13 @@ class TestSureValue:
         again = -(x.n * s2) + float(resid @ resid) + 2.0 * s2 * ev.trace_estimate
         assert again == ev.value
 
-    def test_fields_against_manual_linear(self):
+    def test_fields_against_manual_linear(self, linear_denoiser):
         # for D(x) = M x + c the recorded pieces are all closed form
         g = RngStream(12, 0)
         n = 6
         m = g.standard_normal((n, n)) * 0.2
         c = g.normal(n)
-        den = LinearDenoiser(m, c)
+        den = linear_denoiser(m, c)
         x = Signal(g.normal(n), (n,))
         cfg = base_config(mc_probes=3)
         ev = sure_value(den, x, 0.4, cfg, g.substream(2))
@@ -102,8 +101,8 @@ class TestSureValue:
         with pytest.raises(SgpsError):
             sure_value(den, x, 0.0, base_config(), RngStream(1, 0))
 
-    def test_constant_denoiser_warns_roundoff(self):
-        den = LinearDenoiser(np.zeros((4, 4)), np.ones(4))
+    def test_constant_denoiser_warns_roundoff(self, linear_denoiser):
+        den = linear_denoiser(np.zeros((4, 4)), np.ones(4))
         x = Signal(np.ones(4) * 0.5, (4,))
         with pytest.warns(RoundoffWarning):
             sure_value(den, x, 0.2, base_config(), RngStream(2, 0))
@@ -136,11 +135,11 @@ class TestMcTrace:
         """The Monte Carlo trace estimate that sure_value records."""
         return sure_value(den, x, sigma, base_config(mc_probes=probes), rng).trace_estimate
 
-    def test_matches_manual_probe_average(self):
+    def test_matches_manual_probe_average(self, linear_denoiser):
         g = RngStream(31, 0)
         n = 5
         m = g.standard_normal((n, n)) * 0.3
-        den = LinearDenoiser(m)
+        den = linear_denoiser(m)
         x = Signal(g.normal(n), (n,))
         est = self.trace(den, x, 0.5, 8, RngStream(31, 1))
         b = RngStream(31, 1).standard_normal((8, n))
@@ -218,13 +217,13 @@ class TestSureGradient:
         assert after < before
 
     @pytest.mark.parametrize("kind", ["gmm", "perturbed", "linear"])
-    def test_costs_no_denoiser_evaluation(self, kind):
+    def test_costs_no_denoiser_evaluation(self, kind, linear_denoiser):
         g = RngStream(47, 0)
         gmm = GmmDenoiser(small_prior(k=3))
         den = {
             "gmm": gmm,
             "perturbed": PerturbedDenoiser(gmm, amplitude=0.05, frequency=3.0),
-            "linear": LinearDenoiser(0.2 * g.standard_normal((8, 8)), g.normal(8)),
+            "linear": linear_denoiser(0.2 * g.standard_normal((8, 8)), g.normal(8)),
         }[kind]
         counter = CountingDenoiser(den)
         x = Signal(g.normal(8), (8,))
