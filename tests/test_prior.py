@@ -76,13 +76,27 @@ def test_logsumexp_matches_scipy_bitwise():
         assert logsumexp(a) == scipy_logsumexp(a)
 
 
-def test_posterior_mean_is_tweedie_on_scipy_mixture(mixture_log_density):
-    # D(x) = x + sigma^2 * grad log p_sigma(x), the gradient taken by
-    # central differences of scipy's mixture density, with K > 1
+def test_log_density_matches_scipy_mixture(mixture_log_density):
+    # the scipy oracle against the isotropic Gaussian mixture written out
+    prior = small_prior(k=3, n=4, seed=2)
+    sigma = 0.7
+    v2 = prior.var_scale + sigma * sigma
+    x = RngStream(5, 0).normal(4)
+    d2 = np.sum((prior.means - x) ** 2, axis=1)
+    dens = np.exp(-0.5 * d2 / v2) / (2 * np.pi * v2) ** 2
+    ref = np.log(np.dot(prior.weights, dens))
+    assert mixture_log_density(prior, x, sigma) == pytest.approx(ref, rel=1e-10)
+
+
+def test_score_is_gradient_of_log_density(mixture_score, mixture_log_density):
+    # the score, and the posterior mean through D(x) = x + sigma^2 * score,
+    # against central differences of scipy's mixture density, with K > 1
     prior = small_prior(k=3, n=5, seed=3)
     sigma = 0.4
     x = Signal(RngStream(6, 0).normal(5), (5,))
     grad = fd_gradient(lambda v: mixture_log_density(prior, v, sigma), x.data.copy())
+    np.testing.assert_allclose(mixture_score(prior, x, sigma).data, grad,
+                               rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(prior.posterior_mean(x, sigma).data,
                                x.data + sigma * sigma * grad, rtol=1e-6, atol=1e-8)
 
