@@ -23,14 +23,6 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # Jacobian products at the same points, so 16 covers mc_probes up to 15;
 # beyond that the products recompute, with the same result.
 MEMO_ENTRIES = 16
-# The distance pass works on about this many bytes of differences at a time
-# (cache-resident, and few enough blocks that the loop costs little) instead
-# of one K x n temporary.
-_BLOCK_BYTES = 1 << 18
-# einsum sums a row of at most this many entries (its iterator's buffer) in
-# one inner loop, so the row's sum does not depend on the rows around it.
-# Longer rows are cut at buffer boundaries that do, so they take one pass.
-_EINSUM_ROW_MAX = 8192
 
 
 def logsumexp(a: np.ndarray) -> np.float64:
@@ -104,14 +96,14 @@ class GmmPrior:
             raise SgpsError(f"means must be a (K, n) array, got ndim={m.ndim}")
         if w.size != m.shape[0]:
             raise SgpsError(f"{w.size} weights for {m.shape[0]} means")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise SgpsError("mixture weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise SgpsError(f"mixture weights must sum to 1, got {w.sum()!r}")
         if not np.all(np.isfinite(m)):
             raise SgpsError("mixture means must be finite")
-        if float(self.var_scale) <= 0:
-            raise SgpsError(f"var_scale must be positive, got {self.var_scale}")
+        if not 0 < float(self.var_scale) < np.inf:
+            raise SgpsError(f"var_scale must be positive and finite, got {self.var_scale}")
         shape = tuple(int(s) for s in self.shape)
         if int(np.prod(shape)) != m.shape[1]:
             raise SgpsError(f"shape {shape} does not match mean length {m.shape[1]}")
@@ -137,22 +129,23 @@ class GmmPrior:
         return int(self.means.shape[1])
 
     def _log_resp(self, xv: np.ndarray, smoothed_var: float) -> np.ndarray:
-        k, n = self.means.shape
-        rows = k if n > _EINSUM_ROW_MAX else max(1, _BLOCK_BYTES // (8 * n))
-        d = np.empty((min(rows, k), n))
-        sq = np.empty(k)
-        for k0 in range(0, k, rows):
-            blk = d[: min(rows, k - k0)]
-            np.subtract(xv, self.means[k0 : k0 + rows], out=blk)
-            np.einsum("kn,kn->k", blk, blk, out=sq[k0 : k0 + rows])
-        return np.log(self.weights) - sq / (2.0 * smoothed_var)
+        """Log responsibilities at xv, up to a constant shared by every k.
 
-    def _moments(self, xv: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """Responsibilities g at (xv, sigma) and g @ means, both read-only.
+        ||x - m_k||^2 = ||x||^2 - 2 m_k.x + ||m_k||^2, and normalisation
+        cancels ||x||^2.  Against subtract-and-square distances the moments
+        differ by up to 1e-10 relative at mean amplitude 1 (4e-7 at 100);
+        against extended precision this form is the closer of the two.
+        """
+        d2 = self._mean_sq - 2.0 * (self.means @ xv)
+        return np.log(self.weights) - d2 / (2.0 * smoothed_var)
 
-        They are a pure function of the point and the read-only mixture, so
-        the last MEMO_ENTRIES points are kept and a repeat returns the same
-        bits a recomputation would.
+    def _moments(self, xv: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, slice]:
+        """Read-only responsibilities g at (xv, sigma) and g @ means, and the
+        span of g's nonzero entries, outside which g is exactly 0.0 (never
+        empty: g's largest entry is 1, or NaN if the point overflowed).
+
+        A pure function of the point and the read-only mixture, so the last
+        MEMO_ENTRIES points are kept and a repeat returns the same bits.
         """
         key = (float(sigma), xv.tobytes())
         hit = self._memo.get(key)
@@ -163,13 +156,15 @@ class GmmPrior:
         lr = self._log_resp(xv, v2)
         lr -= logsumexp(lr)
         g = np.exp(lr)
-        mbar = g @ self.means
+        nz = np.flatnonzero(g)
+        span = slice(int(nz[0]), int(nz[-1]) + 1)
+        mbar = g[span] @ self.means[span]
         g.flags.writeable = False
         mbar.flags.writeable = False
-        self._memo[key] = (g, mbar)
+        self._memo[key] = (g, mbar, span)
         if len(self._memo) > MEMO_ENTRIES:
             self._memo.popitem(last=False)
-        return g, mbar
+        return g, mbar, span
 
     def posterior_mean(self, x: Signal, sigma: float) -> Signal:
         """MMSE estimate of the clean signal given x = clean + sigma * noise."""
@@ -190,7 +185,7 @@ class GmmPrior:
         s2 = self.var_scale
         sig2 = sigma * sigma
         v2 = s2 + sig2
-        g, mbar = self._moments(x.data, sigma)
+        g, mbar, _ = self._moments(x.data, sigma)
         second = float(g @ self._mean_sq)
         trace_c = second - float(mbar @ mbar)
         return self.n * s2 / v2 + sig2 * trace_c / (v2 * v2)
@@ -201,9 +196,9 @@ class GmmPrior:
         s2 = self.var_scale
         sig2 = sigma * sigma
         v2 = s2 + sig2
-        g, mbar = self._moments(x.data, sigma)
-        proj = self.means @ v
-        cv = (g * proj) @ self.means - mbar * float(mbar @ v)
+        g, mbar, span = self._moments(x.data, sigma)
+        means = self.means[span]
+        cv = (g[span] * (means @ v)) @ means - mbar * float(mbar @ v)
         return (s2 * v) / v2 + sig2 * cv / (v2 * v2)
 
     def draw(self, rng: RngStream) -> Signal:
@@ -237,6 +232,8 @@ class PerturbedDenoiser(Denoiser):
     """
 
     def __init__(self, base: Denoiser, amplitude: float, frequency: float = 1.0):
+        if not (np.isfinite(amplitude) and np.isfinite(frequency)):
+            raise SgpsError(f"perturbation must be finite, got {amplitude}, {frequency}")
         self.base = base
         self.amplitude = float(amplitude)
         self.frequency = float(frequency)

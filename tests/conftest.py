@@ -76,6 +76,21 @@ def _mixture_responsibilities(prior, xv, sigma):
     return prior._moments(xv, sigma)[0]
 
 
+def _mixture_direct(prior, xv, sigma, v):
+    """posterior_mean, jacobian_vjp(v) and trace_jacobian at the flat point xv
+    from subtract-and-square distances and products over all K components."""
+    s2, sig2 = prior.var_scale, sigma * sigma
+    v2 = s2 + sig2
+    d = xv[None, :] - prior.means
+    lr = np.log(prior.weights) - np.einsum("kn,kn->k", d, d) / (2.0 * v2)
+    g = np.exp(lr - logsumexp(lr))
+    mbar = g @ prior.means
+    cv = (g * (prior.means @ v)) @ prior.means - mbar * (mbar @ v)
+    second = g @ np.einsum("kn,kn->k", prior.means, prior.means)
+    return ((s2 * xv + sig2 * mbar) / v2, s2 * v / v2 + sig2 * cv / (v2 * v2),
+            prior.n * s2 / v2 + sig2 * (second - mbar @ mbar) / (v2 * v2))
+
+
 def _mixture_log_density(prior, xv, sigma):
     """Log density at xv of the sigma-smoothed mixture, from scipy's
     multivariate normal and nothing of the prior but its parameters."""
@@ -92,6 +107,11 @@ def mixture_score():
 @pytest.fixture
 def mixture_responsibilities():
     return _mixture_responsibilities
+
+
+@pytest.fixture
+def mixture_direct():
+    return _mixture_direct
 
 
 @pytest.fixture

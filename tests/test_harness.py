@@ -139,6 +139,16 @@ class TestConfigParsing:
              "[patch] rel_tol"),
             (("steps = 4", f"steps = {10**30}"), "[sampler]: steps must be in [2, 1000000]"),
             (("steps = 4", f"steps = {MAX_STEPS + 1}"), "[sampler]: steps must be in [2, 1000000]"),
+            (("s2 = 0.04", "s2 = 0.04\nweights = nan"),
+             "[prior]: mixture weights must be strictly positive"),
+            (("s2 = 0.04", "s2 = 0.04\nweights = 0.5 nan"),
+             "[prior]: mixture weights must be strictly positive"),
+            (("s2 = 0.04", "s2 = nan"), "[prior]: var_scale must be positive and finite"),
+            (("s2 = 0.04", "s2 = inf"), "[prior]: var_scale must be positive and finite"),
+            (("s2 = 0.04", "s2 = 0.04\nperturb_amplitude = 0.01\nperturb_frequency = nan"),
+             "[prior]: perturbation must be finite"),
+            (("s2 = 0.04", "s2 = 0.04\nperturb_amplitude = inf"),
+             "[prior]: perturbation must be finite"),
         ],
     )
     def test_typed_errors_name_section_and_key(self, mutation, fragment):
@@ -745,6 +755,23 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == f"config error: [operator] kind=blur: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("prior_lines", ["s2 = 0.04\nweights = nan", "s2 = nan",
+                                             "s2 = 0.04\nperturb_amplitude = 0.01\n"
+                                             "perturb_frequency = nan",
+                                             "s2 = 0.04\nperturb_amplitude = inf"],
+                             ids=["weights", "s2", "perturb_frequency", "perturb_amplitude"])
+    def test_non_finite_prior_setting_is_a_config_error(self, prior_lines, tmp_path,
+                                                        monkeypatch, capsys):
+        # each used to reach the run: a traceback from the draw, or exit 2
+        # in the denoiser after the output directory was made
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out")).replace("s2 = 0.04", prior_lines))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [prior]: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_steps_above_the_cap_are_a_config_error(self, tmp_path, monkeypatch, capsys):

@@ -5,10 +5,12 @@ The first four digests were taken before the sampler and the chain
 experiments were made to share one ladder step; any refactor of the step
 must leave them unchanged.  They use one-component priors, whose
 responsibilities are exactly 1, so the MIXTURE_* digests pin the K > 1
-posterior path as well; they were taken before the mixture posterior was
-memoised and its distances blocked.  All of them depend on float64
-arithmetic being bitwise reproducible, so a different numpy or BLAS build
-may need them retaken.
+posterior path as well.  Those three were retaken when the mixture's
+distances became one product with the means and its products came to run
+over the nonzero responsibilities only, which rounds differently; the
+closed-form check that stands beside them is tests/test_prior.py's
+TestDirectFormula.  All of them depend on float64 arithmetic being bitwise
+reproducible, so a different numpy or BLAS build may need them retaken.
 """
 import hashlib
 import struct
@@ -28,9 +30,9 @@ STEP_CSV_SHA256 = "b910f56e4665819cf67531253fb5717aeafcfa5744e129abbc2e978db96d6
 SAMPLE_SHA256 = "afed79a00d894779b065dc00372bf3893983a6985cbaf675d2e584624a20d5b0"
 PREFIX_SHA256 = "86eb26df32579c01fe54a4b72dee6e4618b223c58ce4f4afeeb4955016bd0e57"
 KL_SHA256 = "0fe5f11c79b6a22f1257ddf3a0438b4d0ab7748262077507600652ac50457a36"
-MIXTURE_STEP_CSV_SHA256 = "db3e6749d28f4256040afbbcaea252410f07b1bcd46e421afc2f2ba733c6efd2"
-MIXTURE_SAMPLE_SHA256 = "9fb662bf39fec95dd5c134bd99124cba209f6de85b52cc729806730105242ea2"
-MIXTURE_DIAGNOSTICS_SHA256 = "25aef181c7616d9b3903a0f72c18b83157fbb28038141a184fb6a41e5ab00dbc"
+MIXTURE_STEP_CSV_SHA256 = "0bdc442af2c62405d31f07ff3ec9a89ca47a688e370ae49f26d11a96090c45e2"
+MIXTURE_SAMPLE_SHA256 = "65d18a856f69aaae0290513bcecd26f42006220879c1cfddc4d9589b1f8d5287"
+MIXTURE_DIAGNOSTICS_SHA256 = "c200520525abdd0d53c7641d57c319ca2aa9c1d1c11c3d0f79c624444038ba79"
 
 
 def sha256(data: bytes) -> str:

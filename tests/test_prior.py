@@ -44,6 +44,18 @@ class TestValidation:
         with pytest.raises(SgpsError):
             GmmPrior(np.array([1.0]), np.zeros((1, 3)), 0.0, (3,))
 
+    @pytest.mark.parametrize("weights,var", [([np.nan], 1.0), ([0.5, np.nan], 1.0),
+                                             ([1.0], np.nan), ([1.0], np.inf)])
+    def test_non_finite_weights_and_variance(self, weights, var):
+        with pytest.raises(SgpsError):
+            GmmPrior(np.array(weights), np.zeros((len(weights), 3)), var, (3,))
+
+    @pytest.mark.parametrize("amplitude,frequency", [(np.nan, 1.0), (np.inf, 1.0),
+                                                     (0.1, np.nan), (0.1, -np.inf)])
+    def test_non_finite_perturbation(self, amplitude, frequency):
+        with pytest.raises(SgpsError, match="perturbation must be finite"):
+            PerturbedDenoiser(GmmDenoiser(small_prior()), amplitude, frequency)
+
     def test_mean_shape_must_match(self):
         with pytest.raises(SgpsError):
             GmmPrior(np.array([1.0]), np.zeros((1, 4)), 1.0, (3,))
@@ -112,15 +124,19 @@ def test_posterior_mean_tweedie_identity(mixture_score):
 
 
 def test_single_component_closed_form():
-    n = 4
-    m = np.linspace(-1.0, 1.0, n)
+    # one component has responsibility exactly 1, so the mean is the linear
+    # formula bit for bit
+    n = 64
+    g = RngStream(49, 0)
+    m = g.standard_normal(n)
     prior = GmmPrior(np.array([1.0]), m[None, :], 0.8, (n,))
-    sigma = 0.5
-    x = Signal(np.ones(n), (n,))
-    v2 = 0.8 + 0.25
-    expected = (0.8 * x.data + 0.25 * m) / v2
-    np.testing.assert_allclose(prior.posterior_mean(x, sigma).data, expected, rtol=1e-14)
-    assert prior.trace_jacobian(x, sigma) == pytest.approx(n * 0.8 / v2, rel=1e-14)
+    for sigma in (8.0, 0.5, 0.02):
+        x = Signal(g.standard_normal(n), (n,))
+        v2 = 0.8 + sigma * sigma
+        expected = (0.8 * x.data + sigma * sigma * m) / v2
+        got = prior.posterior_mean(x, sigma).data
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert prior.trace_jacobian(x, sigma) == pytest.approx(n * 0.8 / v2, rel=1e-14)
 
 
 def fd_jacobian(prior, xv, sigma, h=1e-6):
@@ -293,7 +309,7 @@ class TestMixtureMemo:
 
     def test_moments_are_read_only(self):
         prior = small_prior(k=4, n=5, seed=42)
-        g, mbar = prior._moments(RngStream(43, 0).normal(5), 0.5)
+        g, mbar, _ = prior._moments(RngStream(43, 0).normal(5), 0.5)
         assert not g.flags.writeable and not mbar.flags.writeable
 
     def test_memo_never_exceeds_its_cap(self):
@@ -315,15 +331,45 @@ class TestMixtureMemo:
         assert "_memo" not in repr(a) and "_mean_sq" not in repr(a)
         assert [f.name for f in dataclasses.fields(a)] == ["weights", "means", "var_scale", "shape"]
 
+
+
+def assert_matches_direct(prior, xv, sigma, v, mixture_direct):
+    x = Signal(xv, prior.shape)
+    got = (prior.posterior_mean(x, sigma).data, prior.jacobian_vjp(x, sigma, v),
+           prior.trace_jacobian(x, sigma))
+    for a, b in zip(got, mixture_direct(prior, xv, sigma, v)):
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+
+
+class TestDirectFormula:
+    """The mixture posterior against subtract-and-square distances and
+    products over all K components; the two round differently."""
+
     @pytest.mark.parametrize("k,n", [(1, 5), (3, 1), (7, 33), (33, 2049), (257, 4096),
                                      (300, 127), (5, 8192), (4, 8193), (9, 10001)])
-    def test_blocked_distances_equal_one_pass(self, k, n):
+    def test_moments_match_the_direct_formula(self, k, n, mixture_direct):
         g = RngStream(47, k * 100003 + n)
         means = g.standard_normal((k, n))
         prior = GmmPrior(np.full(k, 1.0 / k), means, 0.5, (n,))
-        for _ in range(3):
-            xv = g.standard_normal(n)
-            d = xv[None, :] - prior.means
-            want = np.log(prior.weights) - np.einsum("kn,kn->k", d, d) / (2.0 * 0.7)
-            got = prior._log_resp(xv, 0.7)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for sigma in (3.0, 0.4):
+            assert_matches_direct(prior, g.standard_normal(n), sigma, g.standard_normal(n),
+                                  mixture_direct)
+
+    @pytest.mark.parametrize("support", [[0], [5], [11], [0, 11], list(range(12))],
+                             ids=["first", "middle", "last", "first-and-last", "all"])
+    def test_products_over_the_nonzero_span(self, support, mixture_responsibilities,
+                                            mixture_direct):
+        g = RngStream(48, len(support) * 100 + support[0])
+        w = g.gen.random(12) + 0.5
+        prior = GmmPrior(w / w.sum(), g.standard_normal((12, 64)), 0.01, (64,))
+        if len(support) == 12:
+            # a high level spreads the responsibilities over every component
+            sigma, xv = 30.0, 30.0 * g.standard_normal(64)
+        else:
+            # near the chosen means, far (about 8 sd) from the rest
+            sigma = 0.05
+            xv = prior.means[support].mean(axis=0) + 0.01 * g.standard_normal(64)
+        v = g.standard_normal(64)
+        assert_matches_direct(prior, xv, sigma, v, mixture_direct)
+        resp = mixture_responsibilities(prior, xv, sigma)
+        assert np.flatnonzero(resp).tolist() == support
