@@ -166,11 +166,12 @@ def _build_prior(sec: _Section, seed: int) -> tuple[GmmPrior, Denoiser]:
     else:
         raise ConfigError(f"[prior] mean_kind: unknown kind {mean_kind!r}")
     amp = sec.get_float("perturb_amplitude", 0.0)
+    # read only when used, so a stray perturb_frequency is an unread key
     freq = sec.get_float("perturb_frequency", 1.0) if amp != 0.0 else None
     try:
         prior = GmmPrior(np.asarray(weights), means, s2, shape)
         den: Denoiser = GmmDenoiser(prior)
-        if freq is not None:
+        if amp != 0.0:
             den = PerturbedDenoiser(den, amp, freq)
     except Exception as e:
         raise ConfigError(f"[prior]: {e}") from e

@@ -134,7 +134,7 @@ class GmmPrior:
         ||x - m_k||^2 = ||x||^2 - 2 m_k.x + ||m_k||^2, and normalisation
         cancels ||x||^2.  Against subtract-and-square distances the moments
         differ by up to 1e-10 relative at mean amplitude 1 (4e-7 at 100);
-        against extended precision this form is the closer of the two.
+        against extended precision this form was never the farther of the two.
         """
         d2 = self._mean_sq - 2.0 * (self.means @ xv)
         return np.log(self.weights) - d2 / (2.0 * smoothed_var)

@@ -332,7 +332,6 @@ class TestMixtureMemo:
         assert [f.name for f in dataclasses.fields(a)] == ["weights", "means", "var_scale", "shape"]
 
 
-
 def assert_matches_direct(prior, xv, sigma, v, mixture_direct):
     x = Signal(xv, prior.shape)
     got = (prior.posterior_mean(x, sigma).data, prior.jacobian_vjp(x, sigma, v),
@@ -366,7 +365,8 @@ class TestDirectFormula:
             # a high level spreads the responsibilities over every component
             sigma, xv = 30.0, 30.0 * g.standard_normal(64)
         else:
-            # near the chosen means, far (about 8 sd) from the rest
+            # near the chosen means and so far from the rest that their
+            # responsibilities underflow to exactly 0
             sigma = 0.05
             xv = prior.means[support].mean(axis=0) + 0.01 * g.standard_normal(64)
         v = g.standard_normal(64)
