@@ -93,14 +93,7 @@ class Signal:
 
     def with_data(self, arr: np.ndarray) -> "Signal":
         """New Signal with the same shape and fresh data."""
-        data = np.array(arr, dtype=_DTYPE)
-        if data.ndim != 1:
-            data = data.reshape(-1)
-        if data.size != self.data.size:
-            raise ShapeMismatchError(
-                f"data length {data.size} does not match shape {self.shape}"
-            )
-        return Signal._adopt(data, self.shape)
+        return Signal(arr, self.shape)
 
     @classmethod
     def _adopt(cls, arr: np.ndarray, shape: tuple[int, ...]) -> "Signal":
@@ -285,19 +278,8 @@ class StepRecord:
     skipped: bool = False
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.step),
-                format_float(self.sigma_t),
-                format_float(self.sigma_hat_raw),
-                format_float(self.sigma_hat_used),
-                format_float(self.sure_value),
-                format_float(self.psnr_x0t),
-                format_float(self.psnr_x0ty),
-                format_float(self.psnr_star),
-                str(self.nfe_step),
-            ]
-        )
+        cells = (getattr(self, name) for name in STEP_CSV_COLUMNS)
+        return ",".join(str(v) if isinstance(v, int) else format_float(v) for v in cells)
 
 
 @dataclass(frozen=True)

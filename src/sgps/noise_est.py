@@ -75,8 +75,9 @@ def estimate_sigma(x: Signal, cfg: PatchConfig = PatchConfig()) -> float:
     """Estimated noise standard deviation of x.
 
     Needs at least 2 patches; fewer patches than patch dimensions is allowed
-    but warned about, since the covariance is then rank-deficient.  If no
-    tail balances, the smallest eigenvalue is the fallback.
+    but warned about, since the covariance is then rank-deficient.  The
+    one-entry tail always balances, so the scan ends at the smallest
+    eigenvalue at the latest.
     """
     patches = extract_patches(x, cfg)
     s, r = patches.shape
@@ -88,7 +89,7 @@ def estimate_sigma(x: Signal, cfg: PatchConfig = PatchConfig()) -> float:
             stacklevel=2,
         )
     lam = tail_eigenvalues(patches)
-    for i in range(r):
+    for i in range(r - 1):
         tail = lam[i:]
         m = r - i
         mean = float(tail.sum()) / m

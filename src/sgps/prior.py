@@ -18,7 +18,7 @@ from .core import RngStream, SgpsError, Signal
 _TWO_PI = 2.0 * np.pi
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Points whose mixture posterior a GmmPrior keeps.  One risk evaluation
+# Points whose mixture posterior a GmmDenoiser keeps.  One risk evaluation
 # with mc_probes probes denoises 1 + mc_probes points and its gradient takes
 # Jacobian products at the same points, so 16 covers mc_probes up to 15;
 # beyond that the products recompute, with the same result.
@@ -60,18 +60,19 @@ class Denoiser(abc.ABC):
     clean signal, and give exact products with the transpose of that map's
     Jacobian.  The risk gradient is built from those products alone, so it
     costs no denoiser evaluation and the evaluation budget holds for every
-    denoiser.
+    denoiser.  Every method takes x as a flat float64 array of length n and
+    leaves it unchanged; denoise returns a new array.
     """
 
     @abc.abstractmethod
-    def denoise(self, x: Signal, sigma: float) -> Signal:
+    def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Estimate of the clean signal given x at noise level sigma."""
 
     @abc.abstractmethod
-    def jacobian_vjp(self, x: Signal, sigma: float, v: np.ndarray) -> np.ndarray:
+    def jacobian_vjp(self, x: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
         """Exact J(x, sigma)^T v."""
 
-    def jacobian_trace(self, x: Signal, sigma: float) -> float:
+    def jacobian_trace(self, x: np.ndarray, sigma: float) -> float:
         """Exact trace of d denoise / d x at (x, sigma)."""
         raise NotImplementedError(f"{type(self).__name__} has no exact Jacobian trace")
 
@@ -110,15 +111,10 @@ class GmmPrior:
         w.flags.writeable = False
         m = m.copy()
         m.flags.writeable = False
-        mean_sq = np.einsum("kn,kn->k", m, m)
-        mean_sq.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "var_scale", float(self.var_scale))
         object.__setattr__(self, "shape", shape)
-        # not fields, so eq and repr see only the mixture
-        object.__setattr__(self, "_mean_sq", mean_sq)
-        object.__setattr__(self, "_memo", OrderedDict())
 
     @property
     def k(self) -> int:
@@ -128,79 +124,6 @@ class GmmPrior:
     def n(self) -> int:
         return int(self.means.shape[1])
 
-    def _log_resp(self, xv: np.ndarray, smoothed_var: float) -> np.ndarray:
-        """Log responsibilities at xv, up to a constant shared by every k.
-
-        ||x - m_k||^2 = ||x||^2 - 2 m_k.x + ||m_k||^2, and normalisation
-        cancels ||x||^2.  Against subtract-and-square distances the moments
-        differ by up to 1e-10 relative at mean amplitude 1 (4e-7 at 100);
-        against extended precision this form was never the farther of the two.
-        """
-        d2 = self._mean_sq - 2.0 * (self.means @ xv)
-        return np.log(self.weights) - d2 / (2.0 * smoothed_var)
-
-    def _moments(self, xv: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, slice]:
-        """Read-only responsibilities g at (xv, sigma) and g @ means, and the
-        span of g's nonzero entries, outside which g is exactly 0.0 (never
-        empty: g's largest entry is 1, or NaN if the point overflowed).
-
-        A pure function of the point and the read-only mixture, so the last
-        MEMO_ENTRIES points are kept and a repeat returns the same bits.
-        """
-        key = (float(sigma), xv.tobytes())
-        hit = self._memo.get(key)
-        if hit is not None:
-            self._memo.move_to_end(key)
-            return hit
-        v2 = self.var_scale + sigma * sigma
-        lr = self._log_resp(xv, v2)
-        lr -= logsumexp(lr)
-        g = np.exp(lr)
-        nz = np.flatnonzero(g)
-        span = slice(int(nz[0]), int(nz[-1]) + 1)
-        mbar = g[span] @ self.means[span]
-        g.flags.writeable = False
-        mbar.flags.writeable = False
-        self._memo[key] = (g, mbar, span)
-        if len(self._memo) > MEMO_ENTRIES:
-            self._memo.popitem(last=False)
-        return g, mbar, span
-
-    def posterior_mean(self, x: Signal, sigma: float) -> Signal:
-        """MMSE estimate of the clean signal given x = clean + sigma * noise."""
-        sigma = _check_sigma(sigma)
-        s2 = self.var_scale
-        v2 = s2 + sigma * sigma
-        mbar = self._moments(x.data, sigma)[1]
-        return x.with_data((s2 * x.data + sigma * sigma * mbar) / v2)
-
-    def trace_jacobian(self, x: Signal, sigma: float) -> float:
-        """Exact trace of the posterior-mean Jacobian.
-
-        J = (s^2 I + sig^2 C / v^2) / v^2 with C the responsibility-weighted
-        covariance of the component means, so the trace needs only the
-        weighted second moments, never an n x n matrix.
-        """
-        sigma = _check_sigma(sigma)
-        s2 = self.var_scale
-        sig2 = sigma * sigma
-        v2 = s2 + sig2
-        g, mbar, _ = self._moments(x.data, sigma)
-        second = float(g @ self._mean_sq)
-        trace_c = second - float(mbar @ mbar)
-        return self.n * s2 / v2 + sig2 * trace_c / (v2 * v2)
-
-    def jacobian_vjp(self, x: Signal, sigma: float, v: np.ndarray) -> np.ndarray:
-        """J^T v; J is symmetric for this prior so this is also J v."""
-        sigma = _check_sigma(sigma)
-        s2 = self.var_scale
-        sig2 = sigma * sigma
-        v2 = s2 + sig2
-        g, mbar, span = self._moments(x.data, sigma)
-        means = self.means[span]
-        cv = (g[span] * (means @ v)) @ means - mbar * float(mbar @ v)
-        return (s2 * v) / v2 + sig2 * cv / (v2 * v2)
-
     def draw(self, rng: RngStream) -> Signal:
         k = int(rng.gen.choice(self.k, p=self.weights))
         x = self.means[k] + np.sqrt(self.var_scale) * rng.normal(self.n)
@@ -208,19 +131,84 @@ class GmmPrior:
 
 
 class GmmDenoiser(Denoiser):
-    """Denoiser view of a GmmPrior; all diagnostics are exact."""
+    """Posterior mean of a GmmPrior under additive Gaussian noise; its
+    Jacobian products and trace are exact.
+
+    The posterior at a point is a pure function of the point and the
+    read-only mixture, so the last MEMO_ENTRIES points are kept and a
+    repeat returns the same bits.
+    """
 
     def __init__(self, prior: GmmPrior):
         self.prior = prior
+        self._mean_sq = np.einsum("kn,kn->k", prior.means, prior.means)
+        self._memo: OrderedDict = OrderedDict()
 
-    def denoise(self, x: Signal, sigma: float) -> Signal:
-        return self.prior.posterior_mean(x, sigma)
+    def _log_resp(self, x: np.ndarray, smoothed_var: float) -> np.ndarray:
+        """Log responsibilities at x, up to a constant shared by every k.
 
-    def jacobian_trace(self, x: Signal, sigma: float) -> float:
-        return self.prior.trace_jacobian(x, sigma)
+        ||x - m_k||^2 = ||x||^2 - 2 m_k.x + ||m_k||^2, and normalisation
+        cancels ||x||^2.  Against subtract-and-square distances the moments
+        differ by up to 1e-10 relative at mean amplitude 1 (4e-7 at 100);
+        against extended precision this form was never the farther of the two.
+        """
+        d2 = self._mean_sq - 2.0 * (self.prior.means @ x)
+        return np.log(self.prior.weights) - d2 / (2.0 * smoothed_var)
 
-    def jacobian_vjp(self, x: Signal, sigma: float, v: np.ndarray) -> np.ndarray:
-        return self.prior.jacobian_vjp(x, sigma, v)
+    def _moments(self, x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, slice]:
+        """Read-only responsibilities g at (x, sigma) and g @ means, and the
+        span of g's nonzero entries, outside which g is exactly 0.0 (never
+        empty: g's largest entry is 1, or NaN if the point overflowed)."""
+        key = (float(sigma), x.tobytes())
+        hit = self._memo.get(key)
+        if hit is not None:
+            self._memo.move_to_end(key)
+            return hit
+        lr = self._log_resp(x, self.prior.var_scale + sigma * sigma)
+        lr -= logsumexp(lr)
+        g = np.exp(lr)
+        nz = np.flatnonzero(g)
+        span = slice(int(nz[0]), int(nz[-1]) + 1)
+        mbar = g[span] @ self.prior.means[span]
+        g.flags.writeable = False
+        mbar.flags.writeable = False
+        self._memo[key] = (g, mbar, span)
+        if len(self._memo) > MEMO_ENTRIES:
+            self._memo.popitem(last=False)
+        return g, mbar, span
+
+    def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
+        """MMSE estimate of the clean signal given x = clean + sigma * noise."""
+        sigma = _check_sigma(sigma)
+        s2 = self.prior.var_scale
+        mbar = self._moments(x, sigma)[1]
+        return (s2 * x + sigma * sigma * mbar) / (s2 + sigma * sigma)
+
+    def jacobian_trace(self, x: np.ndarray, sigma: float) -> float:
+        """Exact trace of the posterior-mean Jacobian.
+
+        J = (s^2 I + sig^2 C / v^2) / v^2 with C the responsibility-weighted
+        covariance of the component means, so the trace needs only the
+        weighted second moments, never an n x n matrix.
+        """
+        sigma = _check_sigma(sigma)
+        s2 = self.prior.var_scale
+        sig2 = sigma * sigma
+        v2 = s2 + sig2
+        g, mbar, _ = self._moments(x, sigma)
+        trace_c = float(g @ self._mean_sq) - float(mbar @ mbar)
+        return self.prior.n * s2 / v2 + sig2 * trace_c / (v2 * v2)
+
+    def jacobian_vjp(self, x: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
+        """J^T v; J is symmetric for this prior so this is also J v."""
+        sigma = _check_sigma(sigma)
+        s2 = self.prior.var_scale
+        sig2 = sigma * sigma
+        v2 = s2 + sig2
+        g, mbar, span = self._moments(x, sigma)
+        means = self.prior.means[span]
+        cv = (g[span] * (means @ v)) @ means - mbar * float(mbar @ v)
+        return (s2 * v) / v2 + sig2 * cv / (v2 * v2)
 
 
 class PerturbedDenoiser(Denoiser):
@@ -242,25 +230,20 @@ class PerturbedDenoiser(Denoiser):
         idx = np.arange(1, n + 1, dtype=np.float64)
         return _TWO_PI * np.mod(idx * _GOLDEN, 1.0)
 
-    def denoise(self, x: Signal, sigma: float) -> Signal:
+    def _slope(self, x: np.ndarray) -> np.ndarray:
+        """The perturbation's derivative: its Jacobian is this diagonal."""
+        return self.amplitude * self.frequency * np.cos(self.frequency * x + self._phase(x.size))
+
+    def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         _check_sigma(sigma)
         d = self.base.denoise(x, sigma)
-        bump = self.amplitude * np.sin(self.frequency * x.data + self._phase(x.n))
-        return x.with_data(d.data + bump)
+        return d + self.amplitude * np.sin(self.frequency * x + self._phase(x.size))
 
-    def jacobian_trace(self, x: Signal, sigma: float) -> float:
-        t = self.base.jacobian_trace(x, sigma)
-        diag = self.amplitude * self.frequency * np.cos(
-            self.frequency * x.data + self._phase(x.n)
-        )
-        return t + float(diag.sum())
+    def jacobian_trace(self, x: np.ndarray, sigma: float) -> float:
+        return self.base.jacobian_trace(x, sigma) + float(self._slope(x).sum())
 
-    def jacobian_vjp(self, x: Signal, sigma: float, v: np.ndarray) -> np.ndarray:
-        out = self.base.jacobian_vjp(x, sigma, v)
-        diag = self.amplitude * self.frequency * np.cos(
-            self.frequency * x.data + self._phase(x.n)
-        )
-        return out + diag * v
+    def jacobian_vjp(self, x: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
+        return self.base.jacobian_vjp(x, sigma, v) + self._slope(x) * v
 
 
 class CountingDenoiser(Denoiser):
@@ -274,12 +257,12 @@ class CountingDenoiser(Denoiser):
         self.base = base
         self.calls = 0
 
-    def denoise(self, x: Signal, sigma: float) -> Signal:
+    def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         self.calls += 1
         return self.base.denoise(x, sigma)
 
-    def jacobian_trace(self, x: Signal, sigma: float) -> float:
+    def jacobian_trace(self, x: np.ndarray, sigma: float) -> float:
         return self.base.jacobian_trace(x, sigma)
 
-    def jacobian_vjp(self, x: Signal, sigma: float, v: np.ndarray) -> np.ndarray:
+    def jacobian_vjp(self, x: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
         return self.base.jacobian_vjp(x, sigma, v)

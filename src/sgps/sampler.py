@@ -43,30 +43,31 @@ from .sure import sure_gradient, sure_update, sure_value
 STREAM_INIT, STREAM_GUIDE, STREAM_PROBE, STREAM_RENOISE = range(4)
 
 
-def denoise_step(den: Denoiser, x_t: Signal, sigma_t: float, substeps: int) -> Signal:
-    """Clean-signal estimate from x_t at level sigma_t.
+def denoise_step(den: Denoiser, x_t: np.ndarray, sigma_t: float, substeps: int) -> np.ndarray:
+    """Clean-signal estimate from the flat row x_t at level sigma_t.
 
     substeps == 1 is a raw denoiser call.  substeps > 1 runs Euler steps of
     the flow dx/dsigma = (x - D(x, sigma)) / sigma along a geometric ladder
     of evaluation points from sigma_t down to the ladder floor T_MIN, with an
     implicit terminal level of zero; the cost is exactly substeps denoiser
-    evaluations either way.
+    evaluations either way.  A non-finite estimate raises NonFiniteError.
     """
     if substeps < 1:
         raise SgpsError(f"substeps must be >= 1, got {substeps}")
     if sigma_t <= 0:
         raise SgpsError(f"sigma_t must be positive, got {sigma_t}")
     if substeps == 1:
-        return den.denoise(x_t, sigma_t)
-    low = min(T_MIN, sigma_t)
-    pts = np.geomspace(sigma_t, low, substeps)
-    x = x_t.data.copy()
-    for j in range(substeps):
-        sj = float(pts[j])
-        s_next = float(pts[j + 1]) if j + 1 < substeps else 0.0
-        d = den.denoise(x_t.with_data(x), sj)
-        x = x + (s_next - sj) * (x - d.data) / sj
-    return x_t.with_data(x)
+        x = den.denoise(x_t, sigma_t)
+    else:
+        pts = np.geomspace(sigma_t, min(T_MIN, sigma_t), substeps)
+        x = x_t
+        for j in range(substeps):
+            sj = float(pts[j])
+            s_next = float(pts[j + 1]) if j + 1 < substeps else 0.0
+            x = x + (s_next - sj) * (x - den.denoise(x, sj)) / sj
+    if not all_finite(x):
+        raise NonFiniteError("denoised row is not finite")
+    return x
 
 
 def _stage(fn, stage: str, step_index: int):
@@ -125,8 +126,7 @@ def walk_ladder(
     sigmas = build_schedule(cfg.steps, T_MIN, cfg.t_max, RHO)
     if not (1 <= depth <= sigmas.size):
         raise SgpsError(f"depth must be in [1, {sigmas.size}], got {depth}")
-    shape = op.input_shape
-    n = math.prod(shape)
+    n = math.prod(op.input_shape)
     rng_guide = [r.substream(STREAM_GUIDE) for r in rngs]
     rng_renoise = [r.substream(STREAM_RENOISE) for r in rngs]
     top = float(sigmas[0])
@@ -135,12 +135,7 @@ def walk_ladder(
         sigma_t = float(sigmas[k])
         step_no = k + 1
         x0t = np.stack([
-            _stage(
-                lambda: denoise_step(
-                    den, Signal._adopt(row, shape), sigma_t, cfg.ode_substeps
-                ).data,
-                "denoise", step_no,
-            )
+            _stage(lambda: denoise_step(den, row, sigma_t, cfg.ode_substeps), "denoise", step_no)
             for row in x
         ])
         x0ty = _stage(

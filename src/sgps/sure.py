@@ -11,12 +11,13 @@ sigma held fixed) drives the sample update.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, RoundoffWarning, SamplerConfig, SgpsError, Signal
+from .core import NonFiniteError, RngStream, RoundoffWarning, SamplerConfig, SgpsError, Signal
 from .prior import Denoiser
 
 EPSILON_DIVISOR = 1000.0
@@ -32,24 +33,25 @@ def probe_epsilon(x_noisy: Signal) -> float:
 
 def _trace_with_probes(
     den: Denoiser,
-    x_noisy: Signal,
+    x: np.ndarray,
     sigma_hat: float,
     epsilon: float,
     probes: np.ndarray,
-    base: Signal,
+    base: np.ndarray,
 ) -> float:
-    """Probe-averaged trace estimate sharing a precomputed base output."""
+    """Probe-averaged trace estimate at the flat point x sharing a
+    precomputed base output."""
     sigma_probe = max(epsilon, sigma_hat)
     total = 0.0
     for b in probes:
-        perturbed = den.denoise(x_noisy.with_data(x_noisy.data + epsilon * b), sigma_probe)
-        if np.array_equal(perturbed.data, base.data):
+        perturbed = den.denoise(x + epsilon * b, sigma_probe)
+        if np.array_equal(perturbed, base):
             warnings.warn(
                 f"probe step {epsilon} produced no representable output change",
                 RoundoffWarning,
                 stacklevel=3,
             )
-        total += float(b @ (perturbed.data - base.data)) / epsilon
+        total += float(b @ (perturbed - base)) / epsilon
     return total / probes.shape[0]
 
 
@@ -64,7 +66,7 @@ class SureEvaluation:
     sigma_used: float
     epsilon: float
     probes: np.ndarray
-    denoised: Signal
+    denoised: np.ndarray
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.probes, dtype=np.float64)
@@ -80,13 +82,16 @@ def _evaluate(
 ) -> SureEvaluation:
     """The risk expression at x with sigma_hat, epsilon, and probes held
     fixed; the gradient differentiates this function of x."""
-    xhat = den.denoise(x, sigma_hat)
-    trace = _trace_with_probes(den, x, sigma_hat, epsilon, probes, xhat)
-    resid = x.data - xhat.data
+    xhat = den.denoise(x.data, sigma_hat)
+    trace = _trace_with_probes(den, x.data, sigma_hat, epsilon, probes, xhat)
+    resid = x.data - xhat
     s2 = sigma_hat * sigma_hat
+    value = -(x.n * s2) + float(resid @ resid) + 2.0 * s2 * trace
+    if not math.isfinite(value):
+        raise NonFiniteError(f"risk value is {value}")
     return SureEvaluation(
         point=x,
-        value=-(x.n * s2) + float(resid @ resid) + 2.0 * s2 * trace,
+        value=value,
         trace_estimate=trace,
         sigma_used=float(sigma_hat),
         epsilon=epsilon,
@@ -124,18 +129,18 @@ def sure_gradient(den: Denoiser, evaluation: SureEvaluation) -> Signal:
     evaluation.
     """
     x = evaluation.point
+    xv = x.data
     sigma_hat = evaluation.sigma_used
     eps = evaluation.epsilon
     probes = evaluation.probes
     s2 = sigma_hat * sigma_hat
     sigma_probe = max(eps, sigma_hat)
-    resid = x.data - evaluation.denoised.data
-    g = 2.0 * (resid - den.jacobian_vjp(x, sigma_hat, resid))
+    resid = xv - evaluation.denoised
+    g = 2.0 * (resid - den.jacobian_vjp(xv, sigma_hat, resid))
     acc = np.zeros(x.n)
     for b in probes:
-        shifted = x.with_data(x.data + eps * b)
-        acc += den.jacobian_vjp(shifted, sigma_probe, b)
-        acc -= den.jacobian_vjp(x, sigma_hat, b)
+        acc += den.jacobian_vjp(xv + eps * b, sigma_probe, b)
+        acc -= den.jacobian_vjp(xv, sigma_hat, b)
     g += (2.0 * s2 / (eps * probes.shape[0])) * acc
     return x.with_data(g)
 

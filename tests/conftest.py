@@ -48,7 +48,7 @@ class LinearDenoiser(Denoiser):
         self.offset = np.zeros(len(m)) if offset is None else np.asarray(offset, dtype=np.float64)
 
     def denoise(self, x, sigma):
-        return x.with_data(self.matrix @ x.data + self.offset)
+        return self.matrix @ x + self.offset
 
     def jacobian_trace(self, x, sigma):
         return float(np.trace(self.matrix))
@@ -63,22 +63,23 @@ def linear_denoiser():
     return LinearDenoiser
 
 
-def _mixture_score(prior, x, sigma):
-    """Gradient of the sigma-smoothed mixture's log density at the Signal x,
-    (g @ means - x) / (s^2 + sigma^2), from the prior's own moments."""
-    v2 = prior.var_scale + sigma * sigma
-    mbar = prior._moments(x.data, sigma)[1]
-    return x.with_data((mbar - x.data) / v2)
+def _mixture_score(den, xv, sigma):
+    """Gradient of the sigma-smoothed mixture's log density at the flat point
+    xv, (g @ means - x) / (s^2 + sigma^2), from a GmmDenoiser's own moments."""
+    v2 = den.prior.var_scale + sigma * sigma
+    mbar = den._moments(xv, sigma)[1]
+    return (mbar - xv) / v2
 
 
-def _mixture_responsibilities(prior, xv, sigma):
-    """Posterior component probabilities at the flat point xv."""
-    return prior._moments(xv, sigma)[0]
+def _mixture_responsibilities(den, xv, sigma):
+    """Posterior component probabilities of a GmmDenoiser at the flat point xv."""
+    return den._moments(xv, sigma)[0]
 
 
 def _mixture_direct(prior, xv, sigma, v):
-    """posterior_mean, jacobian_vjp(v) and trace_jacobian at the flat point xv
-    from subtract-and-square distances and products over all K components."""
+    """The posterior mean, jacobian_vjp(v) and jacobian_trace at the flat
+    point xv from subtract-and-square distances and products over all K
+    components."""
     s2, sig2 = prior.var_scale, sigma * sigma
     v2 = s2 + sig2
     d = xv[None, :] - prior.means

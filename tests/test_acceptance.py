@@ -88,7 +88,7 @@ def test_02_risk_estimate_unbiased():
             noisy = x0.with_data(x0.data + sigma * rng.substream(1).normal(n))
             ev = sure_value(den, noisy, sigma, cfg, rng.substream(2))
             sure_vals[i] = ev.value
-            d = ev.denoised.data - x0.data
+            d = ev.denoised - x0.data
             mse_vals[i] = float(d @ d)
         sem = math.sqrt(sure_vals.var(ddof=1) / draws + mse_vals.var(ddof=1) / draws)
         z = abs(sure_vals.mean() - mse_vals.mean()) / sem
@@ -112,7 +112,7 @@ def test_03_trace_probes(linear_denoiser):
     def probe_trace(d, probes, stream):
         return sure_value(d, x, sigma, cfg.replace(mc_probes=probes), stream).trace_estimate
 
-    exact = den.jacobian_trace(x, sigma)
+    exact = den.jacobian_trace(x.data, sigma)
     est = probe_trace(den, 1000, rng.substream(1))
     rel = abs(est - exact) / abs(exact)
 

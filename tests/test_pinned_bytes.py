@@ -20,7 +20,7 @@ import numpy as np
 
 import sgps.analysis
 from sgps.analysis import chain_prefix, kl_trend_trials, smooth_field
-from sgps.core import RngStream, SamplerConfig, Signal
+from sgps.core import RngStream, SamplerConfig
 from sgps.noise_est import PatchConfig
 from sgps.operators import BlurOp, DownsampleOp, gaussian_kernel, identity_op
 from sgps.prior import GmmDenoiser, GmmPrior
@@ -122,17 +122,18 @@ def test_mixture_step_csv_and_sample_bytes():
 
 def test_mixture_diagnostic_bytes(mixture_score, mixture_responsibilities):
     prior, _, _, _ = mixture_task()
+    den = GmmDenoiser(prior)
     g = RngStream(73, 0)
     h = hashlib.sha256()
     middle = 0.5 * (prior.means[3] + prior.means[5])
     for sigma in (3.0, 1.0, 0.3):
         # between two components, so the responsibilities are not one-hot
-        x = Signal(middle + sigma * g.normal(prior.n), prior.shape)
+        x = middle + sigma * g.normal(prior.n)
         v = g.normal(prior.n)
         # the denoised output first, then the diagnostics at the same point
-        h.update(prior.posterior_mean(x, sigma).data.tobytes())
-        h.update(prior.jacobian_vjp(x, sigma, v).tobytes())
-        h.update(struct.pack("<d", prior.trace_jacobian(x, sigma)))
-        h.update(mixture_score(prior, x, sigma).data.tobytes())
-        h.update(mixture_responsibilities(prior, x.data, sigma).tobytes())
+        h.update(den.denoise(x, sigma).tobytes())
+        h.update(den.jacobian_vjp(x, sigma, v).tobytes())
+        h.update(struct.pack("<d", den.jacobian_trace(x, sigma)))
+        h.update(mixture_score(den, x, sigma).tobytes())
+        h.update(mixture_responsibilities(den, x, sigma).tobytes())
     assert h.hexdigest() == MIXTURE_DIAGNOSTICS_SHA256

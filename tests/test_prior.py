@@ -11,7 +11,6 @@ from sgps import (
     PerturbedDenoiser,
     RngStream,
     SgpsError,
-    Signal,
 )
 
 
@@ -61,10 +60,9 @@ class TestValidation:
             GmmPrior(np.array([1.0]), np.zeros((1, 4)), 1.0, (3,))
 
     def test_sigma_must_be_positive(self):
-        prior = small_prior()
-        x = Signal(np.zeros(5), (5,))
+        den = GmmDenoiser(small_prior())
         with pytest.raises(SgpsError):
-            prior.posterior_mean(x, 0.0)
+            den.denoise(np.zeros(5), 0.0)
 
 
 def test_logsumexp_matches_scipy_bitwise():
@@ -104,22 +102,22 @@ def test_score_is_gradient_of_log_density(mixture_score, mixture_log_density):
     # the score, and the posterior mean through D(x) = x + sigma^2 * score,
     # against central differences of scipy's mixture density, with K > 1
     prior = small_prior(k=3, n=5, seed=3)
+    den = GmmDenoiser(prior)
     sigma = 0.4
-    x = Signal(RngStream(6, 0).normal(5), (5,))
-    grad = fd_gradient(lambda v: mixture_log_density(prior, v, sigma), x.data.copy())
-    np.testing.assert_allclose(mixture_score(prior, x, sigma).data, grad,
+    x = RngStream(6, 0).normal(5)
+    grad = fd_gradient(lambda v: mixture_log_density(prior, v, sigma), x)
+    np.testing.assert_allclose(mixture_score(den, x, sigma), grad, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(den.denoise(x, sigma), x + sigma * sigma * grad,
                                rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(prior.posterior_mean(x, sigma).data,
-                               x.data + sigma * sigma * grad, rtol=1e-6, atol=1e-8)
 
 
 def test_posterior_mean_tweedie_identity(mixture_score):
     # D(x) = x + sigma^2 * score(x) for the smoothed density
-    prior = small_prior(k=2, n=6, seed=4)
+    den = GmmDenoiser(small_prior(k=2, n=6, seed=4))
     sigma = 0.6
-    x = Signal(RngStream(7, 0).normal(6), (6,))
-    lhs = prior.posterior_mean(x, sigma).data
-    rhs = x.data + sigma * sigma * mixture_score(prior, x, sigma).data
+    x = RngStream(7, 0).normal(6)
+    lhs = den.denoise(x, sigma)
+    rhs = x + sigma * sigma * mixture_score(den, x, sigma)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -129,53 +127,47 @@ def test_single_component_closed_form():
     n = 64
     g = RngStream(49, 0)
     m = g.standard_normal(n)
-    prior = GmmPrior(np.array([1.0]), m[None, :], 0.8, (n,))
+    den = GmmDenoiser(GmmPrior(np.array([1.0]), m[None, :], 0.8, (n,)))
     for sigma in (8.0, 0.5, 0.02):
-        x = Signal(g.standard_normal(n), (n,))
+        x = g.standard_normal(n)
         v2 = 0.8 + sigma * sigma
-        expected = (0.8 * x.data + sigma * sigma * m) / v2
-        got = prior.posterior_mean(x, sigma).data
+        expected = (0.8 * x + sigma * sigma * m) / v2
+        got = den.denoise(x, sigma)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-        assert prior.trace_jacobian(x, sigma) == pytest.approx(n * 0.8 / v2, rel=1e-14)
+        assert den.jacobian_trace(x, sigma) == pytest.approx(n * 0.8 / v2, rel=1e-14)
 
 
-def fd_jacobian(prior, xv, sigma, h=1e-6):
+def fd_jacobian(den, xv, sigma, h=1e-6):
     n = xv.size
     jac = np.empty((n, n))
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        fp = prior.posterior_mean(Signal(xv + e, (n,)), sigma).data
-        fm = prior.posterior_mean(Signal(xv - e, (n,)), sigma).data
-        jac[:, i] = (fp - fm) / (2 * h)
+        jac[:, i] = (den.denoise(xv + e, sigma) - den.denoise(xv - e, sigma)) / (2 * h)
     return jac
 
 
 def test_trace_jacobian_matches_brute_force():
-    prior = small_prior(k=3, n=5, seed=8, var=0.4)
+    den = GmmDenoiser(small_prior(k=3, n=5, seed=8, var=0.4))
     sigma = 0.35
-    x = Signal(RngStream(9, 0).normal(5), (5,))
-    jac = fd_jacobian(prior, x.data.copy(), sigma)
-    assert prior.trace_jacobian(x, sigma) == pytest.approx(np.trace(jac), rel=1e-5)
+    x = RngStream(9, 0).normal(5)
+    jac = fd_jacobian(den, x, sigma)
+    assert den.jacobian_trace(x, sigma) == pytest.approx(np.trace(jac), rel=1e-5)
 
 
 def test_jacobian_vjp_matches_brute_force():
-    prior = small_prior(k=3, n=5, seed=10, var=0.4)
+    den = GmmDenoiser(small_prior(k=3, n=5, seed=10, var=0.4))
     sigma = 0.45
-    x = Signal(RngStream(11, 0).normal(5), (5,))
+    x = RngStream(11, 0).normal(5)
     v = RngStream(12, 0).normal(5)
-    jac = fd_jacobian(prior, x.data.copy(), sigma)
-    np.testing.assert_allclose(
-        prior.jacobian_vjp(x, sigma, v), jac.T @ v, rtol=1e-5, atol=1e-8
-    )
+    jac = fd_jacobian(den, x, sigma)
+    np.testing.assert_allclose(den.jacobian_vjp(x, sigma, v), jac.T @ v, rtol=1e-5, atol=1e-8)
 
 
 def test_jacobian_is_symmetric():
     # posterior mean is a gradient map, so vjp and jvp coincide
-    prior = small_prior(k=4, n=5, seed=13)
-    sigma = 0.3
-    x = Signal(RngStream(14, 0).normal(5), (5,))
-    jac = fd_jacobian(prior, x.data.copy(), sigma)
+    den = GmmDenoiser(small_prior(k=4, n=5, seed=13))
+    jac = fd_jacobian(den, RngStream(14, 0).normal(5), 0.3)
     np.testing.assert_allclose(jac, jac.T, atol=1e-6)
 
 
@@ -187,61 +179,69 @@ def test_draw_reproducible_and_in_support():
     assert a.shape == (8,)
 
 
-class TestGmmDenoiser:
-    def test_delegates(self):
-        prior = small_prior(seed=20)
-        den = GmmDenoiser(prior)
-        x = Signal(RngStream(21, 0).normal(5), (5,))
-        np.testing.assert_array_equal(den.denoise(x, 0.4).data, prior.posterior_mean(x, 0.4).data)
-        assert den.jacobian_trace(x, 0.4) == prior.trace_jacobian(x, 0.4)
+def contract_denoisers(linear_denoiser):
+    """One instance of each shipped denoiser, and the linear test oracle,
+    on n = 6 points."""
+    gmm = GmmDenoiser(small_prior(k=4, n=6, seed=19))
+    g = RngStream(20, 0)
+    return {
+        "gmm-k1": GmmDenoiser(GmmPrior(np.array([1.0]), g.standard_normal((1, 6)), 0.5, (6,))),
+        "gmm-k4": gmm,
+        "perturbed": PerturbedDenoiser(gmm, amplitude=0.05, frequency=3.0),
+        "counting": CountingDenoiser(gmm),
+        "linear": linear_denoiser(0.3 * g.standard_normal((6, 6)), g.normal(6)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["gmm-k1", "gmm-k4", "perturbed", "counting", "linear"])
+def test_denoiser_contract(kind, linear_denoiser):
+    # a read-only flat float64 x goes in and comes back unchanged; denoise
+    # returns a new (n,) float64 array on every call
+    den = contract_denoisers(linear_denoiser)[kind]
+    g = RngStream(21, 0)
+    x, v = g.normal(6), g.normal(6)
+    x.flags.writeable = v.flags.writeable = False
+    before = x.copy()
+    out = den.denoise(x, 0.4)
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (6,)
+    again = den.denoise(x, 0.4)
+    assert np.array_equal(out, again)
+    assert not np.shares_memory(out, x) and not np.shares_memory(out, again)
+    assert den.jacobian_vjp(x, 0.4, v).shape == (6,)
+    assert np.isfinite(den.jacobian_trace(x, 0.4))
+    assert np.array_equal(x, before)
 
 
 class TestPerturbedDenoiser:
     def test_zero_amplitude_is_identity_wrapper(self):
         base = GmmDenoiser(small_prior(seed=22))
         den = PerturbedDenoiser(base, amplitude=0.0)
-        x = Signal(RngStream(23, 0).normal(5), (5,))
-        np.testing.assert_array_equal(den.denoise(x, 0.5).data, base.denoise(x, 0.5).data)
+        x = RngStream(23, 0).normal(5)
+        np.testing.assert_array_equal(den.denoise(x, 0.5), base.denoise(x, 0.5))
         assert den.jacobian_trace(x, 0.5) == pytest.approx(base.jacobian_trace(x, 0.5))
 
     def test_output_is_base_plus_wiggle(self):
         base = GmmDenoiser(small_prior(seed=24))
         den = PerturbedDenoiser(base, amplitude=0.05, frequency=3.0)
-        x = Signal(RngStream(25, 0).normal(5), (5,))
-        diff = den.denoise(x, 0.5).data - base.denoise(x, 0.5).data
+        x = RngStream(25, 0).normal(5)
+        diff = den.denoise(x, 0.5) - base.denoise(x, 0.5)
         assert np.max(np.abs(diff)) <= 0.05 + 1e-12
         assert np.max(np.abs(diff)) > 0.0
 
     def test_trace_matches_brute_force(self):
         base = GmmDenoiser(small_prior(seed=26, n=4))
         den = PerturbedDenoiser(base, amplitude=0.08, frequency=2.5)
-        x = Signal(RngStream(27, 0).normal(4), (4,))
-        sigma = 0.5
-        h = 1e-6
-        tr = 0.0
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = h
-            fp = den.denoise(Signal(x.data + e, (4,)), sigma).data
-            fm = den.denoise(Signal(x.data - e, (4,)), sigma).data
-            tr += (fp[i] - fm[i]) / (2 * h)
-        assert den.jacobian_trace(x, sigma) == pytest.approx(tr, rel=1e-5)
+        x = RngStream(27, 0).normal(4)
+        jac = fd_jacobian(den, x, 0.5)
+        assert den.jacobian_trace(x, 0.5) == pytest.approx(np.trace(jac), rel=1e-5)
 
     def test_vjp_matches_brute_force(self):
         base = GmmDenoiser(small_prior(seed=28, n=4))
         den = PerturbedDenoiser(base, amplitude=0.08, frequency=2.5)
-        x = Signal(RngStream(29, 0).normal(4), (4,))
+        x = RngStream(29, 0).normal(4)
         v = RngStream(30, 0).normal(4)
-        sigma = 0.5
-        h = 1e-6
-        jac = np.empty((4, 4))
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = h
-            fp = den.denoise(Signal(x.data + e, (4,)), sigma).data
-            fm = den.denoise(Signal(x.data - e, (4,)), sigma).data
-            jac[:, i] = (fp - fm) / (2 * h)
-        np.testing.assert_allclose(den.jacobian_vjp(x, sigma, v), jac.T @ v, rtol=1e-5, atol=1e-8)
+        jac = fd_jacobian(den, x, 0.5)
+        np.testing.assert_allclose(den.jacobian_vjp(x, 0.5, v), jac.T @ v, rtol=1e-5, atol=1e-8)
 
 
 class TestLinearDenoiser:
@@ -251,7 +251,7 @@ class TestLinearDenoiser:
         rng = RngStream(31, 0)
         m = rng.standard_normal((6, 6)) * 0.3
         den = linear_denoiser(m)
-        x = Signal(rng.normal(6), (6,))
+        x = rng.normal(6)
         v = rng.normal(6)
         assert den.jacobian_trace(x, 0.5) == pytest.approx(np.trace(m), rel=1e-14)
         np.testing.assert_allclose(den.jacobian_vjp(x, 0.5, v), m.T @ v, rtol=1e-14)
@@ -259,8 +259,7 @@ class TestLinearDenoiser:
     def test_offset(self, linear_denoiser):
         m = np.eye(3) * 0.5
         den = linear_denoiser(m, offset=np.ones(3))
-        x = Signal(np.full(3, 2.0), (3,))
-        np.testing.assert_allclose(den.denoise(x, 0.1).data, np.full(3, 2.0))
+        np.testing.assert_allclose(den.denoise(np.full(3, 2.0), 0.1), np.full(3, 2.0))
 
     def test_rejects_non_square(self, linear_denoiser):
         with pytest.raises(SgpsError):
@@ -272,7 +271,7 @@ def test_denoiser_without_jacobian_products_cannot_be_built():
     # a Denoiser
     class DenoiseOnly(Denoiser):
         def denoise(self, x, sigma):
-            return x
+            return x.copy()
 
     with pytest.raises(TypeError, match="jacobian_vjp"):
         DenoiseOnly()
@@ -281,7 +280,7 @@ def test_denoiser_without_jacobian_products_cannot_be_built():
 def test_counting_denoiser_counts_only_denoise():
     base = GmmDenoiser(small_prior(seed=33))
     den = CountingDenoiser(base)
-    x = Signal(np.zeros(5), (5,))
+    x = np.zeros(5)
     assert den.calls == 0
     den.denoise(x, 0.5)
     den.denoise(x, 0.5)
@@ -291,51 +290,51 @@ def test_counting_denoiser_counts_only_denoise():
 
 
 class TestMixtureMemo:
-    """The posterior is computed once per point; repeats reuse it bit for bit."""
+    """A GmmDenoiser computes the posterior once per point; repeats reuse it
+    bit for bit."""
 
     def test_diagnostics_after_denoise_equal_a_fresh_prior(self, mixture_score):
-        prior = small_prior(k=9, n=13, seed=40, var=0.3)
+        den = GmmDenoiser(small_prior(k=9, n=13, seed=40, var=0.3))
         g = RngStream(41, 0)
         for sigma in (2.0, 0.7, 0.2):
-            x = Signal(g.normal(13) * 1.5, (13,))
+            x = g.normal(13) * 1.5
             v = g.normal(13)
-            prior.posterior_mean(x, sigma)
-            fresh = [small_prior(k=9, n=13, seed=40, var=0.3) for _ in range(3)]
-            assert np.array_equal(prior.jacobian_vjp(x, sigma, v),
+            den.denoise(x, sigma)
+            fresh = [GmmDenoiser(small_prior(k=9, n=13, seed=40, var=0.3)) for _ in range(3)]
+            assert np.array_equal(den.jacobian_vjp(x, sigma, v),
                                   fresh[0].jacobian_vjp(x, sigma, v))
-            assert prior.trace_jacobian(x, sigma) == fresh[1].trace_jacobian(x, sigma)
-            assert np.array_equal(mixture_score(prior, x, sigma).data,
-                                  mixture_score(fresh[2], x, sigma).data)
+            assert den.jacobian_trace(x, sigma) == fresh[1].jacobian_trace(x, sigma)
+            assert np.array_equal(mixture_score(den, x, sigma), mixture_score(fresh[2], x, sigma))
 
     def test_moments_are_read_only(self):
-        prior = small_prior(k=4, n=5, seed=42)
-        g, mbar, _ = prior._moments(RngStream(43, 0).normal(5), 0.5)
+        den = GmmDenoiser(small_prior(k=4, n=5, seed=42))
+        g, mbar, _ = den._moments(RngStream(43, 0).normal(5), 0.5)
         assert not g.flags.writeable and not mbar.flags.writeable
 
     def test_memo_never_exceeds_its_cap(self):
         from sgps.prior import MEMO_ENTRIES
 
-        prior = small_prior(k=3, n=4, seed=44)
+        den = GmmDenoiser(small_prior(k=3, n=4, seed=44))
         g = RngStream(45, 0)
-        points = [Signal(g.normal(4), (4,)) for _ in range(MEMO_ENTRIES + 5)]
+        points = [g.normal(4) for _ in range(MEMO_ENTRIES + 5)]
         for i, x in enumerate(points):
-            prior.posterior_mean(x, 0.5)
-            assert len(prior._memo) == min(i + 1, MEMO_ENTRIES)
+            den.denoise(x, 0.5)
+            assert len(den._memo) == min(i + 1, MEMO_ENTRIES)
         # the oldest points were evicted, the newest are kept
-        assert (0.5, points[-1].data.tobytes()) in prior._memo
-        assert (0.5, points[0].data.tobytes()) not in prior._memo
+        assert (0.5, points[-1].tobytes()) in den._memo
+        assert (0.5, points[0].tobytes()) not in den._memo
 
     def test_memo_is_not_a_field(self):
+        # the memo lives on the denoiser; the prior is only its parameters
         a = small_prior(k=3, n=4, seed=46)
-        a.posterior_mean(Signal(np.ones(4), (4,)), 0.5)
-        assert "_memo" not in repr(a) and "_mean_sq" not in repr(a)
+        GmmDenoiser(a).denoise(np.ones(4), 0.5)
+        assert not hasattr(a, "_memo") and not hasattr(a, "_mean_sq")
         assert [f.name for f in dataclasses.fields(a)] == ["weights", "means", "var_scale", "shape"]
 
 
 def assert_matches_direct(prior, xv, sigma, v, mixture_direct):
-    x = Signal(xv, prior.shape)
-    got = (prior.posterior_mean(x, sigma).data, prior.jacobian_vjp(x, sigma, v),
-           prior.trace_jacobian(x, sigma))
+    den = GmmDenoiser(prior)
+    got = (den.denoise(xv, sigma), den.jacobian_vjp(xv, sigma, v), den.jacobian_trace(xv, sigma))
     for a, b in zip(got, mixture_direct(prior, xv, sigma, v)):
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 
@@ -371,5 +370,5 @@ class TestDirectFormula:
             xv = prior.means[support].mean(axis=0) + 0.01 * g.standard_normal(64)
         v = g.standard_normal(64)
         assert_matches_direct(prior, xv, sigma, v, mixture_direct)
-        resp = mixture_responsibilities(prior, xv, sigma)
+        resp = mixture_responsibilities(GmmDenoiser(prior), xv, sigma)
         assert np.flatnonzero(resp).tolist() == support

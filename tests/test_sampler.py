@@ -54,14 +54,14 @@ class TestDenoiseStep:
     def test_single_substep_is_raw_denoise(self):
         den, _, _, _ = make_task()
         g = RngStream(1, 0)
-        x = Signal(g.normal(256), (16, 16))
+        x = g.normal(256)
         a = denoise_step(den, x, 0.7, 1)
         b = den.denoise(x, 0.7)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_validation(self):
         den, _, _, _ = make_task()
-        x = Signal(np.zeros(256), (16, 16))
+        x = np.zeros(256)
         with pytest.raises(SgpsError):
             denoise_step(den, x, 0.7, 0)
         with pytest.raises(SgpsError):
@@ -77,14 +77,14 @@ class TestDenoiseStep:
         prior = GmmPrior(np.array([1.0]), m[None, :], s2, (n,))
         den = GmmDenoiser(prior)
         sigma_t = 1.5
-        x = Signal(m + 1.2 * RngStream(3, 0).normal(n), (n,))
-        limit = m + (x.data - m) * s2 / (
+        x = m + 1.2 * RngStream(3, 0).normal(n)
+        limit = m + (x - m) * s2 / (
             math.sqrt(s2 + T_MIN**2) * math.sqrt(s2 + sigma_t**2)
         )
         errs = []
         for k in (2, 4, 8, 16, 32):
             out = denoise_step(den, x, sigma_t, k)
-            errs.append(float(np.max(np.abs(out.data - limit))))
+            errs.append(float(np.max(np.abs(out - limit))))
         for a, b in zip(errs, errs[1:]):
             assert b < 0.62 * a
         assert errs[-1] < 0.05
@@ -311,15 +311,38 @@ class _FailingDenoiser(Denoiser):
         return self.fail(x)
 
     def jacobian_vjp(self, x, sigma, v):
-        return self.fail(x).data
+        return self.fail(x)
 
 
 def test_non_finite_denoise_is_labeled_with_sampler_step():
+    # the ladder's denoised row is checked once, after its last substep
     _, op, y, _ = make_task()
-    den = _FailingDenoiser(lambda x: x.with_data(np.full(x.n, np.nan)))
+    den = _FailingDenoiser(lambda x: np.full(x.size, np.nan))
+    for substeps in (1, 2):
+        with pytest.raises(DivergenceError) as err:
+            sgps_run(den, op, y, run_cfg(4, ode_substeps=substeps), RngStream(24, 0))
+        assert err.value.stage == "denoise"
+        assert err.value.step_index == 1
+
+
+class _ProbeNaNDenoiser(GmmDenoiser):
+    """Mixture denoiser that returns NaN at every risk probe point: with
+    ode_substeps = 1, sure_repeats = 1 and mc_probes = 1 each step denoises
+    the ladder row, the risk's base point, then one probe point."""
+
+    calls = 0
+
+    def denoise(self, x, sigma):
+        self.calls += 1
+        out = super().denoise(x, sigma)
+        return np.full(x.size, np.nan) if self.calls % 3 == 0 else out
+
+
+def test_non_finite_probe_output_is_labeled_sure_value():
+    den, op, y, _ = make_task()
     with pytest.raises(DivergenceError) as err:
-        sgps_run(den, op, y, run_cfg(4), RngStream(24, 0))
-    assert err.value.stage == "denoise"
+        sgps_run(_ProbeNaNDenoiser(den.prior), op, y, run_cfg(4), RngStream(24, 0))
+    assert err.value.stage == "sure-value"
     assert err.value.step_index == 1
 
 
