@@ -14,6 +14,9 @@ import numpy as np
 
 from .core import SgpsError, ShapeMismatchError, Signal
 
+# DownsampleOp sums blocks of this factor and above with mean
+_MEAN_FACTOR = 8
+
 
 class ForwardOp:
     """A measurement operator.
@@ -210,21 +213,51 @@ class DownsampleOp(ForwardOp):
 
     def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
         f = self.factor
-        b = len(xs)
-        if len(self.input_shape) == 1:
-            out = xs.reshape(b, -1, f).mean(axis=2)
+        d = len(self.output_shape)
+        # (B, m, f) or (B, h, f, w, f): an axis of f after each signal axis
+        blocks = xs.reshape([len(xs)] + [k for s in self.output_shape for k in (s, f)])
+        if f >= _MEAN_FACTOR:
+            out = blocks.mean(axis=tuple(range(2, 2 * d + 1, 2)))
         else:
-            h, w = self.output_shape
-            out = xs.reshape(b, h, f, w, f).mean(axis=(2, 4))
-        return out.reshape(b, -1)
+            # mean's order, so the same bits: each block row added left to
+            # right, then the row sums in turn.  mean starts each sum at
+            # +0.0, which changes only a sum of negative zeros, so one +0.0
+            # at the end does the same.  From factor 8 up numpy adds a row
+            # pairwise, which groups the terms otherwise
+            rows = blocks[..., 0] + (blocks[..., 1] if f > 1 else 0.0)
+            for j in range(2, f):
+                rows += blocks[..., j]
+            out = rows
+            if d == 2:
+                out = rows[:, :, 0] + (rows[:, :, 1] if f > 1 else 0.0)
+                for i in range(2, f):
+                    out += rows[:, :, i]
+            out += 0.0
+            out /= f ** d
+        return out.reshape(len(xs), -1)
 
     def _adjoint_rows(self, ws: np.ndarray) -> np.ndarray:
+        return self._spread(ws / self.factor ** len(self.output_shape))
+
+    def _gradient_rows(self, xs: np.ndarray, y: np.ndarray, sigma_y: float) -> np.ndarray:
+        # A^T r / sigma_y^2 with both divisions taken on the small residual,
+        # in the order the adjoint and the generic gradient take them
+        q = self.apply(xs) - y
+        q /= self.factor ** len(self.output_shape)
+        q /= sigma_y * sigma_y
+        return self._spread(q)
+
+    def _spread(self, ws: np.ndarray) -> np.ndarray:
+        """Each value of the (B, n_out) rows repeated over its block."""
         f = self.factor
+        if len(self.output_shape) == 1:
+            return np.repeat(ws, f, axis=1)
         b = len(ws)
-        arr = ws.reshape((b,) + self.output_shape)
-        for ax in range(1, arr.ndim):
-            arr = np.repeat(arr, f, axis=ax)
-        return arr.reshape(b, -1) / f ** len(self.output_shape)
+        h, w = self.output_shape
+        wide = np.repeat(ws.reshape(b, h, w), f, axis=2)
+        out = np.empty((b, h, f, w * f))
+        out[...] = wide[:, :, None, :]
+        return out.reshape(b, -1)
 
 
 class MagnitudeDftOp(ForwardOp):

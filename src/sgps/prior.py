@@ -25,31 +25,35 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 MEMO_ENTRIES = 16
 
 
-def logsumexp(a: np.ndarray) -> np.float64:
-    """log(sum(exp(a))) over a 1-D array.
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis of a 2-D array, as a (B, 1) column.
 
     The maxima are split off the sum and counted.  This is the operation
     order of scipy.special.logsumexp, whose results it matches bit for bit
-    at about an eighth of its per-call cost; like scipy's, a non-finite
-    result falls back to the direct formula.
+    row by row at a fraction of its per-call cost; like scipy's, a
+    non-finite result falls back to the direct formula.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max()
+        a_max = a.max(axis=1, keepdims=True)
         at_max = a == a_max
-        m = np.float64(np.count_nonzero(at_max))
-        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum()
-        if s != 0:
-            s = s / m
+        m = np.count_nonzero(at_max, axis=1, keepdims=True).astype(np.float64)
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        s = np.where(s != 0, s / m, s)
         out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
+        bad = ~np.isfinite(out[:, 0])
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1, keepdims=True))
     return out
 
 
-def _check_sigma(sigma: float) -> float:
-    s = float(sigma)
-    if not np.isfinite(s) or s <= 0:
-        raise SgpsError(f"noise level must be positive and finite, got {sigma}")
+def _levels(xs: np.ndarray, sigmas) -> np.ndarray:
+    """The rows' noise levels as a (B, 1) column, one positive finite level
+    per row."""
+    s = np.asarray(sigmas, dtype=np.float64).reshape(-1, 1)
+    if len(s) != len(xs):
+        raise SgpsError(f"{len(s)} noise levels for {len(xs)} rows")
+    if not np.all((s > 0) & np.isfinite(s)):
+        raise SgpsError(f"noise levels must be positive and finite, got {s[:, 0]}")
     return s
 
 
@@ -60,20 +64,22 @@ class Denoiser(abc.ABC):
     clean signal, and give exact products with the transpose of that map's
     Jacobian.  The risk gradient is built from those products alone, so it
     costs no denoiser evaluation and the evaluation budget holds for every
-    denoiser.  Every method takes x as a flat float64 array of length n and
-    leaves it unchanged; denoise returns a new array.
+    denoiser.  Every method takes xs as a (B, n) float64 array, one point
+    per row, and sigmas as B noise levels, one per row, and leaves xs
+    unchanged; row b of the result is the result for row b alone.
     """
 
     @abc.abstractmethod
-    def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        """Estimate of the clean signal given x at noise level sigma."""
+    def denoise(self, xs: np.ndarray, sigmas) -> np.ndarray:
+        """New (B, n) array: each row's estimate of the clean signal given
+        that row at its level."""
 
     @abc.abstractmethod
-    def jacobian_vjp(self, x: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        """Exact J(x, sigma)^T v."""
+    def jacobian_vjp(self, xs: np.ndarray, sigmas, vs: np.ndarray) -> np.ndarray:
+        """(B, n) array of the exact products J(x_b, sigma_b)^T v_b."""
 
-    def jacobian_trace(self, x: np.ndarray, sigma: float) -> float:
-        """Exact trace of d denoise / d x at (x, sigma)."""
+    def jacobian_trace(self, xs: np.ndarray, sigmas) -> np.ndarray:
+        """(B,) array of the exact traces of d denoise / d x at each row."""
         raise NotImplementedError(f"{type(self).__name__} has no exact Jacobian trace")
 
 
@@ -134,9 +140,9 @@ class GmmDenoiser(Denoiser):
     """Posterior mean of a GmmPrior under additive Gaussian noise; its
     Jacobian products and trace are exact.
 
-    The posterior at a point is a pure function of the point and the
-    read-only mixture, so the last MEMO_ENTRIES points are kept and a
-    repeat returns the same bits.
+    The posterior at a point is a pure function of the point, its level and
+    the read-only mixture, so the last MEMO_ENTRIES points are kept, one per
+    row, and a repeat returns the same bits.
     """
 
     def __init__(self, prior: GmmPrior):
@@ -144,71 +150,101 @@ class GmmDenoiser(Denoiser):
         self._mean_sq = np.einsum("kn,kn->k", prior.means, prior.means)
         self._memo: OrderedDict = OrderedDict()
 
-    def _log_resp(self, x: np.ndarray, smoothed_var: float) -> np.ndarray:
-        """Log responsibilities at x, up to a constant shared by every k.
+    def _log_resp(self, xs: np.ndarray, smoothed_var: np.ndarray) -> np.ndarray:
+        """(B, K) log responsibilities at the rows xs, each row up to a
+        constant shared by every k; smoothed_var is a (B, 1) column.
 
         ||x - m_k||^2 = ||x||^2 - 2 m_k.x + ||m_k||^2, and normalisation
-        cancels ||x||^2.  Against subtract-and-square distances the moments
+        cancels ||x||^2, so every row's distances come from one product
+        xs @ means^T.  Against subtract-and-square distances the moments
         differ by up to 1e-10 relative at mean amplitude 1 (4e-7 at 100);
         against extended precision this form was never the farther of the two.
         """
-        d2 = self._mean_sq - 2.0 * (self.prior.means @ x)
+        d2 = self._mean_sq - 2.0 * (xs @ self.prior.means.T)
         return np.log(self.prior.weights) - d2 / (2.0 * smoothed_var)
 
-    def _moments(self, x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, slice]:
-        """Read-only responsibilities g at (x, sigma) and g @ means, and the
-        span of g's nonzero entries, outside which g is exactly 0.0 (never
-        empty: g's largest entry is 1, or NaN if the point overflowed)."""
-        key = (float(sigma), x.tobytes())
-        hit = self._memo.get(key)
-        if hit is not None:
-            self._memo.move_to_end(key)
-            return hit
-        lr = self._log_resp(x, self.prior.var_scale + sigma * sigma)
+    def _posterior(self, xs: np.ndarray, sig: np.ndarray) -> list[tuple]:
+        """Per row: read-only responsibilities g, g @ means, and the span
+        (first, last + 1) of g's nonzero entries, outside which g is exactly
+        0.0 (never empty: g's largest entry is 1, or NaN if the row
+        overflowed).  The posterior means are one product over the union
+        of the spans."""
+        lr = self._log_resp(xs, self.prior.var_scale + sig * sig)
         lr -= logsumexp(lr)
         g = np.exp(lr)
-        nz = np.flatnonzero(g)
-        span = slice(int(nz[0]), int(nz[-1]) + 1)
-        mbar = g[span] @ self.prior.means[span]
+        nz = g != 0
+        first = nz.argmax(axis=1)
+        stop = nz.shape[1] - nz[:, ::-1].argmax(axis=1)
+        span = slice(int(first.min()), int(stop.max()))
+        mbar = g[:, span] @ self.prior.means[span]
         g.flags.writeable = False
         mbar.flags.writeable = False
-        self._memo[key] = (g, mbar, span)
-        if len(self._memo) > MEMO_ENTRIES:
-            self._memo.popitem(last=False)
-        return g, mbar, span
+        return list(zip(g, mbar, zip(first.tolist(), stop.tolist())))
 
-    def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
+    def _moments(self, xs: np.ndarray, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray, slice]:
+        """(B, K) responsibilities and (B, n) posterior means at the rows
+        xs with the (B, 1) levels sig, and the union of the rows' nonzero
+        spans.  Rows the memo holds are not recomputed; the others are
+        computed together, each distinct point once."""
+        keys = [(s, x.tobytes()) for x, s in zip(xs, sig[:, 0].tolist())]
+        found = [self._memo.get(key) for key in keys]
+        todo: dict = {}
+        for i, (key, hit) in enumerate(zip(keys, found)):
+            if hit is None:
+                todo.setdefault(key, i)
+            else:
+                self._memo.move_to_end(key)
+        if todo:
+            rows = list(todo.values())
+            new = dict(zip(todo, self._posterior(xs[rows], sig[rows])))
+            self._memo.update(new)
+            while len(self._memo) > MEMO_ENTRIES:
+                self._memo.popitem(last=False)
+            found = [new[key] if hit is None else hit for key, hit in zip(keys, found)]
+        g, mbar, spans = zip(*found)
+        span = slice(min(s[0] for s in spans), max(s[1] for s in spans))
+        return np.stack(g), np.stack(mbar), span
+
+    def denoise(self, xs: np.ndarray, sigmas) -> np.ndarray:
         """MMSE estimate of the clean signal given x = clean + sigma * noise."""
-        sigma = _check_sigma(sigma)
+        sig = _levels(xs, sigmas)
         s2 = self.prior.var_scale
-        mbar = self._moments(x, sigma)[1]
-        return (s2 * x + sigma * sigma * mbar) / (s2 + sigma * sigma)
+        mbar = self._moments(xs, sig)[1]
+        return (s2 * xs + sig * sig * mbar) / (s2 + sig * sig)
 
-    def jacobian_trace(self, x: np.ndarray, sigma: float) -> float:
+    def jacobian_trace(self, xs: np.ndarray, sigmas) -> np.ndarray:
         """Exact trace of the posterior-mean Jacobian.
 
         J = (s^2 I + sig^2 C / v^2) / v^2 with C the responsibility-weighted
         covariance of the component means, so the trace needs only the
         weighted second moments, never an n x n matrix.
         """
-        sigma = _check_sigma(sigma)
+        sig = _levels(xs, sigmas)
         s2 = self.prior.var_scale
-        sig2 = sigma * sigma
+        sig2 = (sig * sig)[:, 0]
         v2 = s2 + sig2
-        g, mbar, _ = self._moments(x, sigma)
-        trace_c = float(g @ self._mean_sq) - float(mbar @ mbar)
+        g, mbar, _ = self._moments(xs, sig)
+        trace_c = g @ self._mean_sq - np.einsum("bn,bn->b", mbar, mbar)
         return self.prior.n * s2 / v2 + sig2 * trace_c / (v2 * v2)
 
-    def jacobian_vjp(self, x: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        """J^T v; J is symmetric for this prior so this is also J v."""
-        sigma = _check_sigma(sigma)
+    def jacobian_vjp(self, xs: np.ndarray, sigmas, vs: np.ndarray) -> np.ndarray:
+        """J^T v; J is symmetric for this prior so this is also J v.
+
+        C v is written in the covariance's centred form (g * (p - g.p)) @
+        means with p = means @ v, two products for all rows.  For one
+        component g is exactly 1 and p - g.p exactly 0, so C v is exactly 0.
+        """
+        sig = _levels(xs, sigmas)
         s2 = self.prior.var_scale
-        sig2 = sigma * sigma
+        sig2 = sig * sig
         v2 = s2 + sig2
-        g, mbar, span = self._moments(x, sigma)
+        g, _, span = self._moments(xs, sig)
         means = self.prior.means[span]
-        cv = (g[span] * (means @ v)) @ means - mbar * float(mbar @ v)
-        return (s2 * v) / v2 + sig2 * cv / (v2 * v2)
+        g = g[:, span]
+        p = vs @ means.T
+        p -= np.einsum("bk,bk->b", g, p)[:, None]
+        cv = (g * p) @ means
+        return (s2 * vs) / v2 + sig2 * cv / (v2 * v2)
 
 
 class PerturbedDenoiser(Denoiser):
@@ -230,39 +266,40 @@ class PerturbedDenoiser(Denoiser):
         idx = np.arange(1, n + 1, dtype=np.float64)
         return _TWO_PI * np.mod(idx * _GOLDEN, 1.0)
 
-    def _slope(self, x: np.ndarray) -> np.ndarray:
+    def _slope(self, xs: np.ndarray) -> np.ndarray:
         """The perturbation's derivative: its Jacobian is this diagonal."""
-        return self.amplitude * self.frequency * np.cos(self.frequency * x + self._phase(x.size))
+        wave = self.frequency * xs + self._phase(xs.shape[1])
+        return self.amplitude * self.frequency * np.cos(wave)
 
-    def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        _check_sigma(sigma)
-        d = self.base.denoise(x, sigma)
-        return d + self.amplitude * np.sin(self.frequency * x + self._phase(x.size))
+    def denoise(self, xs: np.ndarray, sigmas) -> np.ndarray:
+        _levels(xs, sigmas)
+        d = self.base.denoise(xs, sigmas)
+        return d + self.amplitude * np.sin(self.frequency * xs + self._phase(xs.shape[1]))
 
-    def jacobian_trace(self, x: np.ndarray, sigma: float) -> float:
-        return self.base.jacobian_trace(x, sigma) + float(self._slope(x).sum())
+    def jacobian_trace(self, xs: np.ndarray, sigmas) -> np.ndarray:
+        return self.base.jacobian_trace(xs, sigmas) + self._slope(xs).sum(axis=1)
 
-    def jacobian_vjp(self, x: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        return self.base.jacobian_vjp(x, sigma, v) + self._slope(x) * v
+    def jacobian_vjp(self, xs: np.ndarray, sigmas, vs: np.ndarray) -> np.ndarray:
+        return self.base.jacobian_vjp(xs, sigmas, vs) + self._slope(xs) * vs
 
 
 class CountingDenoiser(Denoiser):
     """Wrapper that counts forward evaluations of the wrapped denoiser.
 
-    Jacobian diagnostics are delegated without counting; only denoise calls
-    cost a function evaluation in the budget sense.
+    Each denoised row is one evaluation in the budget sense, however many
+    rows a call takes.  Jacobian diagnostics are delegated without counting.
     """
 
     def __init__(self, base: Denoiser):
         self.base = base
         self.calls = 0
 
-    def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        self.calls += 1
-        return self.base.denoise(x, sigma)
+    def denoise(self, xs: np.ndarray, sigmas) -> np.ndarray:
+        self.calls += len(xs)
+        return self.base.denoise(xs, sigmas)
 
-    def jacobian_trace(self, x: np.ndarray, sigma: float) -> float:
-        return self.base.jacobian_trace(x, sigma)
+    def jacobian_trace(self, xs: np.ndarray, sigmas) -> np.ndarray:
+        return self.base.jacobian_trace(xs, sigmas)
 
-    def jacobian_vjp(self, x: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        return self.base.jacobian_vjp(x, sigma, v)
+    def jacobian_vjp(self, xs: np.ndarray, sigmas, vs: np.ndarray) -> np.ndarray:
+        return self.base.jacobian_vjp(xs, sigmas, vs)

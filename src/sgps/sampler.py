@@ -44,29 +44,30 @@ STREAM_INIT, STREAM_GUIDE, STREAM_PROBE, STREAM_RENOISE = range(4)
 
 
 def denoise_step(den: Denoiser, x_t: np.ndarray, sigma_t: float, substeps: int) -> np.ndarray:
-    """Clean-signal estimate from the flat row x_t at level sigma_t.
+    """Clean-signal estimates from the (B, n) rows x_t, all at level sigma_t.
 
     substeps == 1 is a raw denoiser call.  substeps > 1 runs Euler steps of
     the flow dx/dsigma = (x - D(x, sigma)) / sigma along a geometric ladder
     of evaluation points from sigma_t down to the ladder floor T_MIN, with an
     implicit terminal level of zero; the cost is exactly substeps denoiser
-    evaluations either way.  A non-finite estimate raises NonFiniteError.
+    evaluations per row either way.  A non-finite estimate raises
+    NonFiniteError.
     """
     if substeps < 1:
         raise SgpsError(f"substeps must be >= 1, got {substeps}")
     if sigma_t <= 0:
         raise SgpsError(f"sigma_t must be positive, got {sigma_t}")
     if substeps == 1:
-        x = den.denoise(x_t, sigma_t)
+        x = den.denoise(x_t, np.full(len(x_t), sigma_t))
     else:
         pts = np.geomspace(sigma_t, min(T_MIN, sigma_t), substeps)
         x = x_t
         for j in range(substeps):
             sj = float(pts[j])
             s_next = float(pts[j + 1]) if j + 1 < substeps else 0.0
-            x = x + (s_next - sj) * (x - den.denoise(x, sj)) / sj
+            x = x + (s_next - sj) * (x - den.denoise(x, np.full(len(x), sj))) / sj
     if not all_finite(x):
-        raise NonFiniteError("denoised row is not finite")
+        raise NonFiniteError("denoised rows are not finite")
     return x
 
 
@@ -116,8 +117,8 @@ def walk_ladder(
     """Walk one chain per stream in rngs down the first `depth` ladder
     levels, in lockstep, as the rows of (B, n) arrays.
 
-    Each chain starts from a draw at the top level.  At level k each row is
-    denoised on its own, then all rows are guided toward y together;
+    Each chain starts from a draw at the top level.  At level k all rows are
+    denoised in one call, then guided toward y together;
     finish(k, sigma_t, x0t, x0ty) gets the denoised and the guided rows and
     returns the level's rows, which are renoised to the next level.  The
     last level's rows are returned as is.  Row b draws only from rngs[b],
@@ -134,10 +135,7 @@ def walk_ladder(
     for k in range(depth):
         sigma_t = float(sigmas[k])
         step_no = k + 1
-        x0t = np.stack([
-            _stage(lambda: denoise_step(den, row, sigma_t, cfg.ode_substeps), "denoise", step_no)
-            for row in x
-        ])
+        x0t = _stage(lambda: denoise_step(den, x, sigma_t, cfg.ode_substeps), "denoise", step_no)
         x0ty = _stage(
             lambda: langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_guide),
             "guidance", step_no,

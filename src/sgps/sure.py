@@ -31,30 +31,6 @@ def probe_epsilon(x_noisy: Signal) -> float:
     return max(top, floor)
 
 
-def _trace_with_probes(
-    den: Denoiser,
-    x: np.ndarray,
-    sigma_hat: float,
-    epsilon: float,
-    probes: np.ndarray,
-    base: np.ndarray,
-) -> float:
-    """Probe-averaged trace estimate at the flat point x sharing a
-    precomputed base output."""
-    sigma_probe = max(epsilon, sigma_hat)
-    total = 0.0
-    for b in probes:
-        perturbed = den.denoise(x + epsilon * b, sigma_probe)
-        if np.array_equal(perturbed, base):
-            warnings.warn(
-                f"probe step {epsilon} produced no representable output change",
-                RoundoffWarning,
-                stacklevel=3,
-            )
-        total += float(b @ (perturbed - base)) / epsilon
-    return total / probes.shape[0]
-
-
 @dataclass(frozen=True)
 class SureEvaluation:
     """One risk evaluation: where it was taken, its terms, and the frozen
@@ -81,9 +57,24 @@ def _evaluate(
     den: Denoiser, x: Signal, sigma_hat: float, epsilon: float, probes: np.ndarray
 ) -> SureEvaluation:
     """The risk expression at x with sigma_hat, epsilon, and probes held
-    fixed; the gradient differentiates this function of x."""
-    xhat = den.denoise(x.data, sigma_hat)
-    trace = _trace_with_probes(den, x.data, sigma_hat, epsilon, probes, xhat)
+    fixed; the gradient differentiates this function of x.  The point and
+    its probe points are denoised in one call."""
+    count = probes.shape[0]
+    xs = np.concatenate([x.data[None], x.data + epsilon * probes])
+    levels = np.full(1 + count, max(epsilon, sigma_hat))
+    levels[0] = sigma_hat
+    out = den.denoise(xs, levels)
+    xhat = out[0]
+    total = 0.0
+    for b, perturbed in zip(probes, out[1:]):
+        if np.array_equal(perturbed, xhat):
+            warnings.warn(
+                f"probe step {epsilon} produced no representable output change",
+                RoundoffWarning,
+                stacklevel=3,
+            )
+        total += float(b @ (perturbed - xhat)) / epsilon
+    trace = total / count
     resid = x.data - xhat
     s2 = sigma_hat * sigma_hat
     value = -(x.n * s2) + float(resid @ resid) + 2.0 * s2 * trace
@@ -133,15 +124,21 @@ def sure_gradient(den: Denoiser, evaluation: SureEvaluation) -> Signal:
     sigma_hat = evaluation.sigma_used
     eps = evaluation.epsilon
     probes = evaluation.probes
+    count = probes.shape[0]
     s2 = sigma_hat * sigma_hat
-    sigma_probe = max(eps, sigma_hat)
     resid = xv - evaluation.denoised
-    g = 2.0 * (resid - den.jacobian_vjp(xv, sigma_hat, resid))
+    # all 1 + 2 * count products in one call: J^T resid at x, then J^T b at
+    # each probe point, then J^T b at x
+    xs = np.concatenate([xv[None], xv + eps * probes, np.broadcast_to(xv, probes.shape)])
+    levels = np.full(1 + 2 * count, sigma_hat)
+    levels[1:1 + count] = max(eps, sigma_hat)
+    prods = den.jacobian_vjp(xs, levels, np.concatenate([resid[None], probes, probes]))
+    g = 2.0 * (resid - prods[0])
     acc = np.zeros(x.n)
-    for b in probes:
-        acc += den.jacobian_vjp(xv + eps * b, sigma_probe, b)
-        acc -= den.jacobian_vjp(xv, sigma_hat, b)
-    g += (2.0 * s2 / (eps * probes.shape[0])) * acc
+    for at_probe, at_x in zip(prods[1:1 + count], prods[1 + count:]):
+        acc += at_probe
+        acc -= at_x
+    g += (2.0 * s2 / (eps * count)) * acc
     return x.with_data(g)
 
 

@@ -47,14 +47,14 @@ class LinearDenoiser(Denoiser):
         self.matrix = m
         self.offset = np.zeros(len(m)) if offset is None else np.asarray(offset, dtype=np.float64)
 
-    def denoise(self, x, sigma):
-        return self.matrix @ x + self.offset
+    def denoise(self, xs, sigmas):
+        return xs @ self.matrix.T + self.offset
 
-    def jacobian_trace(self, x, sigma):
-        return float(np.trace(self.matrix))
+    def jacobian_trace(self, xs, sigmas):
+        return np.full(len(xs), float(np.trace(self.matrix)))
 
-    def jacobian_vjp(self, x, sigma, v):
-        return self.matrix.T @ v
+    def jacobian_vjp(self, xs, sigmas, vs):
+        return vs @ self.matrix
 
 
 @pytest.fixture
@@ -63,17 +63,22 @@ def linear_denoiser():
     return LinearDenoiser
 
 
+def _mixture_moments(den, xv, sigma):
+    """A GmmDenoiser's responsibilities and posterior mean at the flat point xv."""
+    g, mbar, _ = den._moments(xv[None], np.array([[sigma]]))
+    return g[0], mbar[0]
+
+
 def _mixture_score(den, xv, sigma):
     """Gradient of the sigma-smoothed mixture's log density at the flat point
     xv, (g @ means - x) / (s^2 + sigma^2), from a GmmDenoiser's own moments."""
     v2 = den.prior.var_scale + sigma * sigma
-    mbar = den._moments(xv, sigma)[1]
-    return (mbar - xv) / v2
+    return (_mixture_moments(den, xv, sigma)[1] - xv) / v2
 
 
 def _mixture_responsibilities(den, xv, sigma):
     """Posterior component probabilities of a GmmDenoiser at the flat point xv."""
-    return den._moments(xv, sigma)[0]
+    return _mixture_moments(den, xv, sigma)[0]
 
 
 def _mixture_direct(prior, xv, sigma, v):

@@ -112,7 +112,7 @@ def test_03_trace_probes(linear_denoiser):
     def probe_trace(d, probes, stream):
         return sure_value(d, x, sigma, cfg.replace(mc_probes=probes), stream).trace_estimate
 
-    exact = den.jacobian_trace(x.data, sigma)
+    exact = den.jacobian_trace(x.data[None], [sigma])[0]
     est = probe_trace(den, 1000, rng.substream(1))
     rel = abs(est - exact) / abs(exact)
 

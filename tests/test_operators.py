@@ -240,6 +240,35 @@ class TestDownsample:
         got = op.fidelity_gradient(x, y, 0.3).data
         np.testing.assert_allclose(got, fd_fidelity(op, x, y, 0.3), rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("factor", range(1, 11))
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_rows_equal_the_mean_and_repeat_forms(self, factor, ndim, batch):
+        # apply, adjoint and gradient bit for bit against block means taken
+        # with mean, the adjoint built with repeat, and the generic gradient
+        # A^T (A x - y) / sigma_y^2; a block of negative zeros averages to +0
+        shape = (5 * factor,) if ndim == 1 else (3 * factor, 4 * factor)
+        op = DownsampleOp(shape, factor)
+        g = RngStream(10, factor)
+        xs = g.standard_normal((batch, math.prod(shape)))
+        xs[0, :factor] = -0.0
+        ws = g.standard_normal((batch, math.prod(op.output_shape)))
+        y = ws[-1]
+        blocks = [d for s in op.output_shape for d in (s, factor)]
+        mean = xs.reshape([batch] + blocks).mean(axis=tuple(range(2, 2 + 2 * ndim, 2)))
+        mean = mean.reshape(batch, -1)
+        spread = ws.reshape((batch,) + op.output_shape)
+        for ax in range(1, ndim + 1):
+            spread = np.repeat(spread, factor, axis=ax)
+        adjoint = spread.reshape(batch, -1) / factor ** ndim
+        resid = (mean - y).reshape((batch,) + op.output_shape)
+        for ax in range(1, ndim + 1):
+            resid = np.repeat(resid, factor, axis=ax)
+        gradient = resid.reshape(batch, -1) / factor ** ndim / (0.3 * 0.3)
+        for got, want in ((op.apply(xs), mean), (op.adjoint(ws), adjoint),
+                          (op.fidelity_gradient(xs, y, 0.3), gradient)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestMagnitudeDft:
     def test_impulse_has_flat_magnitude(self):

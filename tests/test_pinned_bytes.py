@@ -4,12 +4,16 @@ denoiser.
 The first four digests were taken before the sampler and the chain
 experiments were made to share one ladder step; any refactor of the step
 must leave them unchanged.  They use one-component priors, whose
-responsibilities are exactly 1, so the MIXTURE_* digests pin the K > 1
-posterior path as well.  Those three were retaken when the mixture's
-distances became one product with the means and its products came to run
-over the nonzero responsibilities only, which rounds differently; the
-closed-form check that stands beside them is tests/test_prior.py's
-TestDirectFormula.  All of them depend on float64 arithmetic being bitwise
+responsibilities are exactly 1, so their posterior mean and Jacobian
+products are elementwise formulas that keep their bits when the denoiser
+takes many rows per call.  The MIXTURE_* digests pin the K > 1 posterior
+path as well.  They were retaken when the mixture's distances became one
+product with the means and its products came to run over the nonzero
+responsibilities only, and again when the denoiser came to take (B, n)
+rows, so that the distances, the posterior means and the Jacobian products
+of all rows are matrix products and the products take the covariance's
+centred form; both round differently.  The closed-form check that stands
+beside them is tests/test_prior.py's TestDirectFormula, on rows.  All of them depend on float64 arithmetic being bitwise
 reproducible, so a different numpy or BLAS build may need them retaken.
 """
 import hashlib
@@ -30,9 +34,9 @@ STEP_CSV_SHA256 = "b910f56e4665819cf67531253fb5717aeafcfa5744e129abbc2e978db96d6
 SAMPLE_SHA256 = "afed79a00d894779b065dc00372bf3893983a6985cbaf675d2e584624a20d5b0"
 PREFIX_SHA256 = "86eb26df32579c01fe54a4b72dee6e4618b223c58ce4f4afeeb4955016bd0e57"
 KL_SHA256 = "0fe5f11c79b6a22f1257ddf3a0438b4d0ab7748262077507600652ac50457a36"
-MIXTURE_STEP_CSV_SHA256 = "0bdc442af2c62405d31f07ff3ec9a89ca47a688e370ae49f26d11a96090c45e2"
-MIXTURE_SAMPLE_SHA256 = "65d18a856f69aaae0290513bcecd26f42006220879c1cfddc4d9589b1f8d5287"
-MIXTURE_DIAGNOSTICS_SHA256 = "c200520525abdd0d53c7641d57c319ca2aa9c1d1c11c3d0f79c624444038ba79"
+MIXTURE_STEP_CSV_SHA256 = "321297c7c7454b93d74b3e4c277aa68afc95e9800f6038913fd2ec8819d7f74a"
+MIXTURE_SAMPLE_SHA256 = "cd0298ac160e9cc39e5d5b391af6f8ef1fd4faefd244ac7933651f50844ab678"
+MIXTURE_DIAGNOSTICS_SHA256 = "1b004cec92c25d544d0eab8a4a4bd77e06eea1edad4ada5c972f406f9be9dcff"
 
 
 def sha256(data: bytes) -> str:
@@ -124,16 +128,20 @@ def test_mixture_diagnostic_bytes(mixture_score, mixture_responsibilities):
     prior, _, _, _ = mixture_task()
     den = GmmDenoiser(prior)
     g = RngStream(73, 0)
-    h = hashlib.sha256()
     middle = 0.5 * (prior.means[3] + prior.means[5])
-    for sigma in (3.0, 1.0, 0.3):
-        # between two components, so the responsibilities are not one-hot
-        x = middle + sigma * g.normal(prior.n)
-        v = g.normal(prior.n)
-        # the denoised output first, then the diagnostics at the same point
-        h.update(den.denoise(x, sigma).tobytes())
-        h.update(den.jacobian_vjp(x, sigma, v).tobytes())
-        h.update(struct.pack("<d", den.jacobian_trace(x, sigma)))
-        h.update(mixture_score(den, x, sigma).tobytes())
-        h.update(mixture_responsibilities(den, x, sigma).tobytes())
+    sigmas = [3.0, 1.0, 0.3]
+    # between two components, so the responsibilities are not one-hot
+    points = [(middle + sigma * g.normal(prior.n), g.normal(prior.n)) for sigma in sigmas]
+    xs = np.stack([x for x, _ in points])
+    vs = np.stack([v for _, v in points])
+    # all three points in one call of each method, the denoised rows first
+    rows = (den.denoise(xs, sigmas), den.jacobian_vjp(xs, sigmas, vs),
+            den.jacobian_trace(xs, sigmas))
+    h = hashlib.sha256()
+    for b, sigma in enumerate(sigmas):
+        h.update(rows[0][b].tobytes())
+        h.update(rows[1][b].tobytes())
+        h.update(struct.pack("<d", rows[2][b]))
+        h.update(mixture_score(den, xs[b], sigma).tobytes())
+        h.update(mixture_responsibilities(den, xs[b], sigma).tobytes())
     assert h.hexdigest() == MIXTURE_DIAGNOSTICS_SHA256

@@ -62,7 +62,12 @@ class TestValidation:
     def test_sigma_must_be_positive(self):
         den = GmmDenoiser(small_prior())
         with pytest.raises(SgpsError):
-            den.denoise(np.zeros(5), 0.0)
+            den.denoise(np.zeros((2, 5)), [0.5, 0.0])
+
+    def test_one_level_per_row(self):
+        den = GmmDenoiser(small_prior())
+        with pytest.raises(SgpsError, match="2 noise levels for 3 rows"):
+            den.denoise(np.zeros((3, 5)), [0.5, 0.5])
 
 
 def test_logsumexp_matches_scipy_bitwise():
@@ -71,19 +76,24 @@ def test_logsumexp_matches_scipy_bitwise():
 
     from sgps.prior import logsumexp
 
+    # row by row, whatever the other rows hold
     g = RngStream(3, 0)
     for k in (1, 2, 3, 8, 9, 17, 256):
+        rows = []
         for t in range(200):
             a = g.standard_normal(k) * 10.0 ** (t % 7 - 3) - 100.0 * (t % 3)
             if k > 1 and t % 4 == 0:
                 a[t % k] = a.max()  # a tie at the maximum
             if k > 2 and t % 5 == 0:
                 a[: k // 2] = a[0]
-            want = scipy_logsumexp(a)
-            assert logsumexp(a) == want and type(logsumexp(a)) is type(want)
-    for a in ([-np.inf, 0.0], [-np.inf, -np.inf], [1e308, 1e308]):
-        a = np.array(a)
-        assert logsumexp(a) == scipy_logsumexp(a)
+            rows.append(a)
+        out = logsumexp(np.stack(rows))
+        assert out.shape == (200, 1)
+        for a, got in zip(rows, out[:, 0]):
+            assert got == scipy_logsumexp(a)
+    special = np.array([[-np.inf, 0.0], [-np.inf, -np.inf], [1e308, 1e308], [0.5, -1.0]])
+    for a, got in zip(special, logsumexp(special)[:, 0]):
+        assert got == scipy_logsumexp(a)
 
 
 def test_log_density_matches_scipy_mixture(mixture_log_density):
@@ -107,7 +117,7 @@ def test_score_is_gradient_of_log_density(mixture_score, mixture_log_density):
     x = RngStream(6, 0).normal(5)
     grad = fd_gradient(lambda v: mixture_log_density(prior, v, sigma), x)
     np.testing.assert_allclose(mixture_score(den, x, sigma), grad, rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(den.denoise(x, sigma), x + sigma * sigma * grad,
+    np.testing.assert_allclose(den.denoise(x[None], [sigma])[0], x + sigma * sigma * grad,
                                rtol=1e-6, atol=1e-8)
 
 
@@ -116,35 +126,45 @@ def test_posterior_mean_tweedie_identity(mixture_score):
     den = GmmDenoiser(small_prior(k=2, n=6, seed=4))
     sigma = 0.6
     x = RngStream(7, 0).normal(6)
-    lhs = den.denoise(x, sigma)
+    lhs = den.denoise(x[None], [sigma])[0]
     rhs = x + sigma * sigma * mixture_score(den, x, sigma)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_single_component_closed_form():
-    # one component has responsibility exactly 1, so the mean is the linear
-    # formula bit for bit
+    # one component has responsibility exactly 1, so each row's mean is the
+    # linear formula at its own level bit for bit, and its products are
+    # s^2 v / v^2, as C v is exactly 0
     n = 64
     g = RngStream(49, 0)
     m = g.standard_normal(n)
     den = GmmDenoiser(GmmPrior(np.array([1.0]), m[None, :], 0.8, (n,)))
-    for sigma in (8.0, 0.5, 0.02):
-        x = g.standard_normal(n)
+    sigmas = [8.0, 0.5, 0.02]
+    xs, vs = g.standard_normal((3, n)), g.standard_normal((3, n))
+    got = den.denoise(xs, sigmas)
+    vjp = den.jacobian_vjp(xs, sigmas, vs)
+    trace = den.jacobian_trace(xs, sigmas)
+    for b, sigma in enumerate(sigmas):
         v2 = 0.8 + sigma * sigma
-        expected = (0.8 * x + sigma * sigma * m) / v2
-        got = den.denoise(x, sigma)
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-        assert den.jacobian_trace(x, sigma) == pytest.approx(n * 0.8 / v2, rel=1e-14)
+        expected = (0.8 * xs[b] + sigma * sigma * m) / v2
+        assert np.array_equal(got[b].view(np.uint64), expected.view(np.uint64))
+        product = (0.8 * vs[b]) / v2
+        assert np.array_equal(vjp[b].view(np.uint64), product.view(np.uint64))
+        assert trace[b] == pytest.approx(n * 0.8 / v2, rel=1e-14)
 
 
 def fd_jacobian(den, xv, sigma, h=1e-6):
-    n = xv.size
-    jac = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        jac[:, i] = (den.denoise(xv + e, sigma) - den.denoise(xv - e, sigma)) / (2 * h)
-    return jac
+    # row i of each call is xv moved by h along coordinate i, so row i of
+    # the difference is column i of the Jacobian
+    steps = h * np.eye(xv.size)
+    levels = np.full(xv.size, sigma)
+    diff = den.denoise(xv + steps, levels) - den.denoise(xv - steps, levels)
+    return (diff / (2 * h)).T
+
+
+def one_row(method, x, sigma, *v):
+    """A denoiser method at the single point x, as a one-row call."""
+    return method(x[None], [sigma], *(a[None] for a in v))[0]
 
 
 def test_trace_jacobian_matches_brute_force():
@@ -152,7 +172,7 @@ def test_trace_jacobian_matches_brute_force():
     sigma = 0.35
     x = RngStream(9, 0).normal(5)
     jac = fd_jacobian(den, x, sigma)
-    assert den.jacobian_trace(x, sigma) == pytest.approx(np.trace(jac), rel=1e-5)
+    assert one_row(den.jacobian_trace, x, sigma) == pytest.approx(np.trace(jac), rel=1e-5)
 
 
 def test_jacobian_vjp_matches_brute_force():
@@ -161,7 +181,8 @@ def test_jacobian_vjp_matches_brute_force():
     x = RngStream(11, 0).normal(5)
     v = RngStream(12, 0).normal(5)
     jac = fd_jacobian(den, x, sigma)
-    np.testing.assert_allclose(den.jacobian_vjp(x, sigma, v), jac.T @ v, rtol=1e-5, atol=1e-8)
+    np.testing.assert_allclose(one_row(den.jacobian_vjp, x, sigma, v), jac.T @ v,
+                               rtol=1e-5, atol=1e-8)
 
 
 def test_jacobian_is_symmetric():
@@ -184,32 +205,69 @@ def contract_denoisers(linear_denoiser):
     on n = 6 points."""
     gmm = GmmDenoiser(small_prior(k=4, n=6, seed=19))
     g = RngStream(20, 0)
+    k1 = GmmDenoiser(GmmPrior(np.array([1.0]), g.standard_normal((1, 6)), 0.5, (6,)))
     return {
-        "gmm-k1": GmmDenoiser(GmmPrior(np.array([1.0]), g.standard_normal((1, 6)), 0.5, (6,))),
+        "gmm-k1": k1,
         "gmm-k4": gmm,
         "perturbed": PerturbedDenoiser(gmm, amplitude=0.05, frequency=3.0),
+        "perturbed-k1": PerturbedDenoiser(k1, amplitude=0.05, frequency=3.0),
         "counting": CountingDenoiser(gmm),
         "linear": linear_denoiser(0.3 * g.standard_normal((6, 6)), g.normal(6)),
     }
 
 
-@pytest.mark.parametrize("kind", ["gmm-k1", "gmm-k4", "perturbed", "counting", "linear"])
+CONTRACT_KINDS = ["gmm-k1", "gmm-k4", "perturbed", "perturbed-k1", "counting", "linear"]
+# every row's posterior is one component's, so the mean and the products
+# are elementwise; a matrix product, mixture or linear, rounds with the batch
+BITWISE_KINDS = {"gmm-k1", "perturbed-k1"}
+
+
+@pytest.mark.parametrize("kind", CONTRACT_KINDS)
 def test_denoiser_contract(kind, linear_denoiser):
-    # a read-only flat float64 x goes in and comes back unchanged; denoise
-    # returns a new (n,) float64 array on every call
+    # read-only (B, n) float64 rows and one level per row go in, and the
+    # rows come back unchanged; denoise returns a new (B, n) float64 array
+    # on every call, jacobian_vjp a (B, n) and jacobian_trace a (B,) array
     den = contract_denoisers(linear_denoiser)[kind]
     g = RngStream(21, 0)
-    x, v = g.normal(6), g.normal(6)
-    x.flags.writeable = v.flags.writeable = False
-    before = x.copy()
-    out = den.denoise(x, 0.4)
-    assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (6,)
-    again = den.denoise(x, 0.4)
+    xs, vs = g.standard_normal((3, 6)), g.standard_normal((3, 6))
+    levels = np.array([0.4, 1.3, 0.4])
+    for a in (xs, vs, levels):
+        a.flags.writeable = False
+    before = xs.copy()
+    out = den.denoise(xs, levels)
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (3, 6)
+    again = den.denoise(xs, levels)
     assert np.array_equal(out, again)
-    assert not np.shares_memory(out, x) and not np.shares_memory(out, again)
-    assert den.jacobian_vjp(x, 0.4, v).shape == (6,)
-    assert np.isfinite(den.jacobian_trace(x, 0.4))
-    assert np.array_equal(x, before)
+    assert not np.shares_memory(out, xs) and not np.shares_memory(out, again)
+    assert den.jacobian_vjp(xs, levels, vs).shape == (3, 6)
+    trace = den.jacobian_trace(xs, levels)
+    assert trace.shape == (3,) and np.all(np.isfinite(trace))
+    assert np.array_equal(xs, before)
+
+
+@pytest.mark.parametrize("kind", CONTRACT_KINDS)
+def test_row_equals_the_one_row_call(kind, linear_denoiser):
+    # row b of a B-row call is the call on row b alone, each on a fresh
+    # denoiser so that no memo is shared: bit for bit where every row's
+    # posterior is one component's, to rel 1e-12 where a matrix product
+    # rounds with the batch
+    g = RngStream(22, 0)
+    xs, vs = g.standard_normal((5, 6)), g.standard_normal((5, 6))
+    levels = [0.3, 2.0, 0.3, 0.05, 7.5]
+    batch = contract_denoisers(linear_denoiser)[kind]
+    got = (batch.denoise(xs, levels), batch.jacobian_vjp(xs, levels, vs),
+           batch.jacobian_trace(xs, levels))
+    for b in range(5):
+        den = contract_denoisers(linear_denoiser)[kind]
+        want = (one_row(den.denoise, xs[b], levels[b]),
+                one_row(den.jacobian_vjp, xs[b], levels[b], vs[b]),
+                one_row(den.jacobian_trace, xs[b], levels[b]))
+        for rows, row in zip(got, want):
+            if kind in BITWISE_KINDS:
+                assert np.array_equal(np.asarray(rows[b]).view(np.uint64),
+                                      np.asarray(row).view(np.uint64))
+            else:
+                np.testing.assert_allclose(rows[b], row, rtol=1e-12, atol=0)
 
 
 class TestPerturbedDenoiser:
@@ -217,14 +275,15 @@ class TestPerturbedDenoiser:
         base = GmmDenoiser(small_prior(seed=22))
         den = PerturbedDenoiser(base, amplitude=0.0)
         x = RngStream(23, 0).normal(5)
-        np.testing.assert_array_equal(den.denoise(x, 0.5), base.denoise(x, 0.5))
-        assert den.jacobian_trace(x, 0.5) == pytest.approx(base.jacobian_trace(x, 0.5))
+        np.testing.assert_array_equal(one_row(den.denoise, x, 0.5), one_row(base.denoise, x, 0.5))
+        assert one_row(den.jacobian_trace, x, 0.5) == pytest.approx(
+            one_row(base.jacobian_trace, x, 0.5))
 
     def test_output_is_base_plus_wiggle(self):
         base = GmmDenoiser(small_prior(seed=24))
         den = PerturbedDenoiser(base, amplitude=0.05, frequency=3.0)
         x = RngStream(25, 0).normal(5)
-        diff = den.denoise(x, 0.5) - base.denoise(x, 0.5)
+        diff = one_row(den.denoise, x, 0.5) - one_row(base.denoise, x, 0.5)
         assert np.max(np.abs(diff)) <= 0.05 + 1e-12
         assert np.max(np.abs(diff)) > 0.0
 
@@ -233,7 +292,7 @@ class TestPerturbedDenoiser:
         den = PerturbedDenoiser(base, amplitude=0.08, frequency=2.5)
         x = RngStream(27, 0).normal(4)
         jac = fd_jacobian(den, x, 0.5)
-        assert den.jacobian_trace(x, 0.5) == pytest.approx(np.trace(jac), rel=1e-5)
+        assert one_row(den.jacobian_trace, x, 0.5) == pytest.approx(np.trace(jac), rel=1e-5)
 
     def test_vjp_matches_brute_force(self):
         base = GmmDenoiser(small_prior(seed=28, n=4))
@@ -241,7 +300,8 @@ class TestPerturbedDenoiser:
         x = RngStream(29, 0).normal(4)
         v = RngStream(30, 0).normal(4)
         jac = fd_jacobian(den, x, 0.5)
-        np.testing.assert_allclose(den.jacobian_vjp(x, 0.5, v), jac.T @ v, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(one_row(den.jacobian_vjp, x, 0.5, v), jac.T @ v,
+                                   rtol=1e-5, atol=1e-8)
 
 
 class TestLinearDenoiser:
@@ -253,13 +313,13 @@ class TestLinearDenoiser:
         den = linear_denoiser(m)
         x = rng.normal(6)
         v = rng.normal(6)
-        assert den.jacobian_trace(x, 0.5) == pytest.approx(np.trace(m), rel=1e-14)
-        np.testing.assert_allclose(den.jacobian_vjp(x, 0.5, v), m.T @ v, rtol=1e-14)
+        assert one_row(den.jacobian_trace, x, 0.5) == pytest.approx(np.trace(m), rel=1e-14)
+        np.testing.assert_allclose(one_row(den.jacobian_vjp, x, 0.5, v), m.T @ v, rtol=1e-14)
 
     def test_offset(self, linear_denoiser):
         m = np.eye(3) * 0.5
         den = linear_denoiser(m, offset=np.ones(3))
-        np.testing.assert_allclose(den.denoise(np.full(3, 2.0), 0.1), np.full(3, 2.0))
+        np.testing.assert_allclose(one_row(den.denoise, np.full(3, 2.0), 0.1), np.full(3, 2.0))
 
     def test_rejects_non_square(self, linear_denoiser):
         with pytest.raises(SgpsError):
@@ -270,28 +330,31 @@ def test_denoiser_without_jacobian_products_cannot_be_built():
     # the risk gradient needs exact products, so a denoise-only map is not
     # a Denoiser
     class DenoiseOnly(Denoiser):
-        def denoise(self, x, sigma):
-            return x.copy()
+        def denoise(self, xs, sigmas):
+            return xs.copy()
 
     with pytest.raises(TypeError, match="jacobian_vjp"):
         DenoiseOnly()
 
 
 def test_counting_denoiser_counts_only_denoise():
+    # a row is one evaluation, however many rows a call takes
     base = GmmDenoiser(small_prior(seed=33))
     den = CountingDenoiser(base)
-    x = np.zeros(5)
+    x = np.zeros((1, 5))
+    xs = RngStream(34, 0).standard_normal((3, 5))
     assert den.calls == 0
-    den.denoise(x, 0.5)
-    den.denoise(x, 0.5)
-    den.jacobian_trace(x, 0.5)
-    den.jacobian_vjp(x, 0.5, np.ones(5))
-    assert den.calls == 2
+    den.denoise(x, [0.5])
+    den.denoise(x, [0.5])
+    den.denoise(xs, [0.5, 0.2, 0.5])
+    den.jacobian_trace(xs, [0.5, 0.2, 0.5])
+    den.jacobian_vjp(xs, [0.5, 0.2, 0.5], np.ones((3, 5)))
+    assert den.calls == 5
 
 
 class TestMixtureMemo:
-    """A GmmDenoiser computes the posterior once per point; repeats reuse it
-    bit for bit."""
+    """A GmmDenoiser computes the posterior once per point and level; repeats
+    reuse it bit for bit."""
 
     def test_diagnostics_after_denoise_equal_a_fresh_prior(self, mixture_score):
         den = GmmDenoiser(small_prior(k=9, n=13, seed=40, var=0.3))
@@ -299,17 +362,20 @@ class TestMixtureMemo:
         for sigma in (2.0, 0.7, 0.2):
             x = g.normal(13) * 1.5
             v = g.normal(13)
-            den.denoise(x, sigma)
+            one_row(den.denoise, x, sigma)
             fresh = [GmmDenoiser(small_prior(k=9, n=13, seed=40, var=0.3)) for _ in range(3)]
-            assert np.array_equal(den.jacobian_vjp(x, sigma, v),
-                                  fresh[0].jacobian_vjp(x, sigma, v))
-            assert den.jacobian_trace(x, sigma) == fresh[1].jacobian_trace(x, sigma)
+            assert np.array_equal(one_row(den.jacobian_vjp, x, sigma, v),
+                                  one_row(fresh[0].jacobian_vjp, x, sigma, v))
+            assert (one_row(den.jacobian_trace, x, sigma)
+                    == one_row(fresh[1].jacobian_trace, x, sigma))
             assert np.array_equal(mixture_score(den, x, sigma), mixture_score(fresh[2], x, sigma))
 
     def test_moments_are_read_only(self):
         den = GmmDenoiser(small_prior(k=4, n=5, seed=42))
-        g, mbar, _ = den._moments(RngStream(43, 0).normal(5), 0.5)
-        assert not g.flags.writeable and not mbar.flags.writeable
+        den.denoise(RngStream(43, 0).standard_normal((3, 5)), [0.5, 0.5, 0.1])
+        assert len(den._memo) == 3
+        for g, mbar, _ in den._memo.values():
+            assert not g.flags.writeable and not mbar.flags.writeable
 
     def test_memo_never_exceeds_its_cap(self):
         from sgps.prior import MEMO_ENTRIES
@@ -318,30 +384,54 @@ class TestMixtureMemo:
         g = RngStream(45, 0)
         points = [g.normal(4) for _ in range(MEMO_ENTRIES + 5)]
         for i, x in enumerate(points):
-            den.denoise(x, 0.5)
+            one_row(den.denoise, x, 0.5)
             assert len(den._memo) == min(i + 1, MEMO_ENTRIES)
         # the oldest points were evicted, the newest are kept
         assert (0.5, points[-1].tobytes()) in den._memo
         assert (0.5, points[0].tobytes()) not in den._memo
+        # one call with more rows than the cap keeps its last rows
+        rows = g.standard_normal((MEMO_ENTRIES + 3, 4))
+        den.denoise(rows, np.full(len(rows), 0.25))
+        assert list(den._memo) == [(0.25, r.tobytes()) for r in rows[3:]]
+
+    def test_each_distinct_point_is_computed_once(self):
+        # repeated rows share one posterior, and rows the memo holds are
+        # not recomputed: only the new points reach _log_resp
+        den = GmmDenoiser(small_prior(k=4, n=5, seed=46))
+        a, b, c = RngStream(47, 0).standard_normal((3, 5))
+        seen = []
+        log_resp = den._log_resp
+        den._log_resp = lambda xs, var: seen.append(len(xs)) or log_resp(xs, var)
+        first = den.denoise(np.stack([a, b, a, b]), [0.5, 0.5, 0.5, 0.5])
+        assert seen == [2]
+        assert np.array_equal(first[0], first[2]) and np.array_equal(first[1], first[3])
+        # a at another level is another point
+        den.denoise(np.stack([b, c, a]), [0.5, 0.5, 0.2])
+        assert seen == [2, 2]
 
     def test_memo_is_not_a_field(self):
         # the memo lives on the denoiser; the prior is only its parameters
         a = small_prior(k=3, n=4, seed=46)
-        GmmDenoiser(a).denoise(np.ones(4), 0.5)
+        GmmDenoiser(a).denoise(np.ones((1, 4)), [0.5])
         assert not hasattr(a, "_memo") and not hasattr(a, "_mean_sq")
         assert [f.name for f in dataclasses.fields(a)] == ["weights", "means", "var_scale", "shape"]
 
 
-def assert_matches_direct(prior, xv, sigma, v, mixture_direct):
+def assert_matches_direct(prior, xs, sigmas, vs, mixture_direct):
+    # all rows in one call of each method; each row against the direct
+    # formula at its own level
     den = GmmDenoiser(prior)
-    got = (den.denoise(xv, sigma), den.jacobian_vjp(xv, sigma, v), den.jacobian_trace(xv, sigma))
-    for a, b in zip(got, mixture_direct(prior, xv, sigma, v)):
-        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+    got = (den.denoise(xs, sigmas), den.jacobian_vjp(xs, sigmas, vs),
+           den.jacobian_trace(xs, sigmas))
+    for b, sigma in enumerate(sigmas):
+        for rows, want in zip(got, mixture_direct(prior, xs[b], sigma, vs[b])):
+            assert np.max(np.abs(rows[b] - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestDirectFormula:
-    """The mixture posterior against subtract-and-square distances and
-    products over all K components; the two round differently."""
+    """The mixture posterior on rows against subtract-and-square distances
+    and products over all K components, one point at a time; the two round
+    differently."""
 
     @pytest.mark.parametrize("k,n", [(1, 5), (3, 1), (7, 33), (33, 2049), (257, 4096),
                                      (300, 127), (5, 8192), (4, 8193), (9, 10001)])
@@ -349,9 +439,8 @@ class TestDirectFormula:
         g = RngStream(47, k * 100003 + n)
         means = g.standard_normal((k, n))
         prior = GmmPrior(np.full(k, 1.0 / k), means, 0.5, (n,))
-        for sigma in (3.0, 0.4):
-            assert_matches_direct(prior, g.standard_normal(n), sigma, g.standard_normal(n),
-                                  mixture_direct)
+        assert_matches_direct(prior, g.standard_normal((3, n)), [3.0, 0.4, 3.0],
+                              g.standard_normal((3, n)), mixture_direct)
 
     @pytest.mark.parametrize("support", [[0], [5], [11], [0, 11], list(range(12))],
                              ids=["first", "middle", "last", "first-and-last", "all"])
@@ -369,6 +458,22 @@ class TestDirectFormula:
             sigma = 0.05
             xv = prior.means[support].mean(axis=0) + 0.01 * g.standard_normal(64)
         v = g.standard_normal(64)
-        assert_matches_direct(prior, xv, sigma, v, mixture_direct)
+        assert_matches_direct(prior, xv[None], [sigma], v[None], mixture_direct)
         resp = mixture_responsibilities(GmmDenoiser(prior), xv, sigma)
         assert np.flatnonzero(resp).tolist() == support
+
+    def test_rows_with_different_spans(self, mixture_responsibilities, mixture_direct):
+        # one call over rows whose nonzero responsibilities differ: each
+        # row's products run over the union of the spans, where the other
+        # rows' responsibilities are exactly 0
+        g = RngStream(49, 0)
+        w = g.gen.random(12) + 0.5
+        prior = GmmPrior(w / w.sum(), g.standard_normal((12, 64)), 0.01, (64,))
+        supports = [[5], [0], [11], [3, 4]]
+        xs = np.stack([prior.means[s].mean(axis=0) + 0.01 * g.standard_normal(64)
+                       for s in supports])
+        sigmas = [0.05] * len(supports)
+        assert_matches_direct(prior, xs, sigmas, g.standard_normal(xs.shape), mixture_direct)
+        for x, support in zip(xs, supports):
+            resp = mixture_responsibilities(GmmDenoiser(prior), x, 0.05)
+            assert np.flatnonzero(resp).tolist() == support

@@ -54,14 +54,14 @@ class TestDenoiseStep:
     def test_single_substep_is_raw_denoise(self):
         den, _, _, _ = make_task()
         g = RngStream(1, 0)
-        x = g.normal(256)
+        x = g.standard_normal((3, 256))
         a = denoise_step(den, x, 0.7, 1)
-        b = den.denoise(x, 0.7)
+        b = den.denoise(x, np.full(3, 0.7))
         assert np.array_equal(a, b)
 
     def test_validation(self):
         den, _, _, _ = make_task()
-        x = np.zeros(256)
+        x = np.zeros((1, 256))
         with pytest.raises(SgpsError):
             denoise_step(den, x, 0.7, 0)
         with pytest.raises(SgpsError):
@@ -77,7 +77,7 @@ class TestDenoiseStep:
         prior = GmmPrior(np.array([1.0]), m[None, :], s2, (n,))
         den = GmmDenoiser(prior)
         sigma_t = 1.5
-        x = m + 1.2 * RngStream(3, 0).normal(n)
+        x = m + 1.2 * RngStream(3, 0).standard_normal((1, n))
         limit = m + (x - m) * s2 / (
             math.sqrt(s2 + T_MIN**2) * math.sqrt(s2 + sigma_t**2)
         )
@@ -97,6 +97,7 @@ class TestEvaluationBudget:
             (16, 1, 1, 1, 48),
             (33, 1, 1, 1, 99),
             (5, 2, 2, 3, 50),
+            (6, 2, 2, 4, 72),  # the sr-mixture-64 benchmark's per-step law
             (7, 2, 0, 1, 14),  # no correction: steps * substeps
         ],
     )
@@ -307,17 +308,17 @@ class _FailingDenoiser(Denoiser):
     def __init__(self, fail):
         self.fail = fail
 
-    def denoise(self, x, sigma):
-        return self.fail(x)
+    def denoise(self, xs, sigmas):
+        return self.fail(xs)
 
-    def jacobian_vjp(self, x, sigma, v):
-        return self.fail(x)
+    def jacobian_vjp(self, xs, sigmas, vs):
+        return self.fail(xs)
 
 
 def test_non_finite_denoise_is_labeled_with_sampler_step():
     # the ladder's denoised row is checked once, after its last substep
     _, op, y, _ = make_task()
-    den = _FailingDenoiser(lambda x: np.full(x.size, np.nan))
+    den = _FailingDenoiser(lambda xs: np.full(xs.shape, np.nan))
     for substeps in (1, 2):
         with pytest.raises(DivergenceError) as err:
             sgps_run(den, op, y, run_cfg(4, ode_substeps=substeps), RngStream(24, 0))
@@ -326,16 +327,14 @@ def test_non_finite_denoise_is_labeled_with_sampler_step():
 
 
 class _ProbeNaNDenoiser(GmmDenoiser):
-    """Mixture denoiser that returns NaN at every risk probe point: with
-    ode_substeps = 1, sure_repeats = 1 and mc_probes = 1 each step denoises
-    the ladder row, the risk's base point, then one probe point."""
+    """Mixture denoiser that returns NaN at every risk probe point: a run
+    denoises its ladder row alone, and the risk's base point in one call
+    with its probe points, which follow it."""
 
-    calls = 0
-
-    def denoise(self, x, sigma):
-        self.calls += 1
-        out = super().denoise(x, sigma)
-        return np.full(x.size, np.nan) if self.calls % 3 == 0 else out
+    def denoise(self, xs, sigmas):
+        out = super().denoise(xs, sigmas)
+        out[1:] = np.nan
+        return out
 
 
 def test_non_finite_probe_output_is_labeled_sure_value():

@@ -151,7 +151,7 @@ class TestMcTrace:
         den = GmmDenoiser(prior)
         g = RngStream(33, 5)
         x = Signal(g.normal(8), (8,))
-        exact = den.jacobian_trace(x.data, 0.4)
+        exact = den.jacobian_trace(x.data[None], [0.4])[0]
         est = self.trace(den, x, 0.4, 3000, g.substream(1))
         assert abs(est - exact) / abs(exact) < 0.05
 
@@ -234,7 +234,8 @@ class TestSureGradient:
 
     @pytest.mark.parametrize("probes", [1, 4, 15])
     def test_gradient_reuses_the_value_posteriors(self, probes):
-        # the value denoises the base point and each shifted point; the
+        # the value denoises the base point and each shifted point in one
+        # call, so one correction computes responsibilities once; the
         # gradient's Jacobian products are taken at the same points
         prior = small_prior(n=12, k=5, seed=17)
         den = GmmDenoiser(prior)
@@ -244,7 +245,8 @@ class TestSureGradient:
                                side_effect=GmmDenoiser._log_resp) as spy:
             ev = sure_value(den, x, 0.3, cfg, RngStream(19, 0))
             grad = sure_gradient(den, ev)
-        assert spy.call_count == 1 + probes
+        assert spy.call_count == 1
+        assert spy.call_args.args[1].shape == (1 + probes, 12)
         fresh = GmmDenoiser(small_prior(n=12, k=5, seed=17))
         ev_fresh = sure_value(fresh, x, 0.3, cfg, RngStream(19, 0))
         fresh._memo.clear()
