@@ -24,9 +24,6 @@ from .core import (
 )
 from .operators import ForwardOp
 
-# Langevin iterations whose noise a row draws in one call
-NOISE_CHUNK = 16
-
 
 def default_eta(sigma_t: float, cfg: SamplerConfig, op: ForwardOp) -> float:
     """Safe step size 0.5 * min(sigma_t^2, sigma_y^2) / max(1, op.lipschitz_bound)."""
@@ -69,28 +66,22 @@ def langevin_guide(
 
     st2 = sigma_t * sigma_t
     root = math.sqrt(2.0 * eta)
-    steps = cfg.langevin_steps
-    # each row's noise for up to NOISE_CHUNK iterations in one draw: a
-    # stream yields the same normals in the same order either way, and no
-    # draw reaches past the last iteration, since the stream carries on
-    noise = np.empty((len(x_init), min(NOISE_CHUNK, steps), n))
+    noise = np.empty(x_init.shape)
+    fills = [(r.normal_into, row) for r, row in zip(rngs, noise)]
     x = x_init.copy()
     # x - eta * grad + root * noise, in place and in the same order; a
     # diverging chain overflows, and the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
-            c = j % NOISE_CHUNK
-            if c == 0:
-                for r, rows in zip(rngs, noise):
-                    r.normal_into(rows[:steps - j])
+        for j in range(cfg.langevin_steps):
             grad = x - x_anchor
             grad /= st2
             grad += op.fidelity_gradient(x, y.data, cfg.sigma_y)
             grad *= eta
-            step_noise = noise[:, c]
-            step_noise *= root
+            for fill, row in fills:
+                fill(row)
+            noise *= root
             x -= grad
-            x += step_noise
+            x += noise
             if not all_finite(x):
                 raise DivergenceError("langevin", j)
     return x

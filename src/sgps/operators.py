@@ -14,9 +14,6 @@ import numpy as np
 
 from .core import SgpsError, ShapeMismatchError, Signal
 
-# DownsampleOp sums blocks of this factor and above with mean
-_MEAN_FACTOR = 8
-
 
 class ForwardOp:
     """A measurement operator.
@@ -196,7 +193,8 @@ class BlurOp(ForwardOp):
 
 
 class DownsampleOp(ForwardOp):
-    """Block average by an integer factor along every axis."""
+    """Block average by an integer factor along every axis of a 1-D or 2-D
+    signal."""
 
     kind = "downsample"
     linear = True
@@ -205,6 +203,8 @@ class DownsampleOp(ForwardOp):
         f = int(factor)
         if f < 1:
             raise SgpsError(f"factor must be >= 1, got {factor}")
+        if len(input_shape) not in (1, 2):
+            raise SgpsError(f"downsampling needs a 1-D or 2-D shape, got {input_shape}")
         if any(s % f != 0 for s in input_shape):
             raise SgpsError(f"shape {input_shape} not divisible by factor {f}")
         super().__init__(input_shape, tuple(s // f for s in input_shape))
@@ -216,24 +216,21 @@ class DownsampleOp(ForwardOp):
         d = len(self.output_shape)
         # (B, m, f) or (B, h, f, w, f): an axis of f after each signal axis
         blocks = xs.reshape([len(xs)] + [k for s in self.output_shape for k in (s, f)])
-        if f >= _MEAN_FACTOR:
-            out = blocks.mean(axis=tuple(range(2, 2 * d + 1, 2)))
-        else:
-            # mean's order, so the same bits: each block row added left to
-            # right, then the row sums in turn.  mean starts each sum at
-            # +0.0, which changes only a sum of negative zeros, so one +0.0
-            # at the end does the same.  From factor 8 up numpy adds a row
-            # pairwise, which groups the terms otherwise
-            rows = blocks[..., 0] + (blocks[..., 1] if f > 1 else 0.0)
-            for j in range(2, f):
-                rows += blocks[..., j]
-            out = rows
-            if d == 2:
-                out = rows[:, :, 0] + (rows[:, :, 1] if f > 1 else 0.0)
-                for i in range(2, f):
-                    out += rows[:, :, i]
-            out += 0.0
-            out /= f ** d
+        # each block row added left to right, then the row sums in turn.
+        # Below factor 8 this is mean's order, so the same bits; from 8 up
+        # numpy adds a row pairwise, which groups the terms otherwise.
+        # mean starts each sum at +0.0, which changes only a sum of negative
+        # zeros, so one +0.0 at the end does the same
+        rows = blocks[..., 0] + (blocks[..., 1] if f > 1 else 0.0)
+        for j in range(2, f):
+            rows += blocks[..., j]
+        out = rows
+        if d == 2:
+            out = rows[:, :, 0] + (rows[:, :, 1] if f > 1 else 0.0)
+            for i in range(2, f):
+                out += rows[:, :, i]
+        out += 0.0
+        out /= f ** d
         return out.reshape(len(xs), -1)
 
     def _adjoint_rows(self, ws: np.ndarray) -> np.ndarray:

@@ -18,10 +18,10 @@ from .core import RngStream, SgpsError, Signal
 _TWO_PI = 2.0 * np.pi
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Points whose mixture posterior a GmmDenoiser keeps.  One risk evaluation
-# with mc_probes probes denoises 1 + mc_probes points and its gradient takes
-# Jacobian products at the same points, so 16 covers mc_probes up to 15;
-# beyond that the products recompute, with the same result.
+# Points whose mixture posterior a GmmDenoiser keeps at least.  One risk
+# evaluation with mc_probes probes denoises 1 + mc_probes points in one call
+# and its gradient takes Jacobian products at the same points; a call never
+# evicts its own rows, so the gradient finds them at any mc_probes.
 MEMO_ENTRIES = 16
 
 
@@ -141,8 +141,8 @@ class GmmDenoiser(Denoiser):
     Jacobian products and trace are exact.
 
     The posterior at a point is a pure function of the point, its level and
-    the read-only mixture, so the last MEMO_ENTRIES points are kept, one per
-    row, and a repeat returns the same bits.
+    the read-only mixture, so the last MEMO_ENTRIES points, and every row of
+    the latest call, are kept, and a repeat returns the same bits.
     """
 
     def __init__(self, prior: GmmPrior):
@@ -198,7 +198,7 @@ class GmmDenoiser(Denoiser):
             rows = list(todo.values())
             new = dict(zip(todo, self._posterior(xs[rows], sig[rows])))
             self._memo.update(new)
-            while len(self._memo) > MEMO_ENTRIES:
+            while len(self._memo) > max(MEMO_ENTRIES, len(set(keys))):
                 self._memo.popitem(last=False)
             found = [new[key] if hit is None else hit for key, hit in zip(keys, found)]
         g, mbar, spans = zip(*found)

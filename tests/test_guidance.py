@@ -215,35 +215,3 @@ def test_one_diverging_row_stops_the_batch_at_its_first_iteration():
         langevin_guide(xs, xs, 0.5, op, y, cfg, [RngStream(6, b) for b in range(3)])
     assert err.value.stage == "langevin"
     assert err.value.step_index == firsts[0][1]
-
-
-def per_iteration_guide(xs, anchors, sigma_t, op, y, cfg, rngs):
-    """The guide with each row's noise drawn one iteration at a time, as
-    the rows were written before the draws were chunked."""
-    eta = default_eta(sigma_t, cfg, op)
-    x = xs.copy()
-    for _ in range(cfg.langevin_steps):
-        grad = (x - anchors) / (sigma_t * sigma_t)
-        grad += op.fidelity_gradient(x, y.data, cfg.sigma_y)
-        noise = np.stack([r.normal(x.shape[1]) for r in rngs])
-        x = x - eta * grad + math.sqrt(2.0 * eta) * noise
-    return x
-
-
-@pytest.mark.parametrize("batch", [1, 40])
-def test_chunked_noise_draws_equal_per_iteration_draws(batch):
-    # 37 iterations: two full chunks of 16 and a short one, which must not
-    # draw past the last iteration, since each stream carries on afterwards
-    shape = (16, 16)
-    op = identity_op(shape)
-    g = RngStream(8, 0)
-    xs = g.standard_normal((batch, 256))
-    anchors = g.standard_normal((batch, 256))
-    y = Signal(g.normal(256), op.output_shape)
-    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.1, langevin_steps=37)
-    streams = [RngStream(8, 1 + b) for b in range(batch)]
-    ref_streams = [RngStream(8, 1 + b) for b in range(batch)]
-    rows = langevin_guide(xs, anchors, 0.4, op, y, cfg, streams)
-    want = per_iteration_guide(xs, anchors, 0.4, op, y, cfg, ref_streams)
-    assert np.array_equal(rows, want)
-    assert [r.normal(3).tolist() for r in streams] == [r.normal(3).tolist() for r in ref_streams]

@@ -244,9 +244,11 @@ class TestDownsample:
     @pytest.mark.parametrize("ndim", [1, 2])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_rows_equal_the_mean_and_repeat_forms(self, factor, ndim, batch):
-        # apply, adjoint and gradient bit for bit against block means taken
-        # with mean, the adjoint built with repeat, and the generic gradient
-        # A^T (A x - y) / sigma_y^2; a block of negative zeros averages to +0
+        # apply, adjoint and gradient against block means taken with mean,
+        # the adjoint built with repeat, and the generic gradient
+        # A^T (A x - y) / sigma_y^2; a block of negative zeros averages to +0.
+        # Bit for bit below factor 8; from 8 up mean sums a block row
+        # pairwise, so apply and gradient agree to rounding there
         shape = (5 * factor,) if ndim == 1 else (3 * factor, 4 * factor)
         op = DownsampleOp(shape, factor)
         g = RngStream(10, factor)
@@ -265,9 +267,17 @@ class TestDownsample:
         for ax in range(1, ndim + 1):
             resid = np.repeat(resid, factor, axis=ax)
         gradient = resid.reshape(batch, -1) / factor ** ndim / (0.3 * 0.3)
-        for got, want in ((op.apply(xs), mean), (op.adjoint(ws), adjoint),
-                          (op.fidelity_gradient(xs, y, 0.3), gradient)):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(op.adjoint(ws).view(np.uint64), adjoint.view(np.uint64))
+        for got, want in ((op.apply(xs), mean), (op.fidelity_gradient(xs, y, 0.3), gradient)):
+            if factor < 8:
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(), (4, 4, 4)])
+    def test_rejects_other_than_one_or_two_axes(self, shape):
+        with pytest.raises(SgpsError):
+            DownsampleOp(shape, 2)
 
 
 class TestMagnitudeDft:

@@ -389,10 +389,15 @@ class TestMixtureMemo:
         # the oldest points were evicted, the newest are kept
         assert (0.5, points[-1].tobytes()) in den._memo
         assert (0.5, points[0].tobytes()) not in den._memo
-        # one call with more rows than the cap keeps its last rows
+        # a call with more rows than the cap keeps all of them, so a call
+        # that follows at the same points computes nothing; the next new
+        # point trims the memo back to the cap
         rows = g.standard_normal((MEMO_ENTRIES + 3, 4))
         den.denoise(rows, np.full(len(rows), 0.25))
-        assert list(den._memo) == [(0.25, r.tobytes()) for r in rows[3:]]
+        assert list(den._memo) == [(0.25, r.tobytes()) for r in rows]
+        one_row(den.denoise, points[0], 0.5)
+        assert list(den._memo) == [(0.25, r.tobytes()) for r in rows[4:]] + [
+            (0.5, points[0].tobytes())]
 
     def test_each_distinct_point_is_computed_once(self):
         # repeated rows share one posterior, and rows the memo holds are

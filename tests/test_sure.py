@@ -232,11 +232,12 @@ class TestSureGradient:
         sure_gradient(counter, ev)
         assert counter.calls == 4
 
-    @pytest.mark.parametrize("probes", [1, 4, 15])
+    @pytest.mark.parametrize("probes", [1, 4, 15, 16, 24])
     def test_gradient_reuses_the_value_posteriors(self, probes):
         # the value denoises the base point and each shifted point in one
         # call, so one correction computes responsibilities once; the
-        # gradient's Jacobian products are taken at the same points
+        # gradient's Jacobian products are taken at the same points, which
+        # the memo keeps even when they are more than MEMO_ENTRIES
         prior = small_prior(n=12, k=5, seed=17)
         den = GmmDenoiser(prior)
         x = Signal(RngStream(18, 0).normal(12), (12,))
