@@ -95,23 +95,6 @@ class Signal:
         """New Signal with the same shape and fresh data."""
         return Signal(arr, self.shape)
 
-    @classmethod
-    def _adopt(cls, arr: np.ndarray, shape: tuple[int, ...]) -> "Signal":
-        """Signal that takes over arr, a flat float64 array of shape's size
-        that the caller has just computed and keeps no reference to.
-
-        The shape must be one that a Signal or an operator already holds,
-        so only the entries are checked, and arr is frozen instead of
-        copied.  The package's inner loops build their Signals this way.
-        """
-        if not all_finite(arr):
-            raise NonFiniteError("signal entries must be finite")
-        arr.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "data", arr)
-        object.__setattr__(out, "shape", shape)
-        return out
-
 
 def all_finite(arr: np.ndarray) -> bool:
     """True when every entry of a float64 array is finite.

@@ -54,13 +54,13 @@ class ForwardOp:
         if not isinstance(x, Signal):
             return self._apply_rows(x)
         self._check_input(x)
-        return Signal._adopt(self._apply_rows(x.data[None])[0], self.output_shape)
+        return Signal(self._apply_rows(x.data[None])[0], self.output_shape)
 
     def adjoint(self, w: Signal | np.ndarray) -> Signal | np.ndarray:
         if not isinstance(w, Signal):
             return self._adjoint_rows(w)
         self._check_output(w)
-        return Signal._adopt(self._adjoint_rows(w.data[None])[0], self.input_shape)
+        return Signal(self._adjoint_rows(w.data[None])[0], self.input_shape)
 
     def fidelity_gradient(
         self, x: Signal | np.ndarray, y: Signal | np.ndarray, sigma_y: float
@@ -77,7 +77,7 @@ class ForwardOp:
         self._check_input(x)
         self._check_output(y)
         g = self._gradient_rows(x.data[None], y.data, sigma_y)
-        return Signal._adopt(g[0], self.input_shape)
+        return Signal(g[0], self.input_shape)
 
     def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -8,7 +8,6 @@ gives every downstream estimator an oracle to test against.
 from __future__ import annotations
 
 import abc
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +16,6 @@ from .core import RngStream, SgpsError, Signal
 
 _TWO_PI = 2.0 * np.pi
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-# Points whose mixture posterior a GmmDenoiser keeps at least.  One risk
-# evaluation with mc_probes probes denoises 1 + mc_probes points in one call
-# and its gradient takes Jacobian products at the same points; a call never
-# evicts its own rows, so the gradient finds them at any mc_probes.
-MEMO_ENTRIES = 16
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -141,14 +134,18 @@ class GmmDenoiser(Denoiser):
     Jacobian products and trace are exact.
 
     The posterior at a point is a pure function of the point, its level and
-    the read-only mixture, so the last MEMO_ENTRIES points, and every row of
-    the latest call, are kept, and a repeat returns the same bits.
+    the read-only mixture.  The latest call that computed anything is kept,
+    so a call at its rows, such as a risk gradient at the points its value
+    denoised, computes nothing and returns the same bits.
     """
 
     def __init__(self, prior: GmmPrior):
         self.prior = prior
         self._mean_sq = np.einsum("kn,kn->k", prior.means, prior.means)
-        self._memo: OrderedDict = OrderedDict()
+        # the kept call: (level, row bytes) -> row, and per row the
+        # responsibilities, posterior mean and nonzero span
+        self._rows: dict = {}
+        self._held: tuple = ()
 
     def _log_resp(self, xs: np.ndarray, smoothed_var: np.ndarray) -> np.ndarray:
         """(B, K) log responsibilities at the rows xs, each row up to a
@@ -163,10 +160,10 @@ class GmmDenoiser(Denoiser):
         d2 = self._mean_sq - 2.0 * (xs @ self.prior.means.T)
         return np.log(self.prior.weights) - d2 / (2.0 * smoothed_var)
 
-    def _posterior(self, xs: np.ndarray, sig: np.ndarray) -> list[tuple]:
-        """Per row: read-only responsibilities g, g @ means, and the span
-        (first, last + 1) of g's nonzero entries, outside which g is exactly
-        0.0 (never empty: g's largest entry is 1, or NaN if the row
+    def _posterior(self, xs: np.ndarray, sig: np.ndarray) -> tuple:
+        """(B, K) responsibilities g, the (B, n) products g @ means, and each
+        row's span [first, stop) of nonzero entries, outside which g is
+        exactly 0.0 (never empty: g's largest entry is 1, or NaN if the row
         overflowed).  The posterior means are one product over the union
         of the spans."""
         lr = self._log_resp(xs, self.prior.var_scale + sig * sig)
@@ -177,33 +174,24 @@ class GmmDenoiser(Denoiser):
         stop = nz.shape[1] - nz[:, ::-1].argmax(axis=1)
         span = slice(int(first.min()), int(stop.max()))
         mbar = g[:, span] @ self.prior.means[span]
-        g.flags.writeable = False
-        mbar.flags.writeable = False
-        return list(zip(g, mbar, zip(first.tolist(), stop.tolist())))
+        return g, mbar, first, stop
 
     def _moments(self, xs: np.ndarray, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray, slice]:
         """(B, K) responsibilities and (B, n) posterior means at the rows
         xs with the (B, 1) levels sig, and the union of the rows' nonzero
-        spans.  Rows the memo holds are not recomputed; the others are
-        computed together, each distinct point once."""
+        spans.  Unless the kept call holds every row, each distinct row is
+        computed once, in order of first appearance, and this call is kept."""
         keys = [(s, x.tobytes()) for x, s in zip(xs, sig[:, 0].tolist())]
-        found = [self._memo.get(key) for key in keys]
-        todo: dict = {}
-        for i, (key, hit) in enumerate(zip(keys, found)):
-            if hit is None:
-                todo.setdefault(key, i)
-            else:
-                self._memo.move_to_end(key)
-        if todo:
-            rows = list(todo.values())
-            new = dict(zip(todo, self._posterior(xs[rows], sig[rows])))
-            self._memo.update(new)
-            while len(self._memo) > max(MEMO_ENTRIES, len(set(keys))):
-                self._memo.popitem(last=False)
-            found = [new[key] if hit is None else hit for key, hit in zip(keys, found)]
-        g, mbar, spans = zip(*found)
-        span = slice(min(s[0] for s in spans), max(s[1] for s in spans))
-        return np.stack(g), np.stack(mbar), span
+        if not all(key in self._rows for key in keys):
+            order: dict = {}
+            for i, key in enumerate(keys):
+                order.setdefault(key, i)
+            at = list(order.values())
+            self._held = self._posterior(xs[at], sig[at])
+            self._rows = dict(zip(order, range(len(order))))
+        rows = [self._rows[key] for key in keys]
+        g, mbar, first, stop = self._held
+        return g[rows], mbar[rows], slice(int(first[rows].min()), int(stop[rows].max()))
 
     def denoise(self, xs: np.ndarray, sigmas) -> np.ndarray:
         """MMSE estimate of the clean signal given x = clean + sigma * noise."""

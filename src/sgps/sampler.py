@@ -182,8 +182,8 @@ def sgps_run(
     def correct(k: int, sigma_t: float, x0t_row: np.ndarray, x0ty_row: np.ndarray) -> np.ndarray:
         nonlocal calls_before
         step_no = k + 1
-        x0t = Signal._adopt(x0t_row[0], shape)
-        x0ty = Signal._adopt(x0ty_row[0], shape)
+        x0t = Signal(x0t_row[0], shape)
+        x0ty = Signal(x0ty_row[0], shape)
 
         def estimate(x: Signal) -> float:
             return _stage(lambda: estimate_sigma(x, patch), "estimate", step_no)
@@ -230,7 +230,7 @@ def sgps_run(
         calls_before = counting.calls
         return current.data[None]
 
-    x_star = Signal._adopt(walk_ladder(counting, op, y, cfg, [rng], correct, cfg.steps)[0], shape)
+    x_star = Signal(walk_ladder(counting, op, y, cfg, [rng], correct, cfg.steps)[0], shape)
     final_mse = final_psnr = math.nan
     if x_true is not None:
         final_mse = mse(x_star, x_true)

@@ -56,6 +56,16 @@ def minimal_with(out: str) -> str:
     return MINIMAL.replace("name = mini", f"name = mini\noutput_dir = {out}")
 
 
+def run_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a separate process, so stderr is what a user sees."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgps.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("SGPS_OUTPUT_DIR", None)
+    return subprocess.run([sys.executable, "-m", "sgps.harness.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestConfigParsing:
     def test_minimal_defaults(self):
         cfg = parse_config_text(MINIMAL)
@@ -679,9 +689,9 @@ class TestCli:
                         .replace("shape = 16 16", "shape = 8 8")
                         .replace("kind = identity", "kind = magnitude-dft")
                         .replace("steps = 4\nlangevin_steps = 20",
-                                 "steps = 8\nlangevin_eta = 0.00125"))
-        with pytest.warns(UserWarning):  # 4 patches for 49 dimensions
-            assert main(["run", str(path)]) == 2
+                                 "steps = 8\nlangevin_eta = 0.00125")
+                        + "\n[patch]\npatch_size = 3\n")
+        assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "divergence in stage 'estimate' at step 1" in err
         assert "Traceback" not in err
@@ -697,21 +707,54 @@ class TestCli:
                         .replace("shape = 16 16", "shape = 8 8")
                         .replace("kind = identity", "kind = magnitude-dft")
                         .replace("steps = 4\nlangevin_steps = 20",
-                                 "steps = 8\nlangevin_eta = 0.00125"))
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(sgps.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop("SGPS_OUTPUT_DIR", None)
-        proc = subprocess.run([sys.executable, "-m", "sgps.harness.cli", "run", str(path)],
-                              capture_output=True, text=True, env=env, timeout=120)
+                                 "steps = 8\nlangevin_eta = 0.00125")
+                        + "\n[patch]\npatch_size = 3\n")
+        proc = run_cli(["run", str(path)])
         assert proc.returncode == 2
         assert "divergence in stage 'estimate' at step 1" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert "overflow" not in proc.stderr
-        # the estimator's config warning is one line, with no source line
-        assert "warning: only 4 patches for 49 dimensions" in proc.stderr
-        assert "return _stage(" not in proc.stderr
-        assert "UserWarning" not in proc.stderr
+        assert "warning" not in proc.stderr.lower()
+
+    def test_warning_is_one_line(self, tmp_path):
+        # the estimator's warning reaches a user as one line, with no
+        # source line and no category name
+        img = tmp_path / "small.pgm"
+        write_pgm(str(img), Signal(np.full(64, 0.5), (8, 8)))
+        proc = run_cli(["estimate", str(img)])
+        assert proc.returncode == 0
+        assert proc.stderr == "warning: only 4 patches for 49 dimensions; covariance is rank-deficient\n"
+
+    @pytest.mark.parametrize("shape,patch,count,size,stride", [
+        ("8 8", "", 4, 7, 1),
+        ("4 4", "", 0, 7, 1),  # smaller than one patch
+        ("5 5", "patch_size = 3", 9, 3, 1),  # exactly patch_size^2
+        ("16 16", "stride = 4", 9, 7, 4),
+    ])
+    def test_too_few_patches_is_a_config_error(self, shape, patch, count, size, stride,
+                                               tmp_path, monkeypatch, capsys):
+        # every step estimates the noise from at most size^2 patches, so the
+        # run is refused before it starts
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("shape = 16 16", f"shape = {shape}")
+                        + f"\n[patch]\n{patch}\n")
+        assert main(["run", str(path)]) == 1
+        dims = tuple(int(d) for d in shape.split())
+        assert capsys.readouterr().err == (
+            f"config error: [patch]: shape {dims} gives {count} patches of size {size} "
+            f"at stride {stride}; the noise estimate needs more than {size ** 2}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_more_patches_than_dimensions_runs(self, tmp_path, monkeypatch):
+        # 6x6 gives 16 patches of 3x3, more than their 9 dimensions
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("shape = 16 16", "shape = 6 6")
+                        + "\n[patch]\npatch_size = 3\n")
+        assert main(["run", str(path)]) == 0
 
     def test_empty_output_dir_variable_is_unset(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SGPS_OUTPUT_DIR", "")

@@ -353,8 +353,8 @@ def test_counting_denoiser_counts_only_denoise():
 
 
 class TestMixtureMemo:
-    """A GmmDenoiser computes the posterior once per point and level; repeats
-    reuse it bit for bit."""
+    """A GmmDenoiser keeps the posterior of its latest call that computed
+    anything; a call at those rows reuses it bit for bit."""
 
     def test_diagnostics_after_denoise_equal_a_fresh_prior(self, mixture_score):
         den = GmmDenoiser(small_prior(k=9, n=13, seed=40, var=0.3))
@@ -370,55 +370,47 @@ class TestMixtureMemo:
                     == one_row(fresh[1].jacobian_trace, x, sigma))
             assert np.array_equal(mixture_score(den, x, sigma), mixture_score(fresh[2], x, sigma))
 
-    def test_moments_are_read_only(self):
-        den = GmmDenoiser(small_prior(k=4, n=5, seed=42))
-        den.denoise(RngStream(43, 0).standard_normal((3, 5)), [0.5, 0.5, 0.1])
-        assert len(den._memo) == 3
-        for g, mbar, _ in den._memo.values():
-            assert not g.flags.writeable and not mbar.flags.writeable
-
-    def test_memo_never_exceeds_its_cap(self):
-        from sgps.prior import MEMO_ENTRIES
-
-        den = GmmDenoiser(small_prior(k=3, n=4, seed=44))
-        g = RngStream(45, 0)
-        points = [g.normal(4) for _ in range(MEMO_ENTRIES + 5)]
-        for i, x in enumerate(points):
-            one_row(den.denoise, x, 0.5)
-            assert len(den._memo) == min(i + 1, MEMO_ENTRIES)
-        # the oldest points were evicted, the newest are kept
-        assert (0.5, points[-1].tobytes()) in den._memo
-        assert (0.5, points[0].tobytes()) not in den._memo
-        # a call with more rows than the cap keeps all of them, so a call
-        # that follows at the same points computes nothing; the next new
-        # point trims the memo back to the cap
-        rows = g.standard_normal((MEMO_ENTRIES + 3, 4))
-        den.denoise(rows, np.full(len(rows), 0.25))
-        assert list(den._memo) == [(0.25, r.tobytes()) for r in rows]
-        one_row(den.denoise, points[0], 0.5)
-        assert list(den._memo) == [(0.25, r.tobytes()) for r in rows[4:]] + [
-            (0.5, points[0].tobytes())]
-
-    def test_each_distinct_point_is_computed_once(self):
-        # repeated rows share one posterior, and rows the memo holds are
-        # not recomputed: only the new points reach _log_resp
-        den = GmmDenoiser(small_prior(k=4, n=5, seed=46))
-        a, b, c = RngStream(47, 0).standard_normal((3, 5))
+    @staticmethod
+    def spy(den):
+        """Record the row count of every _log_resp call on den."""
         seen = []
         log_resp = den._log_resp
         den._log_resp = lambda xs, var: seen.append(len(xs)) or log_resp(xs, var)
+        return seen
+
+    def test_a_call_at_held_rows_computes_nothing(self):
+        # the gradient's rows repeat and reorder the value's rows; any such
+        # call is a gather from the kept call, with the bits of that call
+        den = GmmDenoiser(small_prior(k=4, n=5, seed=42))
+        xs = RngStream(43, 0).standard_normal((3, 5))
+        sigmas = np.array([0.5, 0.5, 0.1])
+        seen = self.spy(den)
+        first = den.denoise(xs, sigmas)
+        assert seen == [3]
+        again = [0, 2, 2, 1, 0]
+        assert np.array_equal(den.denoise(xs[again], sigmas[again]), first[again])
+        den.jacobian_vjp(xs[again], sigmas[again], np.ones((5, 5)))
+        den.jacobian_trace(xs[1:], sigmas[1:])
+        assert seen == [3]
+
+    def test_each_distinct_point_is_computed_once(self):
+        # repeated rows share one posterior, and a call that brings any row
+        # the kept call does not hold computes each of its distinct rows
+        den = GmmDenoiser(small_prior(k=4, n=5, seed=46))
+        a, b, c = RngStream(47, 0).standard_normal((3, 5))
+        seen = self.spy(den)
         first = den.denoise(np.stack([a, b, a, b]), [0.5, 0.5, 0.5, 0.5])
         assert seen == [2]
         assert np.array_equal(first[0], first[2]) and np.array_equal(first[1], first[3])
         # a at another level is another point
         den.denoise(np.stack([b, c, a]), [0.5, 0.5, 0.2])
-        assert seen == [2, 2]
+        assert seen == [2, 3]
 
     def test_memo_is_not_a_field(self):
         # the memo lives on the denoiser; the prior is only its parameters
         a = small_prior(k=3, n=4, seed=46)
         GmmDenoiser(a).denoise(np.ones((1, 4)), [0.5])
-        assert not hasattr(a, "_memo") and not hasattr(a, "_mean_sq")
+        assert not any(hasattr(a, name) for name in ("_rows", "_held", "_mean_sq"))
         assert [f.name for f in dataclasses.fields(a)] == ["weights", "means", "var_scale", "shape"]
 
 

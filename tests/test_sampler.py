@@ -23,7 +23,7 @@ from sgps.core import (
     psnr,
 )
 from sgps.noise_est import PatchConfig
-from sgps.operators import BlurOp, gaussian_kernel, identity_op
+from sgps.operators import BlurOp, DownsampleOp, gaussian_kernel, identity_op
 from sgps.prior import CountingDenoiser, Denoiser, GmmDenoiser, GmmPrior, PerturbedDenoiser
 from sgps.sampler import INFLUX_CSV_COLUMNS, denoise_step, noise_influx_trace, sgps_run
 from sgps.schedule import build_schedule
@@ -124,6 +124,30 @@ class TestEvaluationBudget:
         den, op, y, _ = make_task()
         _, report = sgps_run(den, op, y, run_cfg(6), RngStream(11, 0))
         assert report.total_nfe == sum(r.nfe_step for r in report.steps)
+
+
+def test_instance_methods_see_every_row():
+    # a benchmark trace patches denoise and jacobian_vjp on the denoiser
+    # instance; the sampler must reach both through it, with every
+    # evaluation a denoised row and every gradient product a vjp row
+    shape = (16, 16)
+    means = np.stack([smooth_field(RngStream(80, j), shape, 0.5).data for j in range(3)])
+    prior = GmmPrior(np.full(3, 1.0 / 3), means, 0.01, shape)
+    den = GmmDenoiser(prior)
+    op = DownsampleOp(shape, 2)
+    x0 = prior.draw(RngStream(81, 0))
+    clean = op.apply(x0)
+    y = clean.with_data(clean.data + 0.05 * RngStream(81, 1).normal(clean.n))
+    cfg = run_cfg(6, langevin_steps=20, ode_substeps=2, sure_repeats=2, mc_probes=3)
+    rows = {"denoise": [], "jacobian_vjp": []}
+    for name, seen in rows.items():
+        method = getattr(den, name)
+        setattr(den, name, lambda xs, *a, method=method, seen=seen: (
+            seen.append(len(xs)) or method(xs, *a)))
+    _, report = sgps_run(den, op, y, cfg, RngStream(82, 0))
+    assert not any(r.skipped for r in report.steps)
+    assert sum(rows["denoise"]) == report.total_nfe
+    assert sum(rows["jacobian_vjp"]) == cfg.steps * cfg.sure_repeats * (1 + 2 * cfg.mc_probes)
 
 
 class TestClampAndSkip:

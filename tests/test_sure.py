@@ -237,7 +237,7 @@ class TestSureGradient:
         # the value denoises the base point and each shifted point in one
         # call, so one correction computes responsibilities once; the
         # gradient's Jacobian products are taken at the same points, which
-        # the memo keeps even when they are more than MEMO_ENTRIES
+        # the denoiser keeps as its latest call at any probe count
         prior = small_prior(n=12, k=5, seed=17)
         den = GmmDenoiser(prior)
         x = Signal(RngStream(18, 0).normal(12), (12,))
@@ -248,9 +248,11 @@ class TestSureGradient:
             grad = sure_gradient(den, ev)
         assert spy.call_count == 1
         assert spy.call_args.args[1].shape == (1 + probes, 12)
+        # a fresh denoiser that has served an unrelated call computes the
+        # gradient's posteriors anew, with the same bits
         fresh = GmmDenoiser(small_prior(n=12, k=5, seed=17))
         ev_fresh = sure_value(fresh, x, 0.3, cfg, RngStream(19, 0))
-        fresh._memo.clear()
+        fresh.denoise(RngStream(20, 0).standard_normal((2, 12)), [0.3, 0.7])
         want = sure_gradient(fresh, ev_fresh)
         assert np.array_equal(grad.data, want.data)
 
