@@ -24,6 +24,10 @@ from .core import (
 )
 from .operators import ForwardOp
 
+# bytes of the noise buffer: a guide call of B rows of n draws the noise of
+# up to NOISE_BYTES // (8 B n) iterations per stream per call
+NOISE_BYTES = 1 << 20
+
 
 def default_eta(sigma_t: float, cfg: SamplerConfig, op: ForwardOp) -> float:
     """Safe step size 0.5 * min(sigma_t^2, sigma_y^2) / max(1, op.lipschitz_bound)."""
@@ -66,22 +70,28 @@ def langevin_guide(
 
     st2 = sigma_t * sigma_t
     root = math.sqrt(2.0 * eta)
-    noise = np.empty(x_init.shape)
-    fills = [(r.normal_into, row) for r, row in zip(rngs, noise)]
+    steps = cfg.langevin_steps
+    # each row draws the noise of chunk iterations in one call; the stream
+    # yields the same normals in the same order as one call per iteration
+    chunk = max(1, min(steps, NOISE_BYTES // (8 * len(x_init) * n)))
+    noise = np.empty((len(x_init), chunk, n))
+    grad = np.empty(x_init.shape)
     x = x_init.copy()
     # x - eta * grad + root * noise, in place and in the same order; a
     # diverging chain overflows, and the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(cfg.langevin_steps):
-            grad = x - x_anchor
-            grad /= st2
-            grad += op.fidelity_gradient(x, y.data, cfg.sigma_y)
-            grad *= eta
-            for fill, row in fills:
-                fill(row)
-            noise *= root
-            x -= grad
-            x += noise
-            if not all_finite(x):
-                raise DivergenceError("langevin", j)
+        for start in range(0, steps, chunk):
+            todo = min(chunk, steps - start)
+            for r, rows in zip(rngs, noise):
+                r.normal_into(rows[:todo])
+            noise[:, :todo] *= root
+            for i in range(todo):
+                np.subtract(x, x_anchor, out=grad)
+                grad /= st2
+                grad += op.fidelity_gradient(x, y.data, cfg.sigma_y)
+                grad *= eta
+                x -= grad
+                x += noise[:, i]
+                if not all_finite(x):
+                    raise DivergenceError("langevin", start + i)
     return x

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from ..core import MAX_SEED, ConfigError, RngStream, SgpsError, Signal
-from ..noise_est import PatchConfig, estimate_sigma
+from ..noise_est import PatchConfig, check_patch_count, estimate_sigma
 from .config import parse_config
 from .pgm import read_pgm, write_pgm
 from .runner import run_experiment
@@ -56,7 +56,9 @@ def _cmd_estimate(args) -> int:
     patch = PatchConfig(patch_size=args.patch, stride=args.stride)
     if not os.path.isfile(args.image):
         raise ConfigError(f"no such image file: {args.image}")
-    sigma = estimate_sigma(read_pgm(args.image), patch)
+    image = read_pgm(args.image)
+    check_patch_count(image.shape, patch, "image ")
+    sigma = estimate_sigma(image, patch)
     print(f"{sigma:.6f}")
     return 0
 

@@ -5,7 +5,6 @@ reruns of the same config land on the same files with identical bytes.
 """
 from __future__ import annotations
 
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -13,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ConfigError, RunReport, SgpsError, format_float
+from ..noise_est import check_patch_count
 from ..sampler import sgps_run
 from .config import ExperimentConfig, make_task, run_stream
 from .svg import write_chart
@@ -93,16 +93,8 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool) -> int:
     if sweep and not axis_names:
         raise ConfigError("sweep requested but the config has no [sweep] axes")
     points = cfg.sweep_points if sweep else [({}, cfg.sampler)]
-    # every step estimates the noise from the sample's patches, and at most
-    # p^d of them leave the patch covariance rank-deficient
-    p, stride, shape = cfg.patch.patch_size, cfg.patch.stride, cfg.prior.shape
-    need = p ** len(shape)
-    count = math.prod(max(0, (d - p) // stride + 1) for d in shape)
-    if count <= need:
-        raise ConfigError(
-            f"[patch]: shape {shape} gives {count} patches of size {p} at stride "
-            f"{stride}; the noise estimate needs more than {need}"
-        )
+    # every step estimates the noise from the sample's patches
+    check_patch_count(cfg.prior.shape, cfg.patch, "[patch]: ")
     out_dir = resolve_output_dir(cfg)
     try:
         os.makedirs(out_dir, exist_ok=True)

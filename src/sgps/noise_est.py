@@ -7,6 +7,7 @@ variance.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -54,14 +55,15 @@ def extract_patches(x: Signal, cfg: PatchConfig = PatchConfig()) -> np.ndarray:
 def tail_eigenvalues(patches: np.ndarray) -> np.ndarray:
     """Eigenvalues of the patch covariance, descending, clamped at zero.
 
-    Patches too large for a finite covariance, or a covariance whose
-    eigenvalues do not converge, raise NonFiniteError.
+    Centres patches in place, so the caller passes an array it does not
+    need again (estimate_sigma passes extract_patches' fresh copy).  Patches
+    too large for a finite covariance, or a covariance whose eigenvalues do
+    not converge, raise NonFiniteError.
     """
     s = patches.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = patches.mean(axis=0)
-        centered = patches - mu
-        cov = centered.T @ centered / s
+        patches -= patches.mean(axis=0)
+        cov = patches.T @ patches / s
     if not np.all(np.isfinite(cov)):
         raise NonFiniteError("patch covariance is not finite")
     try:
@@ -69,6 +71,21 @@ def tail_eigenvalues(patches: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as e:
         raise NonFiniteError(f"patch covariance: {e}") from e
     return np.maximum(lam, 0.0)
+
+
+def check_patch_count(shape: tuple[int, ...], cfg: PatchConfig, where: str = "") -> None:
+    """Raise ConfigError unless a signal of this shape gives more than
+    patch_size^d patches at the configured stride, the count below which
+    estimate_sigma's covariance is rank-deficient.  where prefixes the
+    message."""
+    p, stride = cfg.patch_size, cfg.stride
+    need = p ** len(shape)
+    count = math.prod(max(0, (d - p) // stride + 1) for d in shape)
+    if count <= need:
+        raise ConfigError(
+            f"{where}shape {tuple(shape)} gives {count} patches of size {p} at stride "
+            f"{stride}; the noise estimate needs more than {need}"
+        )
 
 
 def estimate_sigma(x: Signal, cfg: PatchConfig = PatchConfig()) -> float:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from sgps import (
     Signal,
     identity_op,
 )
+from sgps import guidance
 from sgps.guidance import default_eta, langevin_guide
+from sgps.operators import ForwardOp
 
 
 def test_default_eta_formula():
@@ -215,3 +218,103 @@ def test_one_diverging_row_stops_the_batch_at_its_first_iteration():
         langevin_guide(xs, xs, 0.5, op, y, cfg, [RngStream(6, b) for b in range(3)])
     assert err.value.stage == "langevin"
     assert err.value.step_index == firsts[0][1]
+
+
+def noise_bytes_for(chunk, batch, n):
+    """A NOISE_BYTES that gives chunks of chunk iterations (None: one chunk
+    longer than any call)."""
+    return 1 << 40 if chunk is None else 8 * batch * n * chunk
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chunk=st.sampled_from([1, 3, None]),
+    batch=st.integers(1, 5),
+    n=st.integers(2, 9),
+    steps=st.integers(1, 40),
+    masked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_noise_equals_one_draw_per_iteration(chunk, batch, n, steps, masked, seed):
+    keep = np.arange(0, n, 2) if masked else np.arange(n)
+    op = MaskOp((n,), keep)
+    g = RngStream(seed, 0)
+    xs = g.standard_normal((batch, n))
+    anchors = g.standard_normal((batch, n))
+    y = Signal(g.normal(keep.size), (keep.size,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.3, langevin_steps=steps)
+    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(chunk, batch, n)):
+        rows = langevin_guide(xs, anchors, 0.6, op, y, cfg,
+                              [RngStream(seed, 1 + b) for b in range(batch)])
+    for b in range(batch):
+        want = reference_guide(xs[b], anchors[b], 0.6, keep, y.data, cfg, RngStream(seed, 1 + b))
+        assert np.array_equal(rows[b].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("steps", [1, 7, 12])
+def test_each_stream_advances_by_exactly_the_iterations_drawn(chunk, steps):
+    # a call leaves every stream where steps * n single draws leave it, so
+    # nothing is drawn beyond the last iteration; and each row fills its
+    # noise once per chunk
+    batch, n = 3, 5
+    op = identity_op((n,))
+    y = Signal(np.zeros(n), (n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=steps)
+    rngs = [RngStream(4, b) for b in range(batch)]
+    fill = RngStream.normal_into
+    fills = []
+
+    def spy(self, out):
+        fills.append(out.size)
+        fill(self, out)
+
+    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(chunk, batch, n)), \
+            mock.patch.object(RngStream, "normal_into", spy):
+        langevin_guide(np.zeros((batch, n)), np.zeros((batch, n)), 0.5, op, y, cfg, rngs)
+    per_fill = steps if chunk is None else min(chunk, steps)
+    assert len(fills) == batch * math.ceil(steps / per_fill)
+    assert sum(fills) == batch * steps * n
+    for b, r in enumerate(rngs):
+        fresh = RngStream(4, b)
+        fresh.normal(steps * n)
+        assert r.normal(1)[0] == fresh.normal(1)[0]
+
+
+def test_default_chunk_fills_the_noise_budget():
+    # 40 rows of 256 take 81920 bytes an iteration, so 1 MiB holds 12
+    batch, n = 40, 256
+    op = identity_op((n,))
+    y = Signal(np.zeros(n), (n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=30)
+    fills = []
+    fill = RngStream.normal_into
+
+    def spy(self, out):
+        fills.append(out.shape)
+        fill(self, out)
+
+    with mock.patch.object(RngStream, "normal_into", spy):
+        langevin_guide(np.zeros((batch, n)), np.zeros((batch, n)), 0.5, op, y, cfg,
+                       [RngStream(5, b) for b in range(batch)])
+    assert guidance.NOISE_BYTES == 1 << 20
+    assert fills == [(12, n)] * batch + [(12, n)] * batch + [(6, n)] * batch
+
+
+@pytest.mark.parametrize("keep", ["identity", "reversed", "partial"])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_mask_gradient_equals_the_generic_form(keep, batch):
+    # MaskOp's own gradient against A^T (A x - y) / sigma_y^2 through apply
+    # and adjoint, bit for bit; rows with negative zeros included
+    n = 12
+    idx = {"identity": np.arange(n), "reversed": np.arange(n)[::-1],
+           "partial": np.array([7, 0, 3, 11, 5])}[keep]
+    op = MaskOp((3, 4), idx)
+    g = RngStream(9, batch)
+    xs = g.standard_normal((batch, n))
+    xs[0, :3] = -0.0
+    y = g.normal(idx.size)
+    y[:2] = 0.0
+    got = op.fidelity_gradient(xs, y, 0.3)
+    want = ForwardOp._gradient_rows(op, xs, y, 0.3)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -56,13 +56,14 @@ def minimal_with(out: str) -> str:
     return MINIMAL.replace("name = mini", f"name = mini\noutput_dir = {out}")
 
 
-def run_cli(argv: list[str]) -> subprocess.CompletedProcess:
-    """The CLI in a separate process, so stderr is what a user sees."""
+def run_cli(argv: list[str], entry=("-m", "sgps.harness.cli")) -> subprocess.CompletedProcess:
+    """The CLI in a separate process, so stderr is what a user sees; entry
+    is how python starts it."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(sgps.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.pop("SGPS_OUTPUT_DIR", None)
-    return subprocess.run([sys.executable, "-m", "sgps.harness.cli", *argv],
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -717,13 +718,40 @@ class TestCli:
         assert "warning" not in proc.stderr.lower()
 
     def test_warning_is_one_line(self, tmp_path):
-        # the estimator's warning reaches a user as one line, with no
-        # source line and no category name
-        img = tmp_path / "small.pgm"
-        write_pgm(str(img), Signal(np.full(64, 0.5), (8, 8)))
-        proc = run_cli(["estimate", str(img)])
+        # a warning reaches a user as one line, with no source line and no
+        # category name.  No image the CLI accepts makes the estimator warn
+        # (too few patches is a config error), so the program below wraps the
+        # estimator in one that warns first
+        img = tmp_path / "flat.pgm"
+        write_pgm(str(img), Signal(np.full(256, 0.5), (16, 16)))
+        program = (
+            "import sys, warnings\n"
+            "from sgps.harness import cli\n"
+            "estimate = cli.estimate_sigma\n"
+            "def warned(*args):\n"
+            "    warnings.warn('covariance is rank-deficient')\n"
+            "    return estimate(*args)\n"
+            "cli.estimate_sigma = warned\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = run_cli(["estimate", str(img)], entry=("-c", program))
         assert proc.returncode == 0
-        assert proc.stderr == "warning: only 4 patches for 49 dimensions; covariance is rank-deficient\n"
+        assert proc.stderr == "warning: covariance is rank-deficient\n"
+
+    @pytest.mark.parametrize("size,count", [(4, 0), (8, 4)])
+    def test_estimate_with_too_few_patches_is_a_config_error(self, size, count, tmp_path,
+                                                             capsys):
+        # the rule run_experiment applies to a config's shape: a 4x4 image is
+        # smaller than one 7x7 patch, and an 8x8 one gives 4 patches for 49
+        # dimensions, which would leave the covariance rank-deficient
+        img = tmp_path / "small.pgm"
+        write_pgm(str(img), Signal(np.full(size * size, 0.5), (size, size)))
+        assert main(["estimate", str(img)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: image shape ({size}, {size}) gives {count} patches of size 7 "
+            f"at stride 1; the noise estimate needs more than 49\n")
 
     @pytest.mark.parametrize("shape,patch,count,size,stride", [
         ("8 8", "", 4, 7, 1),

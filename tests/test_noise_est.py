@@ -62,6 +62,19 @@ def test_tail_eigenvalues_descending_and_match_numpy():
     assert np.all(lam >= 0)
 
 
+@pytest.mark.parametrize("shape,p,stride", [((64, 64), 7, 1), ((9, 11), 3, 2), ((50,), 5, 1)])
+def test_tail_eigenvalues_in_place_equal_the_out_of_place_form(shape, p, stride):
+    # centring in place leaves every eigenvalue's bits as a centred copy does
+    x = Signal(RngStream(4, len(shape)).normal(int(np.prod(shape))), shape)
+    patches = extract_patches(x, PatchConfig(patch_size=p, stride=stride))
+    centered = patches - patches.mean(axis=0)
+    cov = centered.T @ centered / patches.shape[0]
+    want = np.maximum(np.linalg.eigvalsh(cov)[::-1], 0.0)
+    got = tail_eigenvalues(patches)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(patches, centered)
+
+
 def test_overflowing_covariance_is_non_finite_error():
     # finite patches whose covariance overflows, as a diverged iterate gives
     patches = RngStream(2, 0).standard_normal((40, 6)) * 1e200

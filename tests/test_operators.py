@@ -274,6 +274,19 @@ class TestDownsample:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
 
+    @pytest.mark.parametrize("factor", [1, 2, 3, 8])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_spread_equals_the_repeat_form(self, factor, batch):
+        # one broadcast copy into (b, h, f, w, f) against repeat along both
+        # axes, bit for bit, negative zeros included
+        op = DownsampleOp((3 * factor, 5 * factor), factor)
+        ws = RngStream(12, factor).standard_normal((batch, 15))
+        ws[0, :2] = -0.0
+        want = np.repeat(np.repeat(ws.reshape(batch, 3, 5), factor, axis=1), factor, axis=2)
+        got = op._spread(ws)
+        assert got.shape == (batch, 15 * factor * factor)
+        assert np.array_equal(got.view(np.uint64), want.reshape(batch, -1).view(np.uint64))
+
     @pytest.mark.parametrize("shape", [(), (4, 4, 4)])
     def test_rejects_other_than_one_or_two_axes(self, shape):
         with pytest.raises(SgpsError):
