@@ -10,6 +10,7 @@ evaluation budget.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -27,6 +28,23 @@ from .operators import ForwardOp
 # bytes of the noise buffer: a guide call of B rows of n draws the noise of
 # up to NOISE_BYTES // (8 B n) iterations per stream per call
 NOISE_BYTES = 1 << 20
+
+# each thread keeps its noise buffer between calls: a buffer made afresh per
+# call can go back to the system when freed and be page-faulted in again by
+# the next call, at a cost that moves with the machine's memory pressure
+_scratch = threading.local()
+
+
+def _noise_buffer(b: int, chunk: int, n: int) -> np.ndarray:
+    """A (b, chunk, n) buffer of unspecified contents; one of at most
+    NOISE_BYTES is the calling thread's kept buffer, a larger one is new."""
+    size = b * chunk * n
+    if 8 * size > NOISE_BYTES:
+        return np.empty((b, chunk, n))
+    buf = getattr(_scratch, "noise", None)
+    if buf is None or buf.size < size:
+        buf = _scratch.noise = np.empty(size)
+    return buf[:size].reshape(b, chunk, n)
 
 
 def default_eta(sigma_t: float, cfg: SamplerConfig, op: ForwardOp) -> float:
@@ -74,7 +92,7 @@ def langevin_guide(
     # each row draws the noise of chunk iterations in one call; the stream
     # yields the same normals in the same order as one call per iteration
     chunk = max(1, min(steps, NOISE_BYTES // (8 * len(x_init) * n)))
-    noise = np.empty((len(x_init), chunk, n))
+    noise = _noise_buffer(len(x_init), chunk, n)
     grad = np.empty(x_init.shape)
     x = x_init.copy()
     # x - eta * grad + root * noise, in place and in the same order; a

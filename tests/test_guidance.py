@@ -318,3 +318,25 @@ def test_mask_gradient_equals_the_generic_form(keep, batch):
     got = op.fidelity_gradient(xs, y, 0.3)
     want = ForwardOp._gradient_rows(op, xs, y, 0.3)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_noise_buffer_is_kept_between_calls():
+    # a guide call within NOISE_BYTES reuses its thread's buffer, whatever it
+    # holds from the last call, and a call beyond it gets a buffer of its own
+    batch, n = 3, 8
+    op = identity_op((n,))
+    y = Signal(np.zeros(n), (n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=5)
+    xs = RngStream(9, 0).standard_normal((batch, n))
+
+    def guide():
+        return langevin_guide(xs, xs, 0.5, op, y, cfg, [RngStream(9, 1 + b) for b in range(batch)])
+
+    first = guide()
+    kept = guidance._scratch.noise
+    kept.fill(np.nan)
+    assert np.array_equal(guide(), first)
+    assert guidance._scratch.noise is kept
+    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(1, batch, n) - 8):
+        assert np.array_equal(guide(), first)
+    assert guidance._scratch.noise is kept
