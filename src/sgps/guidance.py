@@ -47,6 +47,14 @@ def _noise_buffer(b: int, chunk: int, n: int) -> np.ndarray:
     return buf[:size].reshape(b, chunk, n)
 
 
+def draw_noise(rngs: Sequence[RngStream], out: np.ndarray) -> np.ndarray:
+    """Fill each row block out[b] with the next out[b].size normals of
+    rngs[b]; returns out."""
+    for r, rows in zip(rngs, out):
+        r.normal_into(rows)
+    return out
+
+
 def default_eta(sigma_t: float, cfg: SamplerConfig, op: ForwardOp) -> float:
     """Safe step size 0.5 * min(sigma_t^2, sigma_y^2) / max(1, op.lipschitz_bound)."""
     return 0.5 * min(sigma_t * sigma_t, cfg.sigma_y * cfg.sigma_y) / max(1.0, op.lipschitz_bound)
@@ -60,6 +68,8 @@ def langevin_guide(
     y: Signal,
     cfg: SamplerConfig,
     rngs: Sequence[RngStream],
+    *,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """Guided rows after cfg.langevin_steps unadjusted Langevin updates.
 
@@ -68,6 +78,10 @@ def langevin_guide(
     advance in lockstep, and row b draws its noise from rngs[b] alone, so
     it is the chain that stream would walk by itself.  A divergence is
     reported at the first iteration where any row is not finite.
+
+    noise, when given, is the (B, langevin_steps, n) block that
+    draw_noise(rngs, noise) filled; the call scales it in place and draws
+    nothing, with the same result as drawing from the streams itself.
     """
     n = math.prod(op.input_shape)
     if x_init.ndim != 2 or x_init.shape[1] != n:
@@ -89,10 +103,17 @@ def langevin_guide(
     st2 = sigma_t * sigma_t
     root = math.sqrt(2.0 * eta)
     steps = cfg.langevin_steps
-    # each row draws the noise of chunk iterations in one call; the stream
-    # yields the same normals in the same order as one call per iteration
-    chunk = max(1, min(steps, NOISE_BYTES // (8 * len(x_init) * n)))
-    noise = _noise_buffer(len(x_init), chunk, n)
+    if noise is None:
+        # each row draws the noise of chunk iterations in one call; the
+        # stream yields the same normals in the same order as one call per
+        # iteration
+        chunk = max(1, min(steps, NOISE_BYTES // (8 * len(x_init) * n)))
+        noise = _noise_buffer(len(x_init), chunk, n)
+        draw = rngs
+    else:
+        if noise.shape != (len(x_init), steps, n):
+            raise SgpsError(f"noise block {noise.shape} is not {(len(x_init), steps, n)}")
+        chunk, draw = steps, ()
     grad = np.empty(x_init.shape)
     x = x_init.copy()
     # x - eta * grad + root * noise, in place and in the same order; a
@@ -100,8 +121,7 @@ def langevin_guide(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, chunk):
             todo = min(chunk, steps - start)
-            for r, rows in zip(rngs, noise):
-                r.normal_into(rows[:todo])
+            draw_noise(draw, noise[:, :todo])
             noise[:, :todo] *= root
             for i in range(todo):
                 np.subtract(x, x_anchor, out=grad)

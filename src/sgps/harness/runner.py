@@ -15,7 +15,7 @@ from ..core import ConfigError, RunReport, SgpsError, format_float
 from ..noise_est import check_patch_count
 from ..sampler import sgps_run
 from .config import ExperimentConfig, make_task, run_stream
-from .svg import write_chart
+from .svg import write_artifact, write_chart
 
 ENV_OUTPUT_DIR = "SGPS_OUTPUT_DIR"
 
@@ -113,9 +113,8 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool) -> int:
                     patch=cfg.patch, x_true=x0,
                 )
                 res = RunResult(p_idx, rep, overrides, report)
-                path = os.path.join(out_dir, step_csv_name(cfg, p_idx, rep))
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(report.step_csv())
+                write_artifact(os.path.join(out_dir, step_csv_name(cfg, p_idx, rep)),
+                               report.step_csv())
             except ConfigError:
                 raise
             except SgpsError as e:
@@ -125,8 +124,8 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool) -> int:
         _point_chart(cfg, p_idx, point_results, out_dir)
         results.extend(point_results)
 
-    with open(os.path.join(out_dir, summary_csv_name(cfg)), "w", encoding="utf-8") as fh:
-        fh.write(_summary_rows(axis_names, results))
+    write_artifact(os.path.join(out_dir, summary_csv_name(cfg)),
+                   _summary_rows(axis_names, results))
 
     failed = sum(1 for r in results if r.report is None)
     if failed:

@@ -3,10 +3,17 @@ from __future__ import annotations
 
 import math
 
+from ..core import ConfigError
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 WIDTH, HEIGHT = 720, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 30, 40, 50
+
+
+def _escape(text: str) -> str:
+    """text as SVG character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _finite_pairs(xs, ys):
@@ -16,7 +23,8 @@ def _finite_pairs(xs, ys):
 
 def polyline_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     """SVG document plotting (label, xs, ys) series; non-finite points are
-    dropped."""
+    dropped.  The title, axis labels and series labels are plain text."""
+    title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
     cleaned = [(label, _finite_pairs(xs, ys)) for label, xs, ys in series]
     pts = [p for _, pp in cleaned for p in pp]
     if pts:
@@ -89,12 +97,21 @@ def polyline_chart(series, title: str, xlabel: str, ylabel: str) -> str:
             f'stroke="{color}" stroke-width="2"/>'
         )
         out.append(
-            f'<text x="{lx + 28}" y="{ly}" font-size="12" font-family="sans-serif">{label}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-size="12" font-family="sans-serif">'
+            f"{_escape(label)}</text>"
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
+def write_artifact(path: str, text: str) -> None:
+    """Write text to path; a failed write is a ConfigError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from e
+
+
 def write_chart(path: str, series, title: str, xlabel: str, ylabel: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(polyline_chart(series, title, xlabel, ylabel))
+    write_artifact(path, polyline_chart(series, title, xlabel, ylabel))

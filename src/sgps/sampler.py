@@ -6,12 +6,16 @@ Randomness is split into four independent substreams (initialization,
 guidance, probes, renoising) so that toggling probe consumption never shifts
 the draws seen by the other stages.  That makes ablation pairs comparable
 under common random numbers.  walk_ladder is the one ladder step loop;
-sgps_run and the chain experiments in analysis both run on it.
+sgps_run and the chain experiments in analysis both run on it.  Because the
+guidance substream feeds only the guide, a walk may draw the next level's
+guide noise on a worker thread while the current level is corrected.
 """
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,8 @@ from .core import (
     mse,
     psnr,
 )
-from .guidance import langevin_guide
+from . import guidance
+from .guidance import draw_noise, langevin_guide
 from .noise_est import PatchConfig, estimate_sigma
 from .operators import ForwardOp
 from .prior import CountingDenoiser, Denoiser
@@ -41,6 +46,33 @@ from .sure import sure_gradient, sure_update, sure_value
 
 # substream ids of one run
 STREAM_INIT, STREAM_GUIDE, STREAM_PROBE, STREAM_RENOISE = range(4)
+
+# a walk whose one level of guide noise, 8 B langevin_steps n bytes, is above
+# guidance.NOISE_BYTES and at most PREFETCH_BYTES draws it on a worker thread
+# while the main thread corrects the level before.  A smaller level hides too
+# little fill to pay for the hand-over; a larger one costs its size in memory
+# and, in the workloads that have one, has too little main-thread work per
+# level to hide its fill behind
+PREFETCH_BYTES = 4 << 20
+
+
+def _noise_worker(rows: int, steps: int, n: int):
+    """A one-thread executor for a walk's guide noise when one level of it
+    lies in the prefetch window and the process may run on a second CPU
+    (on one CPU the worker only takes turns with the main thread); else a
+    context that yields None."""
+    if not guidance.NOISE_BYTES < 8 * rows * steps * n <= PREFETCH_BYTES:
+        return nullcontext()
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return nullcontext()
+    # imported here: the executor loads logging, which importing sgps need not
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def denoise_step(den: Denoiser, x_t: np.ndarray, sigma_t: float, substeps: int) -> np.ndarray:
@@ -128,22 +160,33 @@ def walk_ladder(
     if not (1 <= depth <= sigmas.size):
         raise SgpsError(f"depth must be in [1, {sigmas.size}], got {depth}")
     n = math.prod(op.input_shape)
+    steps = cfg.langevin_steps
     rng_guide = [r.substream(STREAM_GUIDE) for r in rngs]
     rng_renoise = [r.substream(STREAM_RENOISE) for r in rngs]
-    top = float(sigmas[0])
-    x = np.stack([top * r.substream(STREAM_INIT).normal(n) for r in rngs])
-    for k in range(depth):
-        sigma_t = float(sigmas[k])
-        step_no = k + 1
-        x0t = _stage(lambda: denoise_step(den, x, sigma_t, cfg.ode_substeps), "denoise", step_no)
-        x0ty = _stage(
-            lambda: langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_guide),
-            "guidance", step_no,
-        )
-        x = finish(k, sigma_t, x0t, x0ty)
-        if k + 1 < depth:
-            x = _stage(lambda: _renoised(x, float(sigmas[k + 1]), rng_renoise),
-                       "renoise", step_no)
+    # leaving the with, by return or by exception, waits for a pending fill
+    with _noise_worker(len(rngs), steps, n) as pool:
+        if pool:
+            block = np.empty((len(rngs), steps, n))
+            fill = pool.submit(draw_noise, rng_guide, block)
+        top = float(sigmas[0])
+        x = np.stack([top * r.substream(STREAM_INIT).normal(n) for r in rngs])
+        for k in range(depth):
+            sigma_t = float(sigmas[k])
+            step_no = k + 1
+            x0t = _stage(lambda: denoise_step(den, x, sigma_t, cfg.ode_substeps),
+                         "denoise", step_no)
+            noise = fill.result() if pool else None
+            x0ty = _stage(
+                lambda: langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_guide, noise=noise),
+                "guidance", step_no,
+            )
+            if pool and k + 1 < depth:
+                # level k's block is used up, so each stream goes on in order
+                fill = pool.submit(draw_noise, rng_guide, block)
+            x = finish(k, sigma_t, x0t, x0ty)
+            if k + 1 < depth:
+                x = _stage(lambda: _renoised(x, float(sigmas[k + 1]), rng_renoise),
+                           "renoise", step_no)
     return x
 
 

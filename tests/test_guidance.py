@@ -21,7 +21,7 @@ from sgps import (
     identity_op,
 )
 from sgps import guidance
-from sgps.guidance import default_eta, langevin_guide
+from sgps.guidance import default_eta, draw_noise, langevin_guide
 from sgps.operators import ForwardOp
 
 
@@ -340,3 +340,35 @@ def test_noise_buffer_is_kept_between_calls():
     with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(1, batch, n) - 8):
         assert np.array_equal(guide(), first)
     assert guidance._scratch.noise is kept
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+def test_a_drawn_noise_block_equals_the_guides_own_draws(steps):
+    # a block that draw_noise filled from fresh streams gives the rows the
+    # guide gives when it draws from them itself, and the guide then draws
+    # nothing from the streams it is handed
+    batch, n = 3, 5
+    op = identity_op((n,))
+    g = RngStream(10, 0)
+    xs = g.standard_normal((batch, n))
+    y = Signal(g.normal(n), (n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=steps)
+    streams = lambda: [RngStream(10, 1 + b) for b in range(batch)]  # noqa: E731
+    want = langevin_guide(xs, xs, 0.5, op, y, cfg, streams())
+    block = draw_noise(streams(), np.empty((batch, steps, n)))
+    rngs = streams()
+    with mock.patch.object(RngStream, "normal_into", side_effect=AssertionError("drew")):
+        got = langevin_guide(xs, xs, 0.5, op, y, cfg, rngs, noise=block)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for b, r in enumerate(rngs):
+        assert r.normal(1)[0] == RngStream(10, 1 + b).normal(1)[0]
+
+
+def test_a_noise_block_of_the_wrong_shape_is_rejected():
+    n = 4
+    op = identity_op((n,))
+    y = Signal(np.zeros(n), (n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=3)
+    with pytest.raises(SgpsError, match="noise block"):
+        langevin_guide(np.zeros((2, n)), np.zeros((2, n)), 0.5, op, y, cfg,
+                       [RngStream(11, b) for b in range(2)], noise=np.zeros((2, 2, n)))

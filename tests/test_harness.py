@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from unittest import mock
 
 import numpy as np
@@ -430,6 +431,12 @@ class TestSvg:
         doc = polyline_chart([], title="t", xlabel="x", ylabel="y")
         assert "</svg>" in doc
 
+    def test_text_is_escaped(self):
+        doc = polyline_chart([("p<q", [1, 2], [1.0, 2.0])], title="a&b", xlabel="x>0",
+                             ylabel="'y' & \"z\"")
+        texts = [el.text for el in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
+        assert {"a&b", "x>0", "'y' & \"z\"", "p<q"} <= set(texts)
+
 
 class TestRunner:
     def test_artifact_names_are_pure(self):
@@ -623,6 +630,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot create output directory {out}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("artifact", ["step_csv", "summary_csv", "curves_svg"])
+    def test_blocked_artifact_path_is_a_config_error(self, artifact, tmp_path, monkeypatch,
+                                                     capsys):
+        # a directory where the artifact goes fails the write; the CLI says
+        # which path in one line, as for an uncreatable output directory
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        out = tmp_path / "out"
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(out)))
+        cfg = parse_config_text(path.read_text())
+        name = {"step_csv": step_csv_name(cfg, 0, 0), "summary_csv": summary_csv_name(cfg),
+                "curves_svg": curves_svg_name(cfg, 0)}[artifact]
+        (out / name).mkdir(parents=True)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / name}: ")
+        assert err.count("\n") == 1
+
+    def test_curves_svg_parses_for_a_name_with_markup(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        out = tmp_path / "out"
+        cfg = parse_config_text(minimal_with(out=str(out)).replace("name = mini",
+                                                                   "name = a&b <x>"))
+        assert run_experiment(cfg, sweep=False) == 0
+        root = ET.parse(out / curves_svg_name(cfg, 0)).getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == "a&b <x>: noise level per step (point 0)"
 
     def test_synth_bad_size(self, capsys):
         assert main(["synth", "--sigma", "0.1", "--size", "banana", "--out", "/tmp/x.pgm"]) == 1

@@ -1,6 +1,8 @@
 """Sampling loop: evaluation budget, substep ladder, clamping and skipping,
 determinism, and the common-random-numbers pairing contract."""
 import math
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -25,7 +27,13 @@ from sgps.core import (
 from sgps.noise_est import PatchConfig
 from sgps.operators import BlurOp, DownsampleOp, gaussian_kernel, identity_op
 from sgps.prior import CountingDenoiser, Denoiser, GmmDenoiser, GmmPrior, PerturbedDenoiser
-from sgps.sampler import INFLUX_CSV_COLUMNS, denoise_step, noise_influx_trace, sgps_run
+from sgps.sampler import (
+    INFLUX_CSV_COLUMNS,
+    STREAM_GUIDE,
+    denoise_step,
+    noise_influx_trace,
+    sgps_run,
+)
 from sgps.schedule import build_schedule
 
 
@@ -392,3 +400,196 @@ def test_error_mentioning_finite_is_not_relabeled():
     with pytest.raises(SgpsError) as err:
         sgps_run(_FailingDenoiser(fail), op, y, run_cfg(4), RngStream(25, 0))
     assert err.value is cause
+
+
+def mixture_sr_task(shape=(64, 64), k=6):
+    """2x super-resolution under a k-component smooth-mean mixture."""
+    root = RngStream(81, 0)
+    means = np.stack([smooth_field(root.substream(j), shape, 0.5).data for j in range(k)])
+    prior = GmmPrior(np.full(k, 1.0 / k), means, 0.02, shape)
+    op = DownsampleOp(shape, 2)
+    x0 = prior.draw(RngStream(81, 1))
+    clean = op.apply(x0)
+    y = clean.with_data(clean.data + 0.05 * RngStream(81, 2).normal(clean.n))
+    return GmmDenoiser(prior), op, y, x0
+
+
+def spy_guide(monkeypatch) -> list:
+    """Record (guide streams, whether the walk passed a noise block) of
+    every guide call the sampler makes."""
+    calls = []
+    guide = sgps.sampler.langevin_guide
+
+    def spy(*args, noise=None, **kw):
+        calls.append((args[6], noise is not None))
+        return guide(*args, noise=noise, **kw)
+
+    monkeypatch.setattr(sgps.sampler, "langevin_guide", spy)
+    return calls
+
+
+def in_call_draws(monkeypatch):
+    monkeypatch.setattr(sgps.sampler, "PREFETCH_BYTES", 0)
+
+
+def prefix_bytes(states) -> bytes:
+    return b"".join(a.tobytes() for _, x0t, x0ty in states for a in (x0t, x0ty))
+
+
+class TestGuideNoisePrefetch:
+    """A walk whose one level of guide noise lies above NOISE_BYTES and at
+    most PREFETCH_BYTES draws it on a worker thread; every bit, every
+    stream and every error is as with the guide's own draws."""
+
+    def test_run_bytes_equal_in_call_draws(self, monkeypatch):
+        # one row of 4096 pixels and 100 iterations: 3.1 MiB a level
+        den, op, y, x0 = mixture_sr_task()
+        cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.05, langevin_steps=100)
+        calls = spy_guide(monkeypatch)
+        xa, ra = sgps_run(den, op, y, cfg, RngStream(82, 0), x_true=x0)
+        assert [pre for _, pre in calls] == [True] * 4
+        in_call_draws(monkeypatch)
+        xb, rb = sgps_run(den, op, y, cfg, RngStream(82, 0), x_true=x0)
+        assert [pre for _, pre in calls[4:]] == [False] * 4
+        assert xa.data.tobytes() == xb.data.tobytes()
+        assert ra.step_csv() == rb.step_csv()
+
+    def test_chain_prefix_bytes_equal_in_call_draws(self, monkeypatch):
+        # 8 rows of 256 pixels and 100 iterations: 1.6 MB a level
+        den, op, y, _ = make_task()
+        cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
+        rngs = lambda: [RngStream(83, b) for b in range(8)]  # noqa: E731
+        calls = spy_guide(monkeypatch)
+        pre = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 4))
+        assert [p for _, p in calls] == [True] * 4
+        in_call_draws(monkeypatch)
+        assert prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 4)) == pre
+
+    def test_one_cpu_keeps_the_guides_own_draws(self, monkeypatch):
+        # with no second CPU the worker could only take turns with the walk
+        den, op, y, _ = make_task()
+        cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
+        calls = spy_guide(monkeypatch)
+        monkeypatch.setattr(sgps.sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        chain_prefix(den, op, y, cfg, [RngStream(89, b) for b in range(8)], 2)
+        assert [p for _, p in calls] == [False] * 2
+
+    @pytest.mark.parametrize("prefetch", [True, False])
+    def test_guide_streams_advance_by_the_iterations_walked(self, prefetch, monkeypatch):
+        # nothing is drawn past the last level walked, and nothing is skipped
+        den, op, y, _ = make_task()
+        cfg = run_cfg(6, sure_repeats=0, langevin_steps=100)
+        depth, n = 3, 256
+        calls = spy_guide(monkeypatch)
+        if not prefetch:
+            in_call_draws(monkeypatch)
+        chain_prefix(den, op, y, cfg, [RngStream(84, b) for b in range(8)], depth)
+        assert [p for _, p in calls] == [prefetch] * depth
+        for b, r in enumerate(calls[0][0]):
+            fresh = RngStream(84, b).substream(STREAM_GUIDE)
+            fresh.normal(depth * cfg.langevin_steps * n)
+            assert r.normal(1)[0] == fresh.normal(1)[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_divergence_reports_the_in_call_stage_and_step(self, monkeypatch):
+        # a fixed step that is stable at the first two levels and overflows
+        # at the third; 1024 pixels and 200 iterations: 1.6 MB a level
+        den, op, y, _ = make_task(shape=(32, 32))
+        sigmas = build_schedule(4, T_MIN, 40.0, RHO)
+        cfg = SamplerConfig(steps=4, t_max=40.0, sigma_y=100.0, langevin_steps=200,
+                            langevin_eta=1.5 * float(sigmas[1]) ** 2)
+        calls = spy_guide(monkeypatch)
+        before = threading.active_count()
+        errors = []
+        for prefetch in (True, False):
+            if not prefetch:
+                in_call_draws(monkeypatch)
+            with pytest.raises(DivergenceError) as err:
+                sgps_run(den, op, y, cfg, RngStream(85, 0))
+            errors.append((err.value.stage, err.value.step_index, str(err.value)))
+        assert [p for _, p in calls] == [True] * 3 + [False] * 3
+        assert errors[0] == errors[1]
+        assert errors[0][:2] == ("guidance", 3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing_fill", [0, 2])
+    def test_a_failing_fill_surfaces_from_the_walk(self, failing_fill, monkeypatch):
+        den, op, y, _ = make_task()
+        cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
+        fill = RngStream.normal_into
+        worker_fills = []
+
+        def spy(self, out):
+            if threading.current_thread() is not threading.main_thread():
+                worker_fills.append(out.size)
+                if len(worker_fills) > 8 * failing_fill:
+                    raise RuntimeError("fill failed")
+            fill(self, out)
+
+        monkeypatch.setattr(RngStream, "normal_into", spy)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="fill failed"):
+            chain_prefix(den, op, y, cfg, [RngStream(86, b) for b in range(8)], 4)
+        # the first row of the failing level's fill raised
+        assert len(worker_fills) == 8 * failing_fill + 1
+        assert threading.active_count() == before
+
+    def test_a_walk_that_raises_waits_for_its_pending_fill(self):
+        # the finish of level 0 raises while level 1's block is being drawn
+        den, op, y, _ = make_task()
+        cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
+        before = threading.active_count()
+
+        def finish(k, sigma_t, x0t, x0ty):
+            raise ValueError("finish failed")
+
+        with pytest.raises(ValueError, match="finish failed"):
+            sgps.sampler.walk_ladder(den, op, y, cfg, [RngStream(87, b) for b in range(8)],
+                                     finish, 3)
+        assert threading.active_count() == before
+
+    def test_threads_after_walks_that_succeed(self):
+        den, op, y, _ = make_task()
+        cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
+        before = threading.active_count()
+        for seed in range(3):
+            chain_prefix(den, op, y, cfg, [RngStream(88 + seed, b) for b in range(8)], 3)
+        assert threading.active_count() == before
+
+    def test_concurrent_walks_equal_serial_bytes(self):
+        # 4 threads of 3 walks each, each walk with its own worker, under a
+        # switch interval short enough to interleave them within every fill
+        cfg = run_cfg(4, sure_repeats=0, langevin_steps=100)
+
+        def walk(task, seed):
+            den, op, y, _ = task
+            rngs = [RngStream(seed, b) for b in range(2)]
+            return prefix_bytes(chain_prefix(den, op, y, cfg, rngs, 3))
+
+        serial = {seed: walk(make_task(shape=(32, 32)), seed) for seed in range(12)}
+        results, errors = {}, []
+
+        def run(t):
+            try:
+                task = make_task(shape=(32, 32))
+                for seed in range(3 * t, 3 * t + 3):
+                    results[seed] = walk(task, seed)
+            except BaseException as e:  # reported by the main thread
+                errors.append(e)
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [th for th in threads if th.is_alive()]
+        assert errors == []
+        assert results == serial
+        assert threading.active_count() == before

@@ -1,4 +1,5 @@
-"""Start-up cost: scipy loads only at the call sites that need it.
+"""Start-up cost: scipy loads only at the call sites that need it, and no
+thread outlives the call that started it.
 
 Each check runs in a fresh interpreter, because the test process itself has
 scipy loaded already.
@@ -29,10 +30,13 @@ steps = 2
 langevin_steps = 5
 """
 
-# importing the package and running a task without a blur loads no scipy;
-# a blur loads scipy.sparse, and only the normality check loads scipy.special
+# importing the package and running a task without a blur loads no scipy and
+# leaves one thread, also after a run whose guide noise is drawn on a worker
+# (256 pixels and 1000 iterations: 2 MB a level); a blur loads scipy.sparse,
+# and only the normality check loads scipy.special
 _SCRIPT = f"""
 import sys
+import threading
 import numpy as np
 import sgps, sgps.analysis, sgps.harness
 from sgps.harness import make_task, parse_config_text, run_stream
@@ -42,8 +46,11 @@ cfg = parse_config_text(text)
 x0, y = make_task(cfg)
 down = parse_config_text(text.replace("kind = identity", "kind = downsample\\nfactor = 2"))
 make_task(down)
-sgps.sgps_run(cfg.denoiser, cfg.op, y, cfg.sampler, run_stream(cfg, 0, 0),
-              patch=cfg.patch, x_true=x0)
+assert threading.active_count() == 1, "importing sgps started a thread"
+for langevin_steps in (cfg.sampler.langevin_steps, 1000):
+    sgps.sgps_run(cfg.denoiser, cfg.op, y, cfg.sampler.replace(langevin_steps=langevin_steps),
+                  run_stream(cfg, 0, 0), patch=cfg.patch, x_true=x0)
+    assert threading.active_count() == 1, "a thread outlived its run"
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, f"loaded before any blur: {{loaded[:5]}}"
 
