@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .core import (
     all_finite,
 )
 from .operators import ForwardOp
+
+if TYPE_CHECKING:  # the executor module loads logging, which sgps need not
+    from concurrent.futures import Executor
 
 # bytes of the noise buffer: a guide call of B rows of n draws the noise of
 # up to NOISE_BYTES // (8 B n) iterations per stream per call
@@ -70,6 +74,7 @@ def langevin_guide(
     rngs: Sequence[RngStream],
     *,
     noise: np.ndarray | None = None,
+    worker: Executor | None = None,
 ) -> np.ndarray:
     """Guided rows after cfg.langevin_steps unadjusted Langevin updates.
 
@@ -82,6 +87,12 @@ def langevin_guide(
     noise, when given, is the (B, langevin_steps, n) block that
     draw_noise(rngs, noise) filled; the call scales it in place and draws
     nothing, with the same result as drawing from the streams itself.
+
+    worker, when given and noise is not, is a ladder walk's one-thread
+    executor: for each chunk of iterations it draws rows [B // 2, B) of the
+    chunk's noise while the calling thread draws rows [0, B // 2), and the
+    call waits for both before it updates.  Each stream is drawn by one
+    thread in order, so the rows are as with the call's own draws.
     """
     n = math.prod(op.input_shape)
     if x_init.ndim != 2 or x_init.shape[1] != n:
@@ -113,7 +124,8 @@ def langevin_guide(
     else:
         if noise.shape != (len(x_init), steps, n):
             raise SgpsError(f"noise block {noise.shape} is not {(len(x_init), steps, n)}")
-        chunk, draw = steps, ()
+        chunk, draw, worker = steps, (), None
+    half = len(x_init) // 2
     grad = np.empty(x_init.shape)
     x = x_init.copy()
     # x - eta * grad + root * noise, in place and in the same order; a
@@ -121,7 +133,14 @@ def langevin_guide(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, chunk):
             todo = min(chunk, steps - start)
-            draw_noise(draw, noise[:, :todo])
+            if worker is None:
+                draw_noise(draw, noise[:, :todo])
+            else:
+                rest = worker.submit(draw_noise, draw[half:], noise[half:, :todo])
+                try:
+                    draw_noise(draw[:half], noise[:half, :todo])
+                finally:  # the worker never writes the buffer past this call
+                    rest.result()
             noise[:, :todo] *= root
             for i in range(todo):
                 np.subtract(x, x_anchor, out=grad)

@@ -37,6 +37,8 @@ STREAM_TRUTH = 1
 STREAM_MEASUREMENT = 2
 STREAM_MASK = 3
 STREAM_RUN_BASE = 16
+# each sweep point owns this many run stream ids, one per repeat
+MAX_REPEATS = 65536
 
 
 @dataclass(frozen=True)
@@ -341,8 +343,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     patch = _build_patch(patch_sec)
     sweep_points = _build_sweep(_Section(parser, "sweep"), sampler_fields)
     repeats = exp.get_int("repeats", 1)
-    if repeats < 1:
-        raise ConfigError(f"[experiment] repeats: must be >= 1, got {repeats}")
+    if not 1 <= repeats <= MAX_REPEATS:
+        raise ConfigError(f"[experiment] repeats: must be in [1, {MAX_REPEATS}], got {repeats}")
     cfg = ExperimentConfig(
         name=exp.get("name", "experiment"),
         seed=seed,
@@ -398,4 +400,4 @@ def make_task(cfg: ExperimentConfig) -> tuple[Signal, Signal]:
 
 def run_stream(cfg: ExperimentConfig, point: int, repeat: int) -> RngStream:
     """Worker stream for a (sweep point, repeat) pair."""
-    return RngStream(cfg.seed, STREAM_RUN_BASE + point * 65536 + repeat)
+    return RngStream(cfg.seed, STREAM_RUN_BASE + point * MAX_REPEATS + repeat)

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -372,3 +375,79 @@ def test_a_noise_block_of_the_wrong_shape_is_rejected():
     with pytest.raises(SgpsError, match="noise block"):
         langevin_guide(np.zeros((2, n)), np.zeros((2, n)), 0.5, op, y, cfg,
                        [RngStream(11, b) for b in range(2)], noise=np.zeros((2, 2, n)))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 5])
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("steps", [1, 7, 12])
+def test_a_worker_split_equals_the_guides_own_draws(batch, chunk, steps):
+    # with a worker the call draws rows [batch // 2, batch) of each chunk on
+    # the worker thread and the others itself; the rows and the streams end
+    # as with its own draws, for odd batches and short last chunks too
+    n = 5
+    op = identity_op((n,))
+    g = RngStream(12, batch)
+    xs = g.standard_normal((batch, n))
+    y = Signal(g.normal(n), (n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=steps)
+    streams = lambda: [RngStream(12, 1 + b) for b in range(batch)]  # noqa: E731
+    fill = RngStream.normal_into
+    on_main = {}
+
+    def spy(self, out):
+        on_main.setdefault(self.stream_id, set()).add(
+            threading.current_thread() is threading.main_thread())
+        fill(self, out)
+
+    rngs = streams()
+    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(chunk, batch, n)):
+        want = langevin_guide(xs, xs, 0.5, op, y, cfg, streams())
+        with ThreadPoolExecutor(max_workers=1) as pool, \
+                mock.patch.object(RngStream, "normal_into", spy):
+            got = langevin_guide(xs, xs, 0.5, op, y, cfg, rngs, worker=pool)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert on_main == {1 + b: {b < batch // 2} for b in range(batch)}
+    for b, r in enumerate(rngs):
+        fresh = RngStream(12, 1 + b)
+        fresh.normal(steps * n)
+        assert r.normal(1)[0] == fresh.normal(1)[0]
+
+
+def test_a_noise_block_leaves_the_worker_idle():
+    # a call handed both a drawn block and a worker draws nothing
+    batch, n, steps = 2, 5, 3
+    op = identity_op((n,))
+    y = Signal(np.zeros(n), (n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=steps)
+    xs = RngStream(13, 0).standard_normal((batch, n))
+    rngs = [RngStream(13, 1 + b) for b in range(batch)]
+    want = langevin_guide(xs, xs, 0.5, op, y, cfg, rngs)
+    block = draw_noise([RngStream(13, 1 + b) for b in range(batch)], np.empty((batch, steps, n)))
+    idle = mock.Mock(submit=mock.Mock(side_effect=AssertionError("submitted")))
+    got = langevin_guide(xs, xs, 0.5, op, y, cfg, rngs, noise=block, worker=idle)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_a_failing_own_fill_waits_for_the_workers():
+    # the call's own rows fail to draw while the worker is still drawing;
+    # the error leaves the call only after the worker is done with the buffer
+    batch, n = 2, 5
+    op = identity_op((n,))
+    y = Signal(np.zeros(n), (n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=3)
+    fill = RngStream.normal_into
+    done = []
+
+    def spy(self, out):
+        if threading.current_thread() is threading.main_thread():
+            raise RuntimeError("fill failed")
+        time.sleep(0.05)
+        fill(self, out)
+        done.append(self.stream_id)
+
+    with ThreadPoolExecutor(max_workers=1) as pool, \
+            mock.patch.object(RngStream, "normal_into", spy):
+        with pytest.raises(RuntimeError, match="fill failed"):
+            langevin_guide(np.zeros((batch, n)), np.zeros((batch, n)), 0.5, op, y, cfg,
+                           [RngStream(14, b) for b in range(batch)], worker=pool)
+        assert done == [1]

@@ -17,6 +17,7 @@ import sgps
 from sgps.core import MAX_STEPS, ConfigError, RngStream, SamplerConfig, Signal
 from sgps.harness.cli import main
 from sgps.harness.config import (
+    MAX_REPEATS,
     make_task,
     parse_config,
     parse_config_text,
@@ -365,6 +366,17 @@ class TestMakeTask:
         c = run_stream(cfg, 1, 0).normal(4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_repeats_beyond_a_points_streams_are_rejected(self):
+        # each sweep point owns MAX_REPEATS run streams; one repeat more would
+        # reuse the next point's repeat-0 stream
+        cfg = parse_config_text(MINIMAL.replace("seed = 3", f"seed = 3\nrepeats = {MAX_REPEATS}"))
+        assert cfg.repeats == MAX_REPEATS
+        last = run_stream(cfg, 0, MAX_REPEATS - 1)
+        assert last.stream_id + 1 == run_stream(cfg, 1, 0).stream_id
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL.replace("seed = 3", f"seed = 3\nrepeats = {MAX_REPEATS + 1}"))
+        assert str(err.value) == "[experiment] repeats: must be in [1, 65536], got 65537"
 
 
 class TestPgm:

@@ -11,7 +11,7 @@ import pytest
 
 import sgps.sampler
 
-from sgps.analysis import chain_prefix, smooth_field
+from sgps.analysis import chain_prefix, kl_trend_trials, smooth_field
 from sgps.core import (
     RHO,
     T_MIN,
@@ -415,21 +415,33 @@ def mixture_sr_task(shape=(64, 64), k=6):
 
 
 def spy_guide(monkeypatch) -> list:
-    """Record (guide streams, whether the walk passed a noise block) of
-    every guide call the sampler makes."""
+    """Record (guide streams, how the call's noise was drawn) of every guide
+    call the sampler makes: "ahead" when the walk passed a noise block,
+    "split" when it passed its worker, "own" when the guide drew alone."""
     calls = []
     guide = sgps.sampler.langevin_guide
 
-    def spy(*args, noise=None, **kw):
-        calls.append((args[6], noise is not None))
-        return guide(*args, noise=noise, **kw)
+    def spy(*args, noise=None, worker=None, **kw):
+        mode = "ahead" if noise is not None else "split" if worker is not None else "own"
+        calls.append((args[6], mode))
+        return guide(*args, noise=noise, worker=worker, **kw)
 
     monkeypatch.setattr(sgps.sampler, "langevin_guide", spy)
     return calls
 
 
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(sgps.sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(sgps.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def in_call_draws(monkeypatch):
-    monkeypatch.setattr(sgps.sampler, "PREFETCH_BYTES", 0)
+    """The serial baseline: on one CPU a walk makes no worker, so the guide
+    draws every row's noise itself whatever the level's size."""
+    one_cpu(monkeypatch)
 
 
 def prefix_bytes(states) -> bytes:
@@ -446,11 +458,12 @@ class TestGuideNoisePrefetch:
         den, op, y, x0 = mixture_sr_task()
         cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.05, langevin_steps=100)
         calls = spy_guide(monkeypatch)
+        two_cpus(monkeypatch)
         xa, ra = sgps_run(den, op, y, cfg, RngStream(82, 0), x_true=x0)
-        assert [pre for _, pre in calls] == [True] * 4
+        assert [mode for _, mode in calls] == ["ahead"] * 4
         in_call_draws(monkeypatch)
         xb, rb = sgps_run(den, op, y, cfg, RngStream(82, 0), x_true=x0)
-        assert [pre for _, pre in calls[4:]] == [False] * 4
+        assert [mode for _, mode in calls[4:]] == ["own"] * 4
         assert xa.data.tobytes() == xb.data.tobytes()
         assert ra.step_csv() == rb.step_csv()
 
@@ -460,19 +473,20 @@ class TestGuideNoisePrefetch:
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
         rngs = lambda: [RngStream(83, b) for b in range(8)]  # noqa: E731
         calls = spy_guide(monkeypatch)
+        two_cpus(monkeypatch)
         pre = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 4))
-        assert [p for _, p in calls] == [True] * 4
         in_call_draws(monkeypatch)
         assert prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 4)) == pre
+        assert [mode for _, mode in calls] == ["ahead"] * 4 + ["own"] * 4
 
     def test_one_cpu_keeps_the_guides_own_draws(self, monkeypatch):
         # with no second CPU the worker could only take turns with the walk
         den, op, y, _ = make_task()
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
         calls = spy_guide(monkeypatch)
-        monkeypatch.setattr(sgps.sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_cpu(monkeypatch)
         chain_prefix(den, op, y, cfg, [RngStream(89, b) for b in range(8)], 2)
-        assert [p for _, p in calls] == [False] * 2
+        assert [mode for _, mode in calls] == ["own"] * 2
 
     @pytest.mark.parametrize("prefetch", [True, False])
     def test_guide_streams_advance_by_the_iterations_walked(self, prefetch, monkeypatch):
@@ -481,10 +495,11 @@ class TestGuideNoisePrefetch:
         cfg = run_cfg(6, sure_repeats=0, langevin_steps=100)
         depth, n = 3, 256
         calls = spy_guide(monkeypatch)
+        two_cpus(monkeypatch)
         if not prefetch:
             in_call_draws(monkeypatch)
         chain_prefix(den, op, y, cfg, [RngStream(84, b) for b in range(8)], depth)
-        assert [p for _, p in calls] == [prefetch] * depth
+        assert [mode for _, mode in calls] == ["ahead" if prefetch else "own"] * depth
         for b, r in enumerate(calls[0][0]):
             fresh = RngStream(84, b).substream(STREAM_GUIDE)
             fresh.normal(depth * cfg.langevin_steps * n)
@@ -500,6 +515,7 @@ class TestGuideNoisePrefetch:
         cfg = SamplerConfig(steps=4, t_max=40.0, sigma_y=100.0, langevin_steps=200,
                             langevin_eta=1.5 * float(sigmas[1]) ** 2)
         calls = spy_guide(monkeypatch)
+        two_cpus(monkeypatch)
         before = threading.active_count()
         errors = []
         for prefetch in (True, False):
@@ -508,7 +524,7 @@ class TestGuideNoisePrefetch:
             with pytest.raises(DivergenceError) as err:
                 sgps_run(den, op, y, cfg, RngStream(85, 0))
             errors.append((err.value.stage, err.value.step_index, str(err.value)))
-        assert [p for _, p in calls] == [True] * 3 + [False] * 3
+        assert [mode for _, mode in calls] == ["ahead"] * 3 + ["own"] * 3
         assert errors[0] == errors[1]
         assert errors[0][:2] == ("guidance", 3)
         assert threading.active_count() == before
@@ -558,38 +574,173 @@ class TestGuideNoisePrefetch:
         assert threading.active_count() == before
 
     def test_concurrent_walks_equal_serial_bytes(self):
-        # 4 threads of 3 walks each, each walk with its own worker, under a
-        # switch interval short enough to interleave them within every fill
-        cfg = run_cfg(4, sure_repeats=0, langevin_steps=100)
+        concurrent_walks_equal_serial_bytes()
 
-        def walk(task, seed):
-            den, op, y, _ = task
-            rngs = [RngStream(seed, b) for b in range(2)]
-            return prefix_bytes(chain_prefix(den, op, y, cfg, rngs, 3))
 
-        serial = {seed: walk(make_task(shape=(32, 32)), seed) for seed in range(12)}
-        results, errors = {}, []
+def concurrent_walks_equal_serial_bytes():
+    """4 threads of 3 walks each, each walk with its own worker, under a
+    switch interval short enough to interleave them within every fill; each
+    walk has 2 rows of 1024 pixels and 100 iterations, 1.6 MB a level."""
+    cfg = run_cfg(4, sure_repeats=0, langevin_steps=100)
 
-        def run(t):
-            try:
-                task = make_task(shape=(32, 32))
-                for seed in range(3 * t, 3 * t + 3):
-                    results[seed] = walk(task, seed)
-            except BaseException as e:  # reported by the main thread
-                errors.append(e)
+    def walk(task, seed):
+        den, op, y, _ = task
+        rngs = [RngStream(seed, b) for b in range(2)]
+        return prefix_bytes(chain_prefix(den, op, y, cfg, rngs, 3))
 
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+    serial = {seed: walk(make_task(shape=(32, 32)), seed) for seed in range(12)}
+    results, errors = {}, []
+
+    def run(t):
         try:
-            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not [th for th in threads if th.is_alive()]
-        assert errors == []
-        assert results == serial
+            task = make_task(shape=(32, 32))
+            for seed in range(3 * t, 3 * t + 3):
+                results[seed] = walk(task, seed)
+        except BaseException as e:  # reported by the main thread
+            errors.append(e)
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [th for th in threads if th.is_alive()]
+    assert errors == []
+    assert results == serial
+    assert threading.active_count() == before
+
+
+def kl_task():
+    """kl-trend-16's task: a 16x16 identity chain under a one-component
+    smooth prior, 100 Langevin iterations a level."""
+    shape = (16, 16)
+    prior = GmmPrior(np.array([1.0]), smooth_field(RngStream(77, 0), shape, 0.5).data[None, :],
+                     0.04, shape)
+    op = identity_op(shape)
+    g = RngStream(1, 1)
+    y = op.apply(Signal(prior.means[0] + 0.2 * g.normal(prior.n), shape))
+    y = y.with_data(y.data + 0.1 * g.normal(y.n))
+    return GmmDenoiser(prior), prior, op, y, SamplerConfig(steps=12, t_max=12.0, sigma_y=0.1)
+
+
+class TestGuideNoiseSplit:
+    """A walk of two or more rows whose one level of guide noise lies above
+    PREFETCH_BYTES has its worker draw rows [B // 2, B) of each of the
+    guide's chunks; every bit, every stream and every error is as with the
+    guide's own draws."""
+
+    def test_chain_prefix_bytes_equal_in_call_draws(self, monkeypatch):
+        # 40 rows of 256 pixels and 100 iterations: 7.8 MiB a level, drawn in
+        # chunks of 12 iterations and a last one of 4
+        den, op, y, _ = make_task()
+        cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
+        rngs = lambda: [RngStream(90, b) for b in range(40)]  # noqa: E731
+        calls = spy_guide(monkeypatch)
+        two_cpus(monkeypatch)
+        before = threading.active_count()
+        split = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 3))
         assert threading.active_count() == before
+        in_call_draws(monkeypatch)
+        assert prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 3)) == split
+        assert [mode for _, mode in calls] == ["split"] * 3 + ["own"] * 3
+
+    def test_kl_trend_trials_equal_in_call_draws(self, monkeypatch):
+        # one criterion-10 trial of 40 chains, as the kl-trend-16 workload
+        den, prior, op, y, cfg = kl_task()
+        calls = spy_guide(monkeypatch)
+        two_cpus(monkeypatch)
+        split = kl_trend_trials(den, prior, op, y, cfg, PatchConfig(), trials=1, samples=40,
+                                depth=3, seed=13)
+        in_call_draws(monkeypatch)
+        own = kl_trend_trials(den, prior, op, y, cfg, PatchConfig(), trials=1, samples=40,
+                              depth=3, seed=13)
+        assert [mode for _, mode in calls] == ["split"] * 3 + ["own"] * 3
+        assert split.tobytes() == own.tobytes()
+
+    @pytest.mark.parametrize("rows", [3, 33])
+    def test_an_odd_row_count_equals_in_call_draws(self, rows, monkeypatch):
+        # the worker draws the larger half; 3 rows of 1024 pixels and 200
+        # iterations (4.7 MiB a level) and 33 rows of 256 and 100 (6.4 MiB)
+        shape, steps = ((32, 32), 200) if rows == 3 else ((16, 16), 100)
+        den, op, y, _ = make_task(shape=shape)
+        cfg = run_cfg(5, sure_repeats=0, langevin_steps=steps)
+        rngs = lambda: [RngStream(91, b) for b in range(rows)]  # noqa: E731
+        calls = spy_guide(monkeypatch)
+        two_cpus(monkeypatch)
+        split = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 2))
+        in_call_draws(monkeypatch)
+        assert prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 2)) == split
+        assert [mode for _, mode in calls] == ["split"] * 2 + ["own"] * 2
+
+    def test_guide_streams_advance_by_the_iterations_walked(self, monkeypatch):
+        den, op, y, _ = make_task()
+        cfg = run_cfg(6, sure_repeats=0, langevin_steps=100)
+        depth, n = 2, 256
+        calls = spy_guide(monkeypatch)
+        two_cpus(monkeypatch)
+        chain_prefix(den, op, y, cfg, [RngStream(92, b) for b in range(40)], depth)
+        assert [mode for _, mode in calls] == ["split"] * depth
+        for b, r in enumerate(calls[0][0]):
+            fresh = RngStream(92, b).substream(STREAM_GUIDE)
+            fresh.normal(depth * cfg.langevin_steps * n)
+            assert r.normal(1)[0] == fresh.normal(1)[0]
+
+    @pytest.mark.parametrize("failing_chunk", [0, 3])
+    def test_a_failing_worker_fill_surfaces_from_the_walk(self, failing_chunk, monkeypatch):
+        # the worker draws 20 of the 40 rows of each chunk; the fill of its
+        # first row in chunk failing_chunk raises
+        den, op, y, _ = make_task()
+        cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
+        fill = RngStream.normal_into
+        worker_fills = []
+
+        def spy(self, out):
+            if threading.current_thread() is not threading.main_thread():
+                worker_fills.append(out.size)
+                if len(worker_fills) > 20 * failing_chunk:
+                    raise RuntimeError("fill failed")
+            fill(self, out)
+
+        monkeypatch.setattr(RngStream, "normal_into", spy)
+        two_cpus(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="fill failed"):
+            chain_prefix(den, op, y, cfg, [RngStream(93, b) for b in range(40)], 3)
+        assert len(worker_fills) == 20 * failing_chunk + 1
+        assert threading.active_count() == before
+
+    def test_one_cpu_keeps_the_guides_own_draws(self, monkeypatch):
+        den, op, y, _ = make_task()
+        cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
+        calls = spy_guide(monkeypatch)
+        one_cpu(monkeypatch)
+        chain_prefix(den, op, y, cfg, [RngStream(95, b) for b in range(40)], 2)
+        assert [mode for _, mode in calls] == ["own"] * 2
+
+    def test_concurrent_walks_equal_serial_bytes(self, monkeypatch):
+        # the walks' 1.6 MB levels are split with the window lowered below them
+        monkeypatch.setattr(sgps.sampler, "PREFETCH_BYTES", sgps.guidance.NOISE_BYTES)
+        two_cpus(monkeypatch)
+        calls = spy_guide(monkeypatch)
+        concurrent_walks_equal_serial_bytes()
+        assert {mode for _, mode in calls} == {"split"}
+
+    def test_a_one_row_walk_above_the_window_starts_no_worker(self, monkeypatch):
+        # 4096 pixels and 130 iterations: 4.1 MiB a level, one row to split
+        import concurrent.futures
+
+        den, op, y, _ = make_task(shape=(64, 64))
+        cfg = run_cfg(5, sure_repeats=0, langevin_steps=130)
+        assert 8 * 4096 * 130 > sgps.sampler.PREFETCH_BYTES
+        calls = spy_guide(monkeypatch)
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            mock.Mock(side_effect=AssertionError("made a worker")))
+        chain_prefix(den, op, y, cfg, [RngStream(94, 0)], 2)
+        assert [mode for _, mode in calls] == ["own"] * 2

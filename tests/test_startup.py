@@ -31,9 +31,11 @@ langevin_steps = 5
 """
 
 # importing the package and running a task without a blur loads no scipy and
-# leaves one thread, also after a run whose guide noise is drawn on a worker
-# (256 pixels and 1000 iterations: 2 MB a level); a blur loads scipy.sparse,
-# and only the normality check loads scipy.special
+# leaves one thread, also after a run whose guide noise is drawn ahead on a
+# worker (256 pixels and 1000 iterations: 2 MB a level) and after a walk of
+# 40 chains whose draws the worker shares (256 pixels and 100 iterations:
+# 7.8 MiB a level); a blur loads scipy.sparse, and only the normality check
+# loads scipy.special
 _SCRIPT = f"""
 import sys
 import threading
@@ -51,6 +53,9 @@ for langevin_steps in (cfg.sampler.langevin_steps, 1000):
     sgps.sgps_run(cfg.denoiser, cfg.op, y, cfg.sampler.replace(langevin_steps=langevin_steps),
                   run_stream(cfg, 0, 0), patch=cfg.patch, x_true=x0)
     assert threading.active_count() == 1, "a thread outlived its run"
+sgps.analysis.chain_prefix(cfg.denoiser, cfg.op, y, cfg.sampler.replace(langevin_steps=100),
+                           [run_stream(cfg, 0, b) for b in range(40)], 2)
+assert threading.active_count() == 1, "a thread outlived a split walk"
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, f"loaded before any blur: {{loaded[:5]}}"
 
