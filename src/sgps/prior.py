@@ -8,6 +8,7 @@ gives every downstream estimator an oracle to test against.
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,18 +135,18 @@ class GmmDenoiser(Denoiser):
     Jacobian products and trace are exact.
 
     The posterior at a point is a pure function of the point, its level and
-    the read-only mixture.  The latest call that computed anything is kept,
-    so a call at its rows, such as a risk gradient at the points its value
-    denoised, computes nothing and returns the same bits.
+    the read-only mixture.  Each thread keeps its latest call that computed
+    anything, so a call at its rows, such as a risk gradient at the points
+    its value denoised, computes nothing and returns the same bits, also
+    when threads share the denoiser.
     """
 
     def __init__(self, prior: GmmPrior):
         self.prior = prior
         self._mean_sq = np.einsum("kn,kn->k", prior.means, prior.means)
-        # the kept call: (level, row bytes) -> row, and per row the
-        # responsibilities, posterior mean and nonzero span
-        self._rows: dict = {}
-        self._held: tuple = ()
+        # per thread, the kept call: (level, row bytes) -> row, and per row
+        # the responsibilities, posterior mean and nonzero span
+        self._kept = threading.local()
 
     def _log_resp(self, xs: np.ndarray, smoothed_var: np.ndarray) -> np.ndarray:
         """(B, K) log responsibilities at the rows xs, each row up to a
@@ -182,15 +183,16 @@ class GmmDenoiser(Denoiser):
         spans.  Unless the kept call holds every row, each distinct row is
         computed once, in order of first appearance, and this call is kept."""
         keys = [(s, x.tobytes()) for x, s in zip(xs, sig[:, 0].tolist())]
-        if not all(key in self._rows for key in keys):
+        held = getattr(self._kept, "call", None)
+        if held is None or not all(key in held[0] for key in keys):
             order: dict = {}
             for i, key in enumerate(keys):
                 order.setdefault(key, i)
             at = list(order.values())
-            self._held = self._posterior(xs[at], sig[at])
-            self._rows = dict(zip(order, range(len(order))))
-        rows = [self._rows[key] for key in keys]
-        g, mbar, first, stop = self._held
+            held = self._kept.call = (dict(zip(order, range(len(order)))),
+                                      self._posterior(xs[at], sig[at]))
+        index, (g, mbar, first, stop) = held
+        rows = [index[key] for key in keys]
         return g[rows], mbar[rows], slice(int(first[rows].min()), int(stop[rows].max()))
 
     def denoise(self, xs: np.ndarray, sigmas) -> np.ndarray:

@@ -7,17 +7,15 @@ guidance, probes, renoising) so that toggling probe consumption never shifts
 the draws seen by the other stages.  That makes ablation pairs comparable
 under common random numbers.  walk_ladder is the one ladder step loop;
 sgps_run and the chain experiments in analysis both run on it.  Because the
-guidance substream feeds only the guide, a walk may draw the next level's
-guide noise on a worker thread while the current level is corrected; and
-because each chain has its own stream, a walk of several chains may have the
-worker draw half of the chains' noise while the guide draws the other half.
+guidance substream feeds only the guide, a walk hands the guide its streams
+as one guidance.GuideNoise for every level, whose worker thread may draw
+each chain's next chunks of guide noise ahead, also while the walk denoises,
+corrects and renoises; the guide draws whatever is not drawn yet.
 """
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable, Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +36,7 @@ from .core import (
     mse,
     psnr,
 )
-from . import guidance
-from .guidance import draw_noise, langevin_guide
+from .guidance import GuideNoise, langevin_guide
 from .noise_est import PatchConfig, estimate_sigma
 from .operators import ForwardOp
 from .prior import CountingDenoiser, Denoiser
@@ -48,38 +45,6 @@ from .sure import sure_gradient, sure_update, sure_value
 
 # substream ids of one run
 STREAM_INIT, STREAM_GUIDE, STREAM_PROBE, STREAM_RENOISE = range(4)
-
-# a walk whose one level of guide noise, 8 B langevin_steps n bytes, is above
-# guidance.NOISE_BYTES and at most PREFETCH_BYTES draws it on a worker thread
-# while the main thread corrects the level before.  A smaller level hides too
-# little fill to pay for the hand-over.  A larger one would cost its size in
-# memory, and the workloads that have one have too little main-thread work
-# per level to hide its fill behind; there a walk of B >= 2 chains has the
-# worker draw rows [B // 2, B) of each of the guide's chunks while the guide
-# draws rows [0, B // 2), and a one-chain walk keeps the guide's own draws
-PREFETCH_BYTES = 4 << 20
-
-
-def _noise_worker(rows: int, level: int):
-    """A one-thread executor for a walk's guide noise when one level of it,
-    `level` bytes over `rows` rows, lies in the prefetch window, or above it
-    with at least two rows to split, and the process may run on a second CPU
-    (on one CPU the worker only takes turns with the main thread); else a
-    context that yields None."""
-    if not (guidance.NOISE_BYTES < level <= PREFETCH_BYTES
-            or (rows >= 2 and level > PREFETCH_BYTES)):
-        return nullcontext()
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return nullcontext()
-    # imported here: the executor loads logging, which importing sgps need not
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=1)
-
 
 def denoise_step(den: Denoiser, x_t: np.ndarray, sigma_t: float, substeps: int) -> np.ndarray:
     """Clean-signal estimates from the (B, n) rows x_t, all at level sigma_t.
@@ -166,19 +131,10 @@ def walk_ladder(
     if not (1 <= depth <= sigmas.size):
         raise SgpsError(f"depth must be in [1, {sigmas.size}], got {depth}")
     n = math.prod(op.input_shape)
-    steps = cfg.langevin_steps
-    rng_guide = [r.substream(STREAM_GUIDE) for r in rngs]
     rng_renoise = [r.substream(STREAM_RENOISE) for r in rngs]
-    level = 8 * len(rngs) * steps * n
-    # leaving the with, by return or by exception, waits for a pending fill
-    with _noise_worker(len(rngs), level) as pool:
-        # inside the prefetch window the worker draws whole levels ahead;
-        # above it the guide shares each chunk's draws with the worker
-        ahead = pool is not None and level <= PREFETCH_BYTES
-        split = None if ahead else pool
-        if ahead:
-            block = np.empty((len(rngs), steps, n))
-            fill = pool.submit(draw_noise, rng_guide, block)
+    # leaving the with, by return or by exception, waits for its worker
+    with GuideNoise([r.substream(STREAM_GUIDE) for r in rngs], cfg.langevin_steps, n,
+                    depth) as rng_guide:
         top = float(sigmas[0])
         x = np.stack([top * r.substream(STREAM_INIT).normal(n) for r in rngs])
         for k in range(depth):
@@ -186,15 +142,8 @@ def walk_ladder(
             step_no = k + 1
             x0t = _stage(lambda: denoise_step(den, x, sigma_t, cfg.ode_substeps),
                          "denoise", step_no)
-            noise = fill.result() if ahead else None
-            x0ty = _stage(
-                lambda: langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_guide,
-                                       noise=noise, worker=split),
-                "guidance", step_no,
-            )
-            if ahead and k + 1 < depth:
-                # level k's block is used up, so each stream goes on in order
-                fill = pool.submit(draw_noise, rng_guide, block)
+            x0ty = _stage(lambda: langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_guide),
+                          "guidance", step_no)
             x = finish(k, sigma_t, x0t, x0ty)
             if k + 1 < depth:
                 x = _stage(lambda: _renoised(x, float(sigmas[k + 1]), rng_renoise),

@@ -1,10 +1,12 @@
 """Shared test oracles."""
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from sgps.core import SgpsError
+from sgps.core import RngStream, SgpsError
 from sgps.prior import Denoiser
 from sgps.sure import _evaluate
 
@@ -123,3 +125,46 @@ def mixture_direct():
 @pytest.fixture
 def mixture_log_density():
     return _mixture_log_density
+
+
+class DrawLog:
+    """Every RngStream.normal_into call while the log is installed: per
+    stream key (seed, stream_id), the sizes of its fills in order and the
+    threads that drew them ("main" or the thread's name); and every stream
+    that two threads drew at once."""
+
+    def __init__(self):
+        self.sizes = {}
+        self.threads = {}
+        self.overlaps = []
+        self._active = set()
+        self._lock = threading.Lock()
+
+    def fill(self, real, stream, out):
+        th = threading.current_thread()
+        name = "main" if th is threading.main_thread() else th.name
+        key = (stream.seed, stream.stream_id)
+        with self._lock:
+            if id(stream) in self._active:
+                self.overlaps.append(key)
+            self._active.add(id(stream))
+            self.sizes.setdefault(key, []).append(out.size)
+            self.threads.setdefault(key, set()).add(name)
+        try:
+            real(stream, out)
+        finally:
+            with self._lock:
+                self._active.discard(id(stream))
+
+    def drawn_by(self):
+        """The names of the threads that drew anything."""
+        return set().union(*self.threads.values())
+
+
+@pytest.fixture
+def watch_draws(monkeypatch):
+    """A DrawLog of the test's guide draws."""
+    log = DrawLog()
+    real = RngStream.normal_into
+    monkeypatch.setattr(RngStream, "normal_into", lambda self, out: log.fill(real, self, out))
+    return log

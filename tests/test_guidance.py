@@ -1,7 +1,6 @@
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -24,7 +23,7 @@ from sgps import (
     identity_op,
 )
 from sgps import guidance
-from sgps.guidance import default_eta, draw_noise, langevin_guide
+from sgps.guidance import GuideNoise, default_eta, langevin_guide
 from sgps.operators import ForwardOp
 
 
@@ -345,11 +344,18 @@ def test_noise_buffer_is_kept_between_calls():
     assert guidance._scratch.noise is kept
 
 
+def second_cpu():
+    """A patch under which the process may run on a second CPU, so a
+    GuideNoise entered by a with block makes its worker for a level above
+    NOISE_BYTES."""
+    return mock.patch.object(guidance.os, "sched_getaffinity", lambda pid: {0, 1}, create=True)
+
+
 @pytest.mark.parametrize("steps", [1, 7])
 def test_a_drawn_noise_block_equals_the_guides_own_draws(steps):
-    # a block that draw_noise filled from fresh streams gives the rows the
-    # guide gives when it draws from them itself, and the guide then draws
-    # nothing from the streams it is handed
+    # a level that the worker drew whole before the guide asked for it gives
+    # the rows the guide gives when it draws from the streams itself, and
+    # the guide then draws nothing
     batch, n = 3, 5
     op = identity_op((n,))
     g = RngStream(10, 0)
@@ -358,32 +364,49 @@ def test_a_drawn_noise_block_equals_the_guides_own_draws(steps):
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=steps)
     streams = lambda: [RngStream(10, 1 + b) for b in range(batch)]  # noqa: E731
     want = langevin_guide(xs, xs, 0.5, op, y, cfg, streams())
-    block = draw_noise(streams(), np.empty((batch, steps, n)))
     rngs = streams()
-    with mock.patch.object(RngStream, "normal_into", side_effect=AssertionError("drew")):
-        got = langevin_guide(xs, xs, 0.5, op, y, cfg, rngs, noise=block)
+    before = threading.active_count()
+    with mock.patch.object(guidance, "NOISE_BYTES", 8), second_cpu(), \
+            GuideNoise(rngs, steps, n) as noise:
+        # the worker stops at the level's last draw
+        deadline = time.monotonic() + 30
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert threading.active_count() == before
+        with mock.patch.object(RngStream, "normal_into", side_effect=AssertionError("drew")):
+            got = langevin_guide(xs, xs, 0.5, op, y, cfg, noise)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     for b, r in enumerate(rngs):
-        assert r.normal(1)[0] == RngStream(10, 1 + b).normal(1)[0]
+        fresh = RngStream(10, 1 + b)
+        fresh.normal(steps * n)
+        assert r.normal(1)[0] == fresh.normal(1)[0]
 
 
 def test_a_noise_block_of_the_wrong_shape_is_rejected():
+    # guide noise made for another shape of call, or used past its levels
     n = 4
     op = identity_op((n,))
     y = Signal(np.zeros(n), (n,))
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=3)
-    with pytest.raises(SgpsError, match="noise block"):
-        langevin_guide(np.zeros((2, n)), np.zeros((2, n)), 0.5, op, y, cfg,
-                       [RngStream(11, b) for b in range(2)], noise=np.zeros((2, 2, n)))
+    x = np.zeros((2, n))
+    rngs = [RngStream(11, b) for b in range(2)]
+    with pytest.raises(SgpsError, match="guide noise"):
+        langevin_guide(x, x, 0.5, op, y, cfg, GuideNoise(rngs, 2, n))
+    noise = GuideNoise(rngs, 3, n)
+    langevin_guide(x, x, 0.5, op, y, cfg, noise)
+    with pytest.raises(SgpsError, match="used up"):
+        langevin_guide(x, x, 0.5, op, y, cfg, noise)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3, 5])
 @pytest.mark.parametrize("chunk", [1, 3, None])
 @pytest.mark.parametrize("steps", [1, 7, 12])
-def test_a_worker_split_equals_the_guides_own_draws(batch, chunk, steps):
-    # with a worker the call draws rows [batch // 2, batch) of each chunk on
-    # the worker thread and the others itself; the rows and the streams end
-    # as with its own draws, for odd batches and short last chunks too
+def test_a_worker_split_equals_the_guides_own_draws(batch, chunk, steps, watch_draws):
+    # a worker that takes any row's next chunk ahead of the guide, into a
+    # ring of one level or of two chunks, gives the rows and leaves the
+    # streams as the guide's own draws, for odd batches and short last
+    # chunks too; no stream is drawn by two threads at once, and each
+    # stream's chunks are drawn in order
     n = 5
     op = identity_op((n,))
     g = RngStream(12, batch)
@@ -391,63 +414,59 @@ def test_a_worker_split_equals_the_guides_own_draws(batch, chunk, steps):
     y = Signal(g.normal(n), (n,))
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=steps)
     streams = lambda: [RngStream(12, 1 + b) for b in range(batch)]  # noqa: E731
-    fill = RngStream.normal_into
-    on_main = {}
-
-    def spy(self, out):
-        on_main.setdefault(self.stream_id, set()).add(
-            threading.current_thread() is threading.main_thread())
-        fill(self, out)
-
-    rngs = streams()
-    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(chunk, batch, n)):
+    per_fill = steps if chunk is None else chunk
+    sizes = [min(per_fill, steps - s) * n for s in range(0, steps, per_fill)]
+    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(chunk, batch, n)), \
+            second_cpu():
         want = langevin_guide(xs, xs, 0.5, op, y, cfg, streams())
-        with ThreadPoolExecutor(max_workers=1) as pool, \
-                mock.patch.object(RngStream, "normal_into", spy):
-            got = langevin_guide(xs, xs, 0.5, op, y, cfg, rngs, worker=pool)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert on_main == {1 + b: {b < batch // 2} for b in range(batch)}
-    for b, r in enumerate(rngs):
-        fresh = RngStream(12, 1 + b)
-        fresh.normal(steps * n)
-        assert r.normal(1)[0] == fresh.normal(1)[0]
-
-
-def test_a_noise_block_leaves_the_worker_idle():
-    # a call handed both a drawn block and a worker draws nothing
-    batch, n, steps = 2, 5, 3
-    op = identity_op((n,))
-    y = Signal(np.zeros(n), (n,))
-    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=steps)
-    xs = RngStream(13, 0).standard_normal((batch, n))
-    rngs = [RngStream(13, 1 + b) for b in range(batch)]
-    want = langevin_guide(xs, xs, 0.5, op, y, cfg, rngs)
-    block = draw_noise([RngStream(13, 1 + b) for b in range(batch)], np.empty((batch, steps, n)))
-    idle = mock.Mock(submit=mock.Mock(side_effect=AssertionError("submitted")))
-    got = langevin_guide(xs, xs, 0.5, op, y, cfg, rngs, noise=block, worker=idle)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for window in (guidance.PREFETCH_BYTES, 0):
+            watch_draws.sizes.clear()
+            rngs = streams()
+            with mock.patch.object(guidance, "PREFETCH_BYTES", window), \
+                    GuideNoise(rngs, steps, n) as noise:
+                got = langevin_guide(xs, xs, 0.5, op, y, cfg, noise)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert watch_draws.overlaps == []
+            assert watch_draws.sizes == {(12, 1 + b): sizes for b in range(batch)}
+            for b, r in enumerate(rngs):
+                fresh = RngStream(12, 1 + b)
+                fresh.normal(steps * n)
+                assert r.normal(1)[0] == fresh.normal(1)[0]
+    assert watch_draws.drawn_by() <= {"main", "sgps-guide-noise"}
 
 
 def test_a_failing_own_fill_waits_for_the_workers():
-    # the call's own rows fail to draw while the worker is still drawing;
-    # the error leaves the call only after the worker is done with the buffer
+    # the guide's own fill fails while the worker is drawing another row;
+    # the error leaves the with block only after the worker's fill is done,
+    # and the worker draws nothing after it
     batch, n = 2, 5
     op = identity_op((n,))
     y = Signal(np.zeros(n), (n,))
     cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=3)
     fill = RngStream.normal_into
-    done = []
+    started, failed = threading.Event(), threading.Event()
+    drawing, done = [], []
 
     def spy(self, out):
         if threading.current_thread() is threading.main_thread():
+            started.wait(timeout=30)
+            failed.set()
             raise RuntimeError("fill failed")
+        drawing.append(self.stream_id)
+        started.set()
+        failed.wait(timeout=30)
         time.sleep(0.05)
         fill(self, out)
         done.append(self.stream_id)
 
-    with ThreadPoolExecutor(max_workers=1) as pool, \
-            mock.patch.object(RngStream, "normal_into", spy):
+    before = threading.active_count()
+    rngs = [RngStream(14, b) for b in range(batch)]
+    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(1, batch, n)), \
+            second_cpu(), mock.patch.object(RngStream, "normal_into", spy):
         with pytest.raises(RuntimeError, match="fill failed"):
-            langevin_guide(np.zeros((batch, n)), np.zeros((batch, n)), 0.5, op, y, cfg,
-                           [RngStream(14, b) for b in range(batch)], worker=pool)
-        assert done == [1]
+            with GuideNoise(rngs, cfg.langevin_steps, n) as noise:
+                langevin_guide(np.zeros((batch, n)), np.zeros((batch, n)), 0.5, op, y, cfg,
+                               noise)
+        assert done == drawing
+        assert len(done) == 1
+    assert threading.active_count() == before

@@ -1,6 +1,7 @@
 """Sampling loop: evaluation budget, substep ladder, clamping and skipping,
 determinism, and the common-random-numbers pairing contract."""
 import math
+import os
 import sys
 import threading
 import warnings
@@ -415,27 +416,25 @@ def mixture_sr_task(shape=(64, 64), k=6):
 
 
 def spy_guide(monkeypatch) -> list:
-    """Record (guide streams, how the call's noise was drawn) of every guide
-    call the sampler makes: "ahead" when the walk passed a noise block,
-    "split" when it passed its worker, "own" when the guide drew alone."""
+    """Record (guide streams, whether a worker draws ahead of the call) of
+    every guide call the sampler makes."""
     calls = []
     guide = sgps.sampler.langevin_guide
 
-    def spy(*args, noise=None, worker=None, **kw):
-        mode = "ahead" if noise is not None else "split" if worker is not None else "own"
-        calls.append((args[6], mode))
-        return guide(*args, noise=noise, worker=worker, **kw)
+    def spy(*args, **kw):
+        calls.append((args[6], args[6]._thread is not None))
+        return guide(*args, **kw)
 
     monkeypatch.setattr(sgps.sampler, "langevin_guide", spy)
     return calls
 
 
 def one_cpu(monkeypatch):
-    monkeypatch.setattr(sgps.sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(sgps.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def in_call_draws(monkeypatch):
@@ -444,30 +443,42 @@ def in_call_draws(monkeypatch):
     one_cpu(monkeypatch)
 
 
+def drawn_in_order(log, rows, steps, n, depth) -> bool:
+    """Whether no stream in the DrawLog log was drawn by two threads at once
+    and each had its chunks drawn in order: every level's chunks, as the
+    guide cuts them, one level after another."""
+    chunk = max(1, min(steps, sgps.guidance.NOISE_BYTES // (8 * rows * n)))
+    sizes = [min(chunk, steps - s) * n for s in range(0, steps, chunk)] * depth
+    return log.overlaps == [] and all(got == sizes for got in log.sizes.values())
+
+
 def prefix_bytes(states) -> bytes:
     return b"".join(a.tobytes() for _, x0t, x0ty in states for a in (x0t, x0ty))
 
 
 class TestGuideNoisePrefetch:
     """A walk whose one level of guide noise lies above NOISE_BYTES and at
-    most PREFETCH_BYTES draws it on a worker thread; every bit, every
-    stream and every error is as with the guide's own draws."""
+    most PREFETCH_BYTES has its worker keep up to a level drawn ahead of
+    the guide; every bit, every stream and every error is as with the
+    guide's own draws, and each stream is drawn in order, by one thread at
+    a time."""
 
-    def test_run_bytes_equal_in_call_draws(self, monkeypatch):
+    def test_run_bytes_equal_in_call_draws(self, monkeypatch, watch_draws):
         # one row of 4096 pixels and 100 iterations: 3.1 MiB a level
         den, op, y, x0 = mixture_sr_task()
         cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.05, langevin_steps=100)
         calls = spy_guide(monkeypatch)
         two_cpus(monkeypatch)
         xa, ra = sgps_run(den, op, y, cfg, RngStream(82, 0), x_true=x0)
-        assert [mode for _, mode in calls] == ["ahead"] * 4
+        assert [worker for _, worker in calls] == [True] * 4
+        assert drawn_in_order(watch_draws, 1, 100, 4096, 4)
         in_call_draws(monkeypatch)
         xb, rb = sgps_run(den, op, y, cfg, RngStream(82, 0), x_true=x0)
-        assert [mode for _, mode in calls[4:]] == ["own"] * 4
+        assert [worker for _, worker in calls[4:]] == [False] * 4
         assert xa.data.tobytes() == xb.data.tobytes()
         assert ra.step_csv() == rb.step_csv()
 
-    def test_chain_prefix_bytes_equal_in_call_draws(self, monkeypatch):
+    def test_chain_prefix_bytes_equal_in_call_draws(self, monkeypatch, watch_draws):
         # 8 rows of 256 pixels and 100 iterations: 1.6 MB a level
         den, op, y, _ = make_task()
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
@@ -475,18 +486,20 @@ class TestGuideNoisePrefetch:
         calls = spy_guide(monkeypatch)
         two_cpus(monkeypatch)
         pre = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 4))
+        assert drawn_in_order(watch_draws, 8, 100, 256, 4)
         in_call_draws(monkeypatch)
         assert prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 4)) == pre
-        assert [mode for _, mode in calls] == ["ahead"] * 4 + ["own"] * 4
+        assert [worker for _, worker in calls] == [True] * 4 + [False] * 4
 
-    def test_one_cpu_keeps_the_guides_own_draws(self, monkeypatch):
+    def test_one_cpu_keeps_the_guides_own_draws(self, monkeypatch, watch_draws):
         # with no second CPU the worker could only take turns with the walk
         den, op, y, _ = make_task()
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
         calls = spy_guide(monkeypatch)
         one_cpu(monkeypatch)
         chain_prefix(den, op, y, cfg, [RngStream(89, b) for b in range(8)], 2)
-        assert [mode for _, mode in calls] == ["own"] * 2
+        assert [worker for _, worker in calls] == [False] * 2
+        assert watch_draws.drawn_by() == {"main"}
 
     @pytest.mark.parametrize("prefetch", [True, False])
     def test_guide_streams_advance_by_the_iterations_walked(self, prefetch, monkeypatch):
@@ -499,7 +512,7 @@ class TestGuideNoisePrefetch:
         if not prefetch:
             in_call_draws(monkeypatch)
         chain_prefix(den, op, y, cfg, [RngStream(84, b) for b in range(8)], depth)
-        assert [mode for _, mode in calls] == ["ahead" if prefetch else "own"] * depth
+        assert [worker for _, worker in calls] == [prefetch] * depth
         for b, r in enumerate(calls[0][0]):
             fresh = RngStream(84, b).substream(STREAM_GUIDE)
             fresh.normal(depth * cfg.langevin_steps * n)
@@ -524,7 +537,7 @@ class TestGuideNoisePrefetch:
             with pytest.raises(DivergenceError) as err:
                 sgps_run(den, op, y, cfg, RngStream(85, 0))
             errors.append((err.value.stage, err.value.step_index, str(err.value)))
-        assert [mode for _, mode in calls] == ["ahead"] * 3 + ["own"] * 3
+        assert [worker for _, worker in calls] == [True] * 3 + [False] * 3
         assert errors[0] == errors[1]
         assert errors[0][:2] == ("guidance", 3)
         assert threading.active_count() == before
@@ -573,8 +586,9 @@ class TestGuideNoisePrefetch:
             chain_prefix(den, op, y, cfg, [RngStream(88 + seed, b) for b in range(8)], 3)
         assert threading.active_count() == before
 
-    def test_concurrent_walks_equal_serial_bytes(self):
+    def test_concurrent_walks_equal_serial_bytes(self, watch_draws):
         concurrent_walks_equal_serial_bytes()
+        assert watch_draws.overlaps == []
 
 
 def concurrent_walks_equal_serial_bytes():
@@ -616,6 +630,43 @@ def concurrent_walks_equal_serial_bytes():
     assert threading.active_count() == before
 
 
+def test_threads_sharing_one_denoiser_equal_serial_bytes():
+    # 4 threads of 4 corrected runs each through one mixture denoiser, under
+    # a switch interval short enough to interleave them within every
+    # denoiser call; each thread keeps its own latest call, so every run
+    # has the bytes it has alone
+    den, op, y, x0 = mixture_sr_task(shape=(16, 16))
+    cfg = run_cfg(4, sure_repeats=2)
+
+    def run(seed):
+        x, report = sgps_run(den, op, y, cfg, RngStream(seed, 0), x_true=x0)
+        return x.data.tobytes() + report.step_csv().encode()
+
+    serial = {seed: run(seed) for seed in range(16)}
+    results, errors = {}, []
+
+    def work(t):
+        try:
+            for seed in range(4 * t, 4 * t + 4):
+                results[seed] = run(seed)
+        except BaseException as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [th for th in threads if th.is_alive()]
+    assert errors == []
+    assert results == serial
+
+
 def kl_task():
     """kl-trend-16's task: a 16x16 identity chain under a one-component
     smooth prior, 100 Langevin iterations a level."""
@@ -630,12 +681,13 @@ def kl_task():
 
 
 class TestGuideNoiseSplit:
-    """A walk of two or more rows whose one level of guide noise lies above
-    PREFETCH_BYTES has its worker draw rows [B // 2, B) of each of the
-    guide's chunks; every bit, every stream and every error is as with the
-    guide's own draws."""
+    """A walk whose one level of guide noise lies above PREFETCH_BYTES has
+    its worker keep up to two chunks drawn ahead of the guide, and the guide
+    draws any row of the chunk it needs that is not drawn yet; every bit,
+    every stream and every error is as with the guide's own draws, and each
+    stream is drawn in order, by one thread at a time."""
 
-    def test_chain_prefix_bytes_equal_in_call_draws(self, monkeypatch):
+    def test_chain_prefix_bytes_equal_in_call_draws(self, monkeypatch, watch_draws):
         # 40 rows of 256 pixels and 100 iterations: 7.8 MiB a level, drawn in
         # chunks of 12 iterations and a last one of 4
         den, op, y, _ = make_task()
@@ -646,27 +698,29 @@ class TestGuideNoiseSplit:
         before = threading.active_count()
         split = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 3))
         assert threading.active_count() == before
+        assert drawn_in_order(watch_draws, 40, 100, 256, 3)
         in_call_draws(monkeypatch)
         assert prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 3)) == split
-        assert [mode for _, mode in calls] == ["split"] * 3 + ["own"] * 3
+        assert [worker for _, worker in calls] == [True] * 3 + [False] * 3
 
-    def test_kl_trend_trials_equal_in_call_draws(self, monkeypatch):
+    def test_kl_trend_trials_equal_in_call_draws(self, monkeypatch, watch_draws):
         # one criterion-10 trial of 40 chains, as the kl-trend-16 workload
         den, prior, op, y, cfg = kl_task()
         calls = spy_guide(monkeypatch)
         two_cpus(monkeypatch)
         split = kl_trend_trials(den, prior, op, y, cfg, PatchConfig(), trials=1, samples=40,
                                 depth=3, seed=13)
+        assert drawn_in_order(watch_draws, 40, cfg.langevin_steps, 256, 3)
         in_call_draws(monkeypatch)
         own = kl_trend_trials(den, prior, op, y, cfg, PatchConfig(), trials=1, samples=40,
                               depth=3, seed=13)
-        assert [mode for _, mode in calls] == ["split"] * 3 + ["own"] * 3
+        assert [worker for _, worker in calls] == [True] * 3 + [False] * 3
         assert split.tobytes() == own.tobytes()
 
     @pytest.mark.parametrize("rows", [3, 33])
-    def test_an_odd_row_count_equals_in_call_draws(self, rows, monkeypatch):
-        # the worker draws the larger half; 3 rows of 1024 pixels and 200
-        # iterations (4.7 MiB a level) and 33 rows of 256 and 100 (6.4 MiB)
+    def test_an_odd_row_count_equals_in_call_draws(self, rows, monkeypatch, watch_draws):
+        # 3 rows of 1024 pixels and 200 iterations (4.7 MiB a level) and 33
+        # rows of 256 and 100 (6.4 MiB)
         shape, steps = ((32, 32), 200) if rows == 3 else ((16, 16), 100)
         den, op, y, _ = make_task(shape=shape)
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=steps)
@@ -674,9 +728,10 @@ class TestGuideNoiseSplit:
         calls = spy_guide(monkeypatch)
         two_cpus(monkeypatch)
         split = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 2))
+        assert drawn_in_order(watch_draws, rows, steps, math.prod(shape), 2)
         in_call_draws(monkeypatch)
         assert prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 2)) == split
-        assert [mode for _, mode in calls] == ["split"] * 2 + ["own"] * 2
+        assert [worker for _, worker in calls] == [True] * 2 + [False] * 2
 
     def test_guide_streams_advance_by_the_iterations_walked(self, monkeypatch):
         den, op, y, _ = make_task()
@@ -685,7 +740,7 @@ class TestGuideNoiseSplit:
         calls = spy_guide(monkeypatch)
         two_cpus(monkeypatch)
         chain_prefix(den, op, y, cfg, [RngStream(92, b) for b in range(40)], depth)
-        assert [mode for _, mode in calls] == ["split"] * depth
+        assert [worker for _, worker in calls] == [True] * depth
         for b, r in enumerate(calls[0][0]):
             fresh = RngStream(92, b).substream(STREAM_GUIDE)
             fresh.normal(depth * cfg.langevin_steps * n)
@@ -693,8 +748,8 @@ class TestGuideNoiseSplit:
 
     @pytest.mark.parametrize("failing_chunk", [0, 3])
     def test_a_failing_worker_fill_surfaces_from_the_walk(self, failing_chunk, monkeypatch):
-        # the worker draws 20 of the 40 rows of each chunk; the fill of its
-        # first row in chunk failing_chunk raises
+        # the worker's fill after its first 20 * failing_chunk raises, and
+        # the worker draws nothing after it
         den, op, y, _ = make_task()
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
         fill = RngStream.normal_into
@@ -715,32 +770,37 @@ class TestGuideNoiseSplit:
         assert len(worker_fills) == 20 * failing_chunk + 1
         assert threading.active_count() == before
 
-    def test_one_cpu_keeps_the_guides_own_draws(self, monkeypatch):
+    def test_one_cpu_keeps_the_guides_own_draws(self, monkeypatch, watch_draws):
         den, op, y, _ = make_task()
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
         calls = spy_guide(monkeypatch)
         one_cpu(monkeypatch)
         chain_prefix(den, op, y, cfg, [RngStream(95, b) for b in range(40)], 2)
-        assert [mode for _, mode in calls] == ["own"] * 2
+        assert [worker for _, worker in calls] == [False] * 2
+        assert watch_draws.drawn_by() == {"main"}
 
-    def test_concurrent_walks_equal_serial_bytes(self, monkeypatch):
-        # the walks' 1.6 MB levels are split with the window lowered below them
-        monkeypatch.setattr(sgps.sampler, "PREFETCH_BYTES", sgps.guidance.NOISE_BYTES)
+    def test_concurrent_walks_equal_serial_bytes(self, monkeypatch, watch_draws):
+        # the walks' 1.6 MB levels take the two-chunk ring with the window
+        # lowered below them
+        monkeypatch.setattr(sgps.guidance, "PREFETCH_BYTES", sgps.guidance.NOISE_BYTES)
         two_cpus(monkeypatch)
         calls = spy_guide(monkeypatch)
         concurrent_walks_equal_serial_bytes()
-        assert {mode for _, mode in calls} == {"split"}
+        assert {worker for _, worker in calls} == {True}
+        assert watch_draws.overlaps == []
 
-    def test_a_one_row_walk_above_the_window_starts_no_worker(self, monkeypatch):
-        # 4096 pixels and 130 iterations: 4.1 MiB a level, one row to split
-        import concurrent.futures
-
+    def test_a_one_row_walk_above_the_window_draws_ahead(self, monkeypatch, watch_draws):
+        # 4096 pixels and 130 iterations: 4.1 MiB a level on one row, whose
+        # chunks the worker draws ahead of the guide
         den, op, y, _ = make_task(shape=(64, 64))
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=130)
-        assert 8 * 4096 * 130 > sgps.sampler.PREFETCH_BYTES
+        assert 8 * 4096 * 130 > sgps.guidance.PREFETCH_BYTES
         calls = spy_guide(monkeypatch)
         two_cpus(monkeypatch)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            mock.Mock(side_effect=AssertionError("made a worker")))
-        chain_prefix(den, op, y, cfg, [RngStream(94, 0)], 2)
-        assert [mode for _, mode in calls] == ["own"] * 2
+        before = threading.active_count()
+        ahead = prefix_bytes(chain_prefix(den, op, y, cfg, [RngStream(94, 0)], 2))
+        assert threading.active_count() == before
+        assert drawn_in_order(watch_draws, 1, 130, 4096, 2)
+        in_call_draws(monkeypatch)
+        assert prefix_bytes(chain_prefix(den, op, y, cfg, [RngStream(94, 0)], 2)) == ahead
+        assert [worker for _, worker in calls] == [True] * 2 + [False] * 2

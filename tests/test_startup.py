@@ -31,11 +31,12 @@ langevin_steps = 5
 """
 
 # importing the package and running a task without a blur loads no scipy and
-# leaves one thread, also after a run whose guide noise is drawn ahead on a
-# worker (256 pixels and 1000 iterations: 2 MB a level) and after a walk of
-# 40 chains whose draws the worker shares (256 pixels and 100 iterations:
-# 7.8 MiB a level); a blur loads scipy.sparse, and only the normality check
-# loads scipy.special
+# leaves one thread, also after a run whose guide noise is drawn a level
+# ahead on a worker (256 pixels and 1000 iterations: 2 MB a level), after a
+# walk of 40 chains whose worker draws two chunks ahead (256 pixels and 100
+# iterations: 7.8 MiB a level) and after such a walk of one chain (4096
+# pixels and 130 iterations: 4.1 MiB a level); a blur loads scipy.sparse,
+# and only the normality check loads scipy.special
 _SCRIPT = f"""
 import sys
 import threading
@@ -55,7 +56,12 @@ for langevin_steps in (cfg.sampler.langevin_steps, 1000):
     assert threading.active_count() == 1, "a thread outlived its run"
 sgps.analysis.chain_prefix(cfg.denoiser, cfg.op, y, cfg.sampler.replace(langevin_steps=100),
                            [run_stream(cfg, 0, b) for b in range(40)], 2)
-assert threading.active_count() == 1, "a thread outlived a split walk"
+assert threading.active_count() == 1, "a thread outlived a walk of 40 chains"
+big = parse_config_text(text.replace("shape = 16 16", "shape = 64 64"))
+_, y_big = make_task(big)
+sgps.analysis.chain_prefix(big.denoiser, big.op, y_big, big.sampler.replace(langevin_steps=130),
+                           [run_stream(big, 0, 0)], 2)
+assert threading.active_count() == 1, "a thread outlived a one-row walk"
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, f"loaded before any blur: {{loaded[:5]}}"
 
