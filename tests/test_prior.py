@@ -410,7 +410,7 @@ class TestMixtureMemo:
         # the memo lives on the denoiser; the prior is only its parameters
         a = small_prior(k=3, n=4, seed=46)
         GmmDenoiser(a).denoise(np.ones((1, 4)), [0.5])
-        assert not any(hasattr(a, name) for name in ("_rows", "_held", "_mean_sq"))
+        assert not any(hasattr(a, name) for name in ("_kept", "_mean_sq"))
         assert [f.name for f in dataclasses.fields(a)] == ["weights", "means", "var_scale", "shape"]
 
 
