@@ -8,9 +8,10 @@ and never touches the denoiser, so its cost is excluded from the function
 evaluation budget.
 
 The Langevin noise comes from one pipeline, GuideNoise: each row's stream is
-drawn in chunks of iterations, in order, and a ladder walk's worker thread
-may draw any row's next chunks ahead of the guide while the guide draws
-whatever is not drawn yet, with the same bits as a direct call's own draws.
+drawn in chunks of iterations, in order, under the stream's own lock and
+count of chunks drawn.  A ladder walk's worker thread draws rows ahead of
+the guide from the last up, the guide draws from the first up whatever is
+not drawn yet, and the bits are those of a direct call's own draws.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from .core import (
 )
 from .operators import ForwardOp
 
-# bytes of the noise buffer: a guide call of B rows of n draws the noise of
-# up to NOISE_BYTES // (8 B n) iterations per stream at a time, one chunk
+# bytes of a guide call's noise: a call of B rows of n draws the noise of up
+# to NOISE_BYTES // (8 B n) iterations per stream at a time, one chunk
 NOISE_BYTES = 1 << 20
 
 # a ladder walk's worker keeps up to one level of guide noise, 8 B
@@ -41,23 +42,6 @@ NOISE_BYTES = 1 << 20
 # last; a larger level would cost its size in memory, so the worker keeps two
 # chunks ahead of the guide instead
 PREFETCH_BYTES = 4 << 20
-
-# each thread keeps its noise buffer between calls: a buffer made afresh per
-# call can go back to the system when freed and be page-faulted in again by
-# the next call, at a cost that moves with the machine's memory pressure
-_scratch = threading.local()
-
-
-def _noise_buffer(b: int, chunk: int, n: int) -> np.ndarray:
-    """A (b, chunk, n) buffer of unspecified contents; one of at most
-    NOISE_BYTES is the calling thread's kept buffer, a larger one is new."""
-    size = b * chunk * n
-    if 8 * size > NOISE_BYTES:
-        return np.empty((b, chunk, n))
-    buf = getattr(_scratch, "noise", None)
-    if buf is None or buf.size < size:
-        buf = _scratch.noise = np.empty(size)
-    return buf[:size].reshape(b, chunk, n)
 
 
 def _second_cpu() -> bool:
@@ -76,22 +60,23 @@ class GuideNoise(Sequence):
     iterations of n pixels each.
 
     A level's noise is split into chunks of the iterations whose draws fit
-    in NOISE_BYTES, with one draw task per (chunk, row): the task fills the
-    row's slice of the chunk with the stream's next normals.  A chunk's
-    tasks start only after every row of the chunk before is drawn, so every
-    stream is drawn in order, by one thread at a time, and each chunk holds
-    the normals that one draw per iteration would give.
+    in NOISE_BYTES.  Each stream has one lock and one count of its chunks
+    drawn, and _draw(ring, b, g) draws chunk g of stream b under the
+    stream's lock unless the count shows it drawn.  Every thread asks for a
+    stream's chunks in order, so each stream is drawn in order, by one
+    thread at a time, and each chunk holds the normals that one draw per
+    iteration would give.
 
-    Outside a with block the guide draws every task itself, into its
-    thread's kept buffer.  Inside one, on a process that may run on a
-    second CPU and for a level above NOISE_BYTES, a worker thread takes
-    tasks ahead of the guide into a ring: one level when the level is at
-    most PREFETCH_BYTES, so it draws the next level while the walk corrects
-    the last, and two chunks otherwise.  It stops at the last draw of the
-    last level, at the first failing draw, and when the block exits; the
-    guide takes any task of the chunk it needs that is not drawn yet.
-    Leaving the block waits for the worker, so no thread writes the ring
-    after it.
+    The guide draws each row of the chunk it needs, first to last.  Outside
+    a with block it draws them all, into a ring of one chunk made on first
+    use.  Inside one, on a process that may run on a second CPU and for a
+    level above NOISE_BYTES, a worker thread draws each chunk's rows last
+    to first, ahead of the guide, into a ring: one level when the level is
+    at most PREFETCH_BYTES, so it draws the next level while the walk
+    corrects the last, and two chunks otherwise.  It stops at the last
+    draw of the last level, at the first failing draw, whose error every
+    later _draw raises, and when the block exits; leaving the block waits
+    for the one draw in progress, so no thread writes the ring after it.
     """
 
     def __init__(self, rngs: Sequence[RngStream], steps: int, n: int, depth: int = 1):
@@ -104,12 +89,9 @@ class GuideNoise(Sequence):
         self._level = 0
         # chunks the guide has used, and whose slots it has given back
         self._used = 0
-        # finished[g] is the number of rows of chunk g drawn
-        self._finished = [0] * self._total
-        # the claims' front: the first chunk with a row no thread has
-        # claimed, and its rows [lo, hi) not claimed yet; the guide claims
-        # from lo up and the worker from hi down
-        self._front, self._lo, self._hi = 0, 0, rows
+        # drawn[b] is the number of chunks drawn from stream b; it only rises
+        self._drawn = [0] * rows
+        self._locks = [threading.Lock() for _ in range(rows)]
         self._ring = None
         self._slots = 1
         self._error: BaseException | None = None
@@ -139,59 +121,45 @@ class GuideNoise(Sequence):
     def __exit__(self, *exc) -> None:
         with self._cond:
             self._closed = True
-            self._cond.notify_all()
+            self._cond.notify()
         if self._thread is not None:
             self._thread.join()
 
-    def _claim(self, lo: int, hi: int) -> None:
-        """Leave rows [lo, hi) of the front chunk unclaimed, and move the
-        front past a chunk whose rows are all claimed; under the lock."""
-        if lo == hi:
-            self._front += 1
-            lo, hi = 0, len(self)
-        self._lo, self._hi = lo, hi
-
-    def _fill(self, ring: np.ndarray, g: int, b: int) -> None:
-        """Run task (g, b), outside the lock: fill row b's slice of chunk
-        g's slot with the row's next normals."""
-        at = (g % self._slots) * self.chunk
-        todo = min(self.chunk, self.steps - (g % self._per_level) * self.chunk)
-        self.rngs[b].normal_into(ring[b, at:at + todo])
-
-    def _done(self, g: int, rows: int, error: BaseException | None) -> None:
-        """Record that many more rows of chunk g are drawn, or the error
-        that stops every thread; under the lock."""
-        if error is None:
-            self._finished[g] += rows
-        elif self._error is None:
-            self._error = error
-        self._cond.notify()
+    def _draw(self, ring: np.ndarray, b: int, g: int) -> None:
+        """Fill row b's slice of chunk g's slot with the stream's next
+        normals, unless chunk g of stream b is drawn; raise the error of
+        any failed draw."""
+        # a count only rises, so one that shows the chunk drawn needs no
+        # lock, and the guide does not wait for a draw of a later chunk
+        if self._drawn[b] > g:
+            return
+        with self._locks[b]:
+            if self._error is not None:
+                raise self._error
+            if self._drawn[b] > g:
+                return
+            at = (g % self._slots) * self.chunk
+            todo = min(self.chunk, self.steps - (g % self._per_level) * self.chunk)
+            try:
+                self.rngs[b].normal_into(ring[b, at:at + todo])
+            except BaseException as e:
+                self._error = e
+                raise
+            self._drawn[b] = g + 1
 
     def _work(self) -> None:
         cond, ring = self._cond, self._ring
-        with cond:
-            while True:
-                g, lo, hi = self._front, self._lo, self._hi
-                if self._closed or self._error is not None or g >= self._total:
-                    return
-                # wait for the chunk's slot, and for every row's last chunk
-                if g >= self._used + self._slots or (g > 0 and self._finished[g - 1] < len(self)):
-                    cond.wait()
-                    continue
-                # half the unclaimed rows: few claims, so few holds of the
-                # interpreter lock, and rows left for the guide to take
-                start = hi - max(1, (hi - lo) // 2)
-                self._claim(lo, start)
-                cond.release()
-                error = None
-                try:
-                    for b in range(hi - 1, start - 1, -1):
-                        self._fill(ring, g, b)
-                except Exception as e:  # recorded; the guide raises it
-                    error = e
-                finally:
-                    cond.acquire()
-                self._done(g, hi - start, error)
+        try:
+            for g in range(self._total):
+                with cond:  # wait for the chunk's slot
+                    while g >= self._used + self._slots and not self._closed:
+                        cond.wait()
+                for b in reversed(range(len(self))):
+                    if self._closed:
+                        return
+                    self._draw(ring, b, g)
+        except BaseException:  # kept by _draw; the guide raises it
+            return
 
     def chunks(self, rows: int, steps: int, n: int):
         """Yield (first iteration, (rows, todo, n) noise) for each chunk of
@@ -203,33 +171,18 @@ class GuideNoise(Sequence):
         if self._level >= self.depth:
             raise SgpsError(f"guide noise of {self.depth} levels is used up")
         self._level += 1
-        ring = self._ring if self._ring is not None else _noise_buffer(rows, self.chunk, n)
-        cond = self._cond
+        if self._ring is None:
+            self._ring = np.empty((rows, self.chunk, n))
+        ring = self._ring
         for start in range(0, steps, self.chunk):
             g = self._used
-            with cond:
-                while self._finished[g] < rows:
-                    if self._error is not None:
-                        raise self._error
-                    if self._front == g:
-                        b = self._lo
-                        self._claim(b + 1, self._hi)
-                        cond.release()
-                        error = None
-                        try:
-                            self._fill(ring, g, b)
-                        except BaseException as e:  # raised by the loop's next turn
-                            error = e
-                        finally:
-                            cond.acquire()
-                        self._done(g, 1, error)
-                    else:  # the rows left are being drawn by the worker
-                        cond.wait()
+            for b in range(rows):
+                self._draw(ring, b, g)
             at = (g % self._slots) * self.chunk
             yield start, ring[:, at:at + min(self.chunk, steps - start)]
-            with cond:
+            with self._cond:
                 self._used = g + 1
-                cond.notify_all()
+                self._cond.notify()
 
 
 def default_eta(sigma_t: float, cfg: SamplerConfig, op: ForwardOp) -> float:

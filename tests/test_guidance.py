@@ -322,28 +322,6 @@ def test_mask_gradient_equals_the_generic_form(keep, batch):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_noise_buffer_is_kept_between_calls():
-    # a guide call within NOISE_BYTES reuses its thread's buffer, whatever it
-    # holds from the last call, and a call beyond it gets a buffer of its own
-    batch, n = 3, 8
-    op = identity_op((n,))
-    y = Signal(np.zeros(n), (n,))
-    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=5)
-    xs = RngStream(9, 0).standard_normal((batch, n))
-
-    def guide():
-        return langevin_guide(xs, xs, 0.5, op, y, cfg, [RngStream(9, 1 + b) for b in range(batch)])
-
-    first = guide()
-    kept = guidance._scratch.noise
-    kept.fill(np.nan)
-    assert np.array_equal(guide(), first)
-    assert guidance._scratch.noise is kept
-    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(1, batch, n) - 8):
-        assert np.array_equal(guide(), first)
-    assert guidance._scratch.noise is kept
-
-
 def second_cpu():
     """A patch under which the process may run on a second CPU, so a
     GuideNoise entered by a with block makes its worker for a level above
@@ -433,6 +411,84 @@ def test_a_worker_split_equals_the_guides_own_draws(batch, chunk, steps, watch_d
                 fresh.normal(steps * n)
                 assert r.normal(1)[0] == fresh.normal(1)[0]
     assert watch_draws.drawn_by() <= {"main", "sgps-guide-noise"}
+
+
+def test_the_guide_draws_every_row_no_thread_is_drawing():
+    # the worker is held inside its first fill, of the last row of chunk 0,
+    # in a two-chunk ring; the guide draws every other row of that chunk
+    # itself, first to last, and the rows are those of its own draws
+    batch, n, steps = 4, 5, 6
+    op = identity_op((n,))
+    g = RngStream(15, 0)
+    xs = g.standard_normal((batch, n))
+    y = Signal(g.normal(n), (n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.5, langevin_steps=steps)
+    streams = lambda: [RngStream(15, 1 + b) for b in range(batch)]  # noqa: E731
+    fill = RngStream.normal_into
+    held, release = threading.Event(), threading.Event()
+    first = {}  # stream id: the thread of its first fill, chunk 0's
+
+    def spy(self, out):
+        main = threading.current_thread() is threading.main_thread()
+        first.setdefault(self.stream_id, "main" if main else "worker")
+        if main:
+            held.wait(timeout=10)
+        elif not held.is_set():
+            held.set()
+            release.wait(timeout=10)
+        fill(self, out)
+        if main and self.stream_id == batch - 1:
+            release.set()
+
+    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(2, batch, n)), \
+            mock.patch.object(guidance, "PREFETCH_BYTES", 0), second_cpu():
+        want = langevin_guide(xs, xs, 0.5, op, y, cfg, streams())
+        rngs = streams()
+        with mock.patch.object(RngStream, "normal_into", spy), \
+                GuideNoise(rngs, steps, n) as noise:
+            got = langevin_guide(xs, xs, 0.5, op, y, cfg, noise)
+    assert first == {1 + b: "main" for b in range(batch - 1)} | {batch: "worker"}
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for b, r in enumerate(rngs):
+        fresh = RngStream(15, 1 + b)
+        fresh.normal(steps * n)
+        assert r.normal(1)[0] == fresh.normal(1)[0]
+
+
+def test_a_drawn_chunk_is_handed_out_while_a_later_one_is_drawn():
+    # one row within PREFETCH_BYTES: the worker draws chunk 0, then is held
+    # inside its fill of chunk 1, and the guide's first chunk is handed out
+    # while it is held; a stream's count of chunks drawn is read before its
+    # lock is taken, so the guide does not wait for the later chunk's fill
+    n, steps = 5, 6
+    fill = RngStream.normal_into
+    held, release = threading.Event(), threading.Event()
+    worker_fills, released = [], []
+
+    def spy(self, out):
+        if threading.current_thread() is not threading.main_thread():
+            worker_fills.append(out.size)
+            if len(worker_fills) == 2:
+                held.set()
+                released.append(release.wait(timeout=10))
+        fill(self, out)
+
+    rng = RngStream(16, 1)
+    got = []
+    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(2, 1, n)), second_cpu(), \
+            mock.patch.object(RngStream, "normal_into", spy), \
+            GuideNoise([rng], steps, n) as noise:
+        assert held.wait(timeout=30)
+        chunks = noise.chunks(1, steps, n)
+        got.append(next(chunks)[1].copy())
+        release.set()
+        got += [chunk.copy() for _, chunk in chunks]
+    assert released == [True]
+    fresh = RngStream(16, 1)
+    want = fresh.normal(steps * n)
+    assert np.array_equal(np.concatenate(got, axis=1).ravel().view(np.uint64),
+                          want.view(np.uint64))
+    assert rng.normal(1)[0] == fresh.normal(1)[0]
 
 
 def test_a_failing_own_fill_waits_for_the_workers():

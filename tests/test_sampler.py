@@ -564,19 +564,42 @@ class TestGuideNoisePrefetch:
         assert len(worker_fills) == 8 * failing_fill + 1
         assert threading.active_count() == before
 
-    def test_a_walk_that_raises_waits_for_its_pending_fill(self):
-        # the finish of level 0 raises while level 1's block is being drawn
+    def test_a_walk_that_raises_waits_for_its_pending_fill(self, monkeypatch):
+        # the finish of level 0 raises while the worker is held inside its
+        # first fill of level 1's block; leaving the walk waits for that
+        # fill, and a closed walk starts at most one more
         den, op, y, _ = make_task()
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
-        before = threading.active_count()
+        fill = RngStream.normal_into
+        held, release = threading.Event(), threading.Event()
+        lock = threading.Lock()
+        per_stream, worker_fills, at_raise = {}, [], []
+
+        def spy(self, out):
+            with lock:
+                k = per_stream[self.stream_id] = per_stream.get(self.stream_id, 0) + 1
+            if threading.current_thread() is not threading.main_thread():
+                worker_fills.append(out.size)
+                # a stream's third fill is its first chunk of level 1
+                if k > 2 and not held.is_set():
+                    held.set()
+                    release.wait(timeout=30)
+            fill(self, out)
 
         def finish(k, sigma_t, x0t, x0ty):
+            assert held.wait(timeout=30)
+            at_raise.append(len(worker_fills))
+            release.set()
             raise ValueError("finish failed")
 
+        monkeypatch.setattr(RngStream, "normal_into", spy)
+        two_cpus(monkeypatch)
+        before = threading.active_count()
         with pytest.raises(ValueError, match="finish failed"):
             sgps.sampler.walk_ladder(den, op, y, cfg, [RngStream(87, b) for b in range(8)],
                                      finish, 3)
         assert threading.active_count() == before
+        assert len(worker_fills) - at_raise[0] <= 1
 
     def test_threads_after_walks_that_succeed(self):
         den, op, y, _ = make_task()
