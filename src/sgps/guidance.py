@@ -11,7 +11,10 @@ The Langevin noise comes from one pipeline, GuideNoise: each row's stream is
 drawn in chunks of iterations, in order, under the stream's own lock and
 count of chunks drawn.  A ladder walk's worker thread draws rows ahead of
 the guide from the last up, the guide draws from the first up whatever is
-not drawn yet, and the bits are those of a direct call's own draws.
+not drawn yet, and the bits are those of a direct call's own draws.  A
+count is read before the lock is taken too: it only rises, and a guide that
+read it only under the lock would wait on a one-row walk for the worker's
+fill of a later chunk.
 """
 from __future__ import annotations
 

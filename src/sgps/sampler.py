@@ -8,9 +8,10 @@ the draws seen by the other stages.  That makes ablation pairs comparable
 under common random numbers.  walk_ladder is the one ladder step loop;
 sgps_run and the chain experiments in analysis both run on it.  Because the
 guidance substream feeds only the guide, a walk hands the guide its streams
-as one guidance.GuideNoise for every level, whose worker thread may draw
-each chain's next chunks of guide noise ahead, also while the walk denoises,
-corrects and renoises; the guide draws whatever is not drawn yet.
+as one guidance.GuideNoise for every level.  Each stream there has one lock
+and one count of the chunks drawn from it, so the GuideNoise's worker thread
+may draw each chain's next chunks ahead, also while the walk denoises,
+corrects and renoises, and the guide draws whatever is not drawn yet.
 """
 from __future__ import annotations
 
