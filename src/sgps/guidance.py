@@ -19,7 +19,6 @@ fill of a later chunk.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections.abc import Sequence
 
@@ -47,16 +46,6 @@ NOISE_BYTES = 1 << 20
 PREFETCH_BYTES = 4 << 20
 
 
-def _second_cpu() -> bool:
-    """Whether the process may run on a second CPU; on one CPU a worker
-    thread only takes turns with the main thread."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return cpus >= 2
-
-
 class GuideNoise(Sequence):
     """The guide streams of B chains, one per row, and the Gaussian noise
     that langevin_guide draws from them for `depth` levels of `steps`
@@ -72,11 +61,12 @@ class GuideNoise(Sequence):
 
     The guide draws each row of the chunk it needs, first to last.  Outside
     a with block it draws them all, into a ring of one chunk made on first
-    use.  Inside one, on a process that may run on a second CPU and for a
-    level above NOISE_BYTES, a worker thread draws each chunk's rows last
-    to first, ahead of the guide, into a ring: one level when the level is
-    at most PREFETCH_BYTES, so it draws the next level while the walk
-    corrects the last, and two chunks otherwise.  It stops at the last
+    use.  Inside one, for a level above NOISE_BYTES, a worker thread draws
+    each chunk's rows last to first, ahead of the guide, into a ring: one
+    level when the level is at most PREFETCH_BYTES, so it draws the next
+    level while the walk corrects the last, and two chunks otherwise.  A
+    level within NOISE_BYTES makes no worker, on any number of CPUs: its
+    draws are too short to pay for the hand-overs between the threads.  It stops at the last
     draw of the last level, at the first failing draw, whose error every
     later _draw raises, and when the block exits; leaving the block waits
     for the one draw in progress, so no thread writes the ring after it.
@@ -110,7 +100,7 @@ class GuideNoise(Sequence):
 
     def __enter__(self) -> GuideNoise:
         level = 8 * len(self) * self.steps * self.n
-        if level > NOISE_BYTES and _second_cpu():
+        if level > NOISE_BYTES:
             if level <= PREFETCH_BYTES:
                 self._slots, iters = self._per_level, self.steps
             else:

@@ -3,7 +3,7 @@
 Subcommands: run (one config), sweep (cartesian sweep from the config's
 [sweep] section), estimate (print the noise level of a PGM image), synth
 (write a synthetic noisy PGM).  Exit codes: 0 success, 1 configuration or
-usage error, 2 run failure.
+usage error, 2 run failure or out of memory.
 """
 from __future__ import annotations
 
@@ -126,6 +126,9 @@ def _dispatch(argv) -> int:
         return 1
     except SgpsError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     return 1
 

@@ -43,7 +43,6 @@ class RunResult:
     repeat: int
     overrides: dict
     report: RunReport | None
-    error: str = ""
 
 
 def _summary_rows(axis_names: list[str], results: list[RunResult]) -> str:
@@ -118,7 +117,7 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool) -> int:
             except ConfigError:
                 raise
             except SgpsError as e:
-                res = RunResult(p_idx, rep, overrides, None, error=str(e))
+                res = RunResult(p_idx, rep, overrides, None)
                 print(f"run point={p_idx} repeat={rep} failed: {e}", file=sys.stderr)
             point_results.append(res)
         _point_chart(cfg, p_idx, point_results, out_dir)

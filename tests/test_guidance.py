@@ -322,13 +322,6 @@ def test_mask_gradient_equals_the_generic_form(keep, batch):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def second_cpu():
-    """A patch under which the process may run on a second CPU, so a
-    GuideNoise entered by a with block makes its worker for a level above
-    NOISE_BYTES."""
-    return mock.patch.object(guidance.os, "sched_getaffinity", lambda pid: {0, 1}, create=True)
-
-
 @pytest.mark.parametrize("steps", [1, 7])
 def test_a_drawn_noise_block_equals_the_guides_own_draws(steps):
     # a level that the worker drew whole before the guide asked for it gives
@@ -344,8 +337,7 @@ def test_a_drawn_noise_block_equals_the_guides_own_draws(steps):
     want = langevin_guide(xs, xs, 0.5, op, y, cfg, streams())
     rngs = streams()
     before = threading.active_count()
-    with mock.patch.object(guidance, "NOISE_BYTES", 8), second_cpu(), \
-            GuideNoise(rngs, steps, n) as noise:
+    with mock.patch.object(guidance, "NOISE_BYTES", 8), GuideNoise(rngs, steps, n) as noise:
         # the worker stops at the level's last draw
         deadline = time.monotonic() + 30
         while threading.active_count() > before and time.monotonic() < deadline:
@@ -394,8 +386,7 @@ def test_a_worker_split_equals_the_guides_own_draws(batch, chunk, steps, watch_d
     streams = lambda: [RngStream(12, 1 + b) for b in range(batch)]  # noqa: E731
     per_fill = steps if chunk is None else chunk
     sizes = [min(per_fill, steps - s) * n for s in range(0, steps, per_fill)]
-    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(chunk, batch, n)), \
-            second_cpu():
+    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(chunk, batch, n)):
         want = langevin_guide(xs, xs, 0.5, op, y, cfg, streams())
         for window in (guidance.PREFETCH_BYTES, 0):
             watch_draws.sizes.clear()
@@ -441,7 +432,7 @@ def test_the_guide_draws_every_row_no_thread_is_drawing():
             release.set()
 
     with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(2, batch, n)), \
-            mock.patch.object(guidance, "PREFETCH_BYTES", 0), second_cpu():
+            mock.patch.object(guidance, "PREFETCH_BYTES", 0):
         want = langevin_guide(xs, xs, 0.5, op, y, cfg, streams())
         rngs = streams()
         with mock.patch.object(RngStream, "normal_into", spy), \
@@ -475,7 +466,7 @@ def test_a_drawn_chunk_is_handed_out_while_a_later_one_is_drawn():
 
     rng = RngStream(16, 1)
     got = []
-    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(2, 1, n)), second_cpu(), \
+    with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(2, 1, n)), \
             mock.patch.object(RngStream, "normal_into", spy), \
             GuideNoise([rng], steps, n) as noise:
         assert held.wait(timeout=30)
@@ -518,7 +509,7 @@ def test_a_failing_own_fill_waits_for_the_workers():
     before = threading.active_count()
     rngs = [RngStream(14, b) for b in range(batch)]
     with mock.patch.object(guidance, "NOISE_BYTES", noise_bytes_for(1, batch, n)), \
-            second_cpu(), mock.patch.object(RngStream, "normal_into", spy):
+            mock.patch.object(RngStream, "normal_into", spy):
         with pytest.raises(RuntimeError, match="fill failed"):
             with GuideNoise(rngs, cfg.langevin_steps, n) as noise:
                 langevin_guide(np.zeros((batch, n)), np.zeros((batch, n)), 0.5, op, y, cfg,

@@ -764,6 +764,16 @@ class TestCli:
         assert "overflow" not in proc.stderr
         assert "warning" not in proc.stderr.lower()
 
+    def test_out_of_memory_is_one_line_and_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a task too large to allocate fails as a run, with no traceback
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out")))
+        monkeypatch.setattr(sgps.harness.runner, "make_task", mock.Mock(
+            side_effect=MemoryError("Unable to allocate 37.3 TiB")))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 37.3 TiB\n"
+
     def test_warning_is_one_line(self, tmp_path):
         # a warning reaches a user as one line, with no source line and no
         # category name.  No image the CLI accepts makes the estimator warn

@@ -429,18 +429,11 @@ def spy_guide(monkeypatch) -> list:
     return calls
 
 
-def one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-
-
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 def in_call_draws(monkeypatch):
-    """The serial baseline: on one CPU a walk makes no worker, so the guide
-    draws every row's noise itself whatever the level's size."""
-    one_cpu(monkeypatch)
+    """The serial baseline: with NOISE_BYTES above every level a walk makes
+    no worker, so the guide draws every row's noise itself, in one chunk a
+    level; chunking does not change the draws."""
+    monkeypatch.setattr(sgps.guidance, "NOISE_BYTES", 1 << 62)
 
 
 def drawn_in_order(log, rows, steps, n, depth) -> bool:
@@ -468,7 +461,6 @@ class TestGuideNoisePrefetch:
         den, op, y, x0 = mixture_sr_task()
         cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.05, langevin_steps=100)
         calls = spy_guide(monkeypatch)
-        two_cpus(monkeypatch)
         xa, ra = sgps_run(den, op, y, cfg, RngStream(82, 0), x_true=x0)
         assert [worker for _, worker in calls] == [True] * 4
         assert drawn_in_order(watch_draws, 1, 100, 4096, 4)
@@ -484,22 +476,25 @@ class TestGuideNoisePrefetch:
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
         rngs = lambda: [RngStream(83, b) for b in range(8)]  # noqa: E731
         calls = spy_guide(monkeypatch)
-        two_cpus(monkeypatch)
         pre = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 4))
         assert drawn_in_order(watch_draws, 8, 100, 256, 4)
         in_call_draws(monkeypatch)
         assert prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 4)) == pre
         assert [worker for _, worker in calls] == [True] * 4 + [False] * 4
 
-    def test_one_cpu_keeps_the_guides_own_draws(self, monkeypatch, watch_draws):
-        # with no second CPU the worker could only take turns with the walk
+    def test_one_cpu_draws_ahead_too(self, monkeypatch, watch_draws):
+        # a process on one CPU makes the worker as any other: 8 rows of 256
+        # pixels and 100 iterations, 1.6 MB a level
         den, op, y, _ = make_task()
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
+        rngs = lambda: [RngStream(89, b) for b in range(8)]  # noqa: E731
         calls = spy_guide(monkeypatch)
-        one_cpu(monkeypatch)
-        chain_prefix(den, op, y, cfg, [RngStream(89, b) for b in range(8)], 2)
-        assert [worker for _, worker in calls] == [False] * 2
-        assert watch_draws.drawn_by() == {"main"}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        ahead = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 2))
+        assert [worker for _, worker in calls] == [True] * 2
+        assert drawn_in_order(watch_draws, 8, 100, 256, 2)
+        in_call_draws(monkeypatch)
+        assert prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 2)) == ahead
 
     @pytest.mark.parametrize("prefetch", [True, False])
     def test_guide_streams_advance_by_the_iterations_walked(self, prefetch, monkeypatch):
@@ -508,7 +503,6 @@ class TestGuideNoisePrefetch:
         cfg = run_cfg(6, sure_repeats=0, langevin_steps=100)
         depth, n = 3, 256
         calls = spy_guide(monkeypatch)
-        two_cpus(monkeypatch)
         if not prefetch:
             in_call_draws(monkeypatch)
         chain_prefix(den, op, y, cfg, [RngStream(84, b) for b in range(8)], depth)
@@ -528,7 +522,6 @@ class TestGuideNoisePrefetch:
         cfg = SamplerConfig(steps=4, t_max=40.0, sigma_y=100.0, langevin_steps=200,
                             langevin_eta=1.5 * float(sigmas[1]) ** 2)
         calls = spy_guide(monkeypatch)
-        two_cpus(monkeypatch)
         before = threading.active_count()
         errors = []
         for prefetch in (True, False):
@@ -593,7 +586,6 @@ class TestGuideNoisePrefetch:
             raise ValueError("finish failed")
 
         monkeypatch.setattr(RngStream, "normal_into", spy)
-        two_cpus(monkeypatch)
         before = threading.active_count()
         with pytest.raises(ValueError, match="finish failed"):
             sgps.sampler.walk_ladder(den, op, y, cfg, [RngStream(87, b) for b in range(8)],
@@ -717,7 +709,6 @@ class TestGuideNoiseSplit:
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
         rngs = lambda: [RngStream(90, b) for b in range(40)]  # noqa: E731
         calls = spy_guide(monkeypatch)
-        two_cpus(monkeypatch)
         before = threading.active_count()
         split = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 3))
         assert threading.active_count() == before
@@ -730,7 +721,6 @@ class TestGuideNoiseSplit:
         # one criterion-10 trial of 40 chains, as the kl-trend-16 workload
         den, prior, op, y, cfg = kl_task()
         calls = spy_guide(monkeypatch)
-        two_cpus(monkeypatch)
         split = kl_trend_trials(den, prior, op, y, cfg, PatchConfig(), trials=1, samples=40,
                                 depth=3, seed=13)
         assert drawn_in_order(watch_draws, 40, cfg.langevin_steps, 256, 3)
@@ -749,7 +739,6 @@ class TestGuideNoiseSplit:
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=steps)
         rngs = lambda: [RngStream(91, b) for b in range(rows)]  # noqa: E731
         calls = spy_guide(monkeypatch)
-        two_cpus(monkeypatch)
         split = prefix_bytes(chain_prefix(den, op, y, cfg, rngs(), 2))
         assert drawn_in_order(watch_draws, rows, steps, math.prod(shape), 2)
         in_call_draws(monkeypatch)
@@ -761,7 +750,6 @@ class TestGuideNoiseSplit:
         cfg = run_cfg(6, sure_repeats=0, langevin_steps=100)
         depth, n = 2, 256
         calls = spy_guide(monkeypatch)
-        two_cpus(monkeypatch)
         chain_prefix(den, op, y, cfg, [RngStream(92, b) for b in range(40)], depth)
         assert [worker for _, worker in calls] == [True] * depth
         for b, r in enumerate(calls[0][0]):
@@ -786,27 +774,16 @@ class TestGuideNoiseSplit:
             fill(self, out)
 
         monkeypatch.setattr(RngStream, "normal_into", spy)
-        two_cpus(monkeypatch)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="fill failed"):
             chain_prefix(den, op, y, cfg, [RngStream(93, b) for b in range(40)], 3)
         assert len(worker_fills) == 20 * failing_chunk + 1
         assert threading.active_count() == before
 
-    def test_one_cpu_keeps_the_guides_own_draws(self, monkeypatch, watch_draws):
-        den, op, y, _ = make_task()
-        cfg = run_cfg(5, sure_repeats=0, langevin_steps=100)
-        calls = spy_guide(monkeypatch)
-        one_cpu(monkeypatch)
-        chain_prefix(den, op, y, cfg, [RngStream(95, b) for b in range(40)], 2)
-        assert [worker for _, worker in calls] == [False] * 2
-        assert watch_draws.drawn_by() == {"main"}
-
     def test_concurrent_walks_equal_serial_bytes(self, monkeypatch, watch_draws):
         # the walks' 1.6 MB levels take the two-chunk ring with the window
         # lowered below them
         monkeypatch.setattr(sgps.guidance, "PREFETCH_BYTES", sgps.guidance.NOISE_BYTES)
-        two_cpus(monkeypatch)
         calls = spy_guide(monkeypatch)
         concurrent_walks_equal_serial_bytes()
         assert {worker for _, worker in calls} == {True}
@@ -819,7 +796,6 @@ class TestGuideNoiseSplit:
         cfg = run_cfg(5, sure_repeats=0, langevin_steps=130)
         assert 8 * 4096 * 130 > sgps.guidance.PREFETCH_BYTES
         calls = spy_guide(monkeypatch)
-        two_cpus(monkeypatch)
         before = threading.active_count()
         ahead = prefix_bytes(chain_prefix(den, op, y, cfg, [RngStream(94, 0)], 2))
         assert threading.active_count() == before

@@ -1,12 +1,15 @@
 """Start-up cost: scipy loads only at the call sites that need it, and no
-thread outlives the call that started it.
+thread outlives the call that started it; a process on one CPU walks with
+the guide-noise worker and the bytes of the guide's own draws.
 
 Each check runs in a fresh interpreter, because the test process itself has
-scipy loaded already.
+scipy loaded already, and may run on more than one CPU.
 """
 import os
 import subprocess
 import sys
+
+import pytest
 
 import sgps
 
@@ -73,6 +76,43 @@ sgps.analysis.normality_report(sgps.RngStream(1, 0).normal(200))
 assert "scipy.special" in sys.modules, "the normality check did not load scipy.special"
 """
 
+# pinned to one CPU before numpy loads, a walk of 40 chains (256 pixels and
+# 100 iterations: 7.8 MiB a level, above PREFETCH_BYTES) and a walk of one
+# chain (4096 pixels and 100 iterations: 3.1 MiB, within it) each make the
+# worker, leave one thread and give the bytes of a walk that makes none
+_ONE_CPU_SCRIPT = f"""
+import os
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+import threading
+import sgps.analysis, sgps.guidance, sgps.sampler
+from sgps.harness import make_task, parse_config_text, run_stream
+
+workers = []
+guide = sgps.sampler.langevin_guide
+
+def spy(*args, **kw):
+    workers.append(args[6]._thread is not None)
+    return guide(*args, **kw)
+
+sgps.sampler.langevin_guide = spy
+text = {_CONFIG!r}
+noise_bytes = sgps.guidance.NOISE_BYTES
+for shape, rows in (("16 16", 40), ("64 64", 1)):
+    cfg = parse_config_text(text.replace("shape = 16 16", "shape = " + shape))
+    _, y = make_task(cfg)
+    walks = []
+    for sgps.guidance.NOISE_BYTES in (noise_bytes, 1 << 62):
+        states = sgps.analysis.chain_prefix(cfg.denoiser, cfg.op, y,
+                                            cfg.sampler.replace(langevin_steps=100),
+                                            [run_stream(cfg, 0, b) for b in range(rows)], 2)
+        walks.append(b"".join(a.tobytes() for _, x0t, x0ty in states for a in (x0t, x0ty)))
+        assert threading.active_count() == 1, "a thread outlived a walk of %d rows" % rows
+    assert workers == [True, True, False, False], workers
+    assert walks[0] == walks[1], "a walk of %d rows drew other bytes" % rows
+    workers.clear()
+assert len(os.sched_getaffinity(0)) == 1
+"""
+
 
 def _run(args):
     env = dict(os.environ)
@@ -83,6 +123,12 @@ def _run(args):
 
 def test_scipy_loads_only_where_used():
     proc = _run(["-c", _SCRIPT])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_one_cpu_walks_draw_ahead_with_in_call_bytes():
+    proc = _run(["-c", _ONE_CPU_SCRIPT])
     assert proc.returncode == 0, proc.stderr
 
 
