@@ -66,10 +66,11 @@ class GuideNoise(Sequence):
     level when the level is at most PREFETCH_BYTES, so it draws the next
     level while the walk corrects the last, and two chunks otherwise.  A
     level within NOISE_BYTES makes no worker, on any number of CPUs: its
-    draws are too short to pay for the hand-overs between the threads.  It stops at the last
-    draw of the last level, at the first failing draw, whose error every
-    later _draw raises, and when the block exits; leaving the block waits
-    for the one draw in progress, so no thread writes the ring after it.
+    draws are too short to pay for the hand-overs between the threads.  The
+    worker stops at the last draw of the last level, at the first failing
+    draw, whose error every later _draw raises, and when the block exits;
+    leaving the block waits for the one draw in progress, so no thread
+    writes the ring after it.
     """
 
     def __init__(self, rngs: Sequence[RngStream], steps: int, n: int, depth: int = 1):

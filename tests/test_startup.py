@@ -101,7 +101,8 @@ for shape, rows in (("16 16", 40), ("64 64", 1)):
     cfg = parse_config_text(text.replace("shape = 16 16", "shape = " + shape))
     _, y = make_task(cfg)
     walks = []
-    for sgps.guidance.NOISE_BYTES in (noise_bytes, 1 << 62):
+    for limit in (noise_bytes, 1 << 62):
+        sgps.guidance.NOISE_BYTES = limit
         states = sgps.analysis.chain_prefix(cfg.denoiser, cfg.op, y,
                                             cfg.sampler.replace(langevin_steps=100),
                                             [run_stream(cfg, 0, b) for b in range(rows)], 2)
