@@ -176,6 +176,8 @@ def sigma_sweep(
 
     Returns one row per level with the mean estimate and its relative error.
     """
+    if images < 1:
+        raise SgpsError(f"need at least 1 image per level, got {images}")
     rows = []
     stream = 0
     for sigma in sigmas:
@@ -217,6 +219,8 @@ def w2_scaling_curve(
     spreads are fit empirically and compared with the closed-form Gaussian
     W2.
     """
+    if samples < 2:
+        raise SgpsError(f"the Gaussian fit needs at least 2 samples, got {samples}")
     n = anchor.n
     anchors = np.broadcast_to(anchor.data, (samples, n))
     out = []

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,6 +244,15 @@ def format_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The text of every artifact table: the header line, then one line per
+    row, each ending in a newline.  A str cell is written as given, an int
+    in digits and any other number by format_float."""
+    lines = [header, *([v if isinstance(v, str) else str(v) if isinstance(v, int)
+                        else format_float(v) for v in row] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """Per-step trace entry.  sigma_hat_star and skipped are diagnostics
@@ -260,10 +270,6 @@ class StepRecord:
     sigma_hat_star: float = math.nan
     skipped: bool = False
 
-    def csv_row(self) -> str:
-        cells = (getattr(self, name) for name in STEP_CSV_COLUMNS)
-        return ",".join(str(v) if isinstance(v, int) else format_float(v) for v in cells)
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -275,16 +281,8 @@ class RunReport:
     total_nfe: int
 
     def step_csv(self) -> str:
-        lines = [",".join(STEP_CSV_COLUMNS)]
-        lines.extend(rec.csv_row() for rec in self.steps)
-        return "\n".join(lines) + "\n"
-
-    def summary_fields(self) -> dict[str, str]:
-        return {
-            "psnr_final": format_float(self.psnr_final),
-            "mse_final": format_float(self.mse_final),
-            "total_nfe": str(self.total_nfe),
-        }
+        return csv_text(STEP_CSV_COLUMNS,
+                        ([getattr(rec, name) for name in STEP_CSV_COLUMNS] for rec in self.steps))
 
 
 def mse(a: Signal, b: Signal) -> float:

@@ -75,6 +75,8 @@ class GuideNoise(Sequence):
 
     def __init__(self, rngs: Sequence[RngStream], steps: int, n: int, depth: int = 1):
         self.rngs = list(rngs)
+        if not self.rngs:
+            raise SgpsError("guide noise needs at least one stream")
         self.steps, self.n, self.depth = steps, n, depth
         rows = len(self.rngs)
         self.chunk = max(1, min(steps, NOISE_BYTES // (8 * rows * n)))

@@ -86,7 +86,7 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key}: expected {label}, got {raw!r}") from e
 
     def get_float(self, key: str, default=None):
-        return self._convert(key, float, default, "a real number")
+        return self._convert(key, _finite, default, "a finite real number")
 
     def get_int(self, key: str, default=None):
         return self._convert(key, int, default, "an integer")
@@ -102,7 +102,7 @@ class _Section:
 
     def get_floats(self, key: str, default=None):
         return self._convert(
-            key, lambda s: [float(v) for v in s.split()], default, "a list of reals"
+            key, lambda s: [_finite(v) for v in s.split()], default, "a list of finite reals"
         )
 
     def keys(self):
@@ -112,6 +112,12 @@ class _Section:
         for key in self.keys():
             if key not in self._read:
                 raise ConfigError(f"[{self.name}] {key}: unknown, or unused with these settings")
+
+
+def _finite(s: str) -> float:
+    if not math.isfinite(v := float(s)):
+        raise ValueError(s)
+    return v
 
 
 def _parse_bool(s: str) -> bool:
@@ -330,11 +336,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     prior, den = _build_prior(prior_sec, seed)
     op = _build_operator(op_sec, prior.shape, seed)
     measurement_sigma = exp.get_float("measurement_sigma", 0.05)
-    if not (math.isfinite(measurement_sigma) and measurement_sigma > 0):
-        raise ConfigError(
-            f"[experiment] measurement_sigma: must be positive and finite, "
-            f"got {measurement_sigma}"
-        )
+    if not measurement_sigma > 0:
+        raise ConfigError(f"[experiment] measurement_sigma: must be positive, "
+                          f"got {measurement_sigma}")
+    image = exp.get("image")
+    # a missing image is a config error, before the output directory is made
+    if image is not None and not os.path.isfile(image):
+        raise ConfigError(f"[experiment] image: no such image file: {image}")
     sampler_fields = _sampler_fields(_Section(parser, "sampler"), measurement_sigma)
     try:
         sampler = _sampler_config(sampler_fields)
@@ -351,7 +359,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         repeats=repeats,
         output_dir=exp.get("output_dir", "out"),
         measurement_sigma=measurement_sigma,
-        image=exp.get("image"),
+        image=image,
         prior=prior,
         denoiser=den,
         op=op,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ConfigError, RunReport, SgpsError, format_float
+from ..core import ConfigError, RunReport, SgpsError, csv_text
 from ..noise_est import check_patch_count
 from ..sampler import sgps_run
 from .config import ExperimentConfig, make_task, run_stream
@@ -48,19 +48,19 @@ class RunResult:
 def _summary_rows(axis_names: list[str], results: list[RunResult]) -> str:
     header = ["point", "repeat", "status", *axis_names, "psnr_final", "mse_final",
               "total_nfe", "mean_sigma_hat_raw", "mean_sigma_hat_star"]
-    lines = [",".join(header)]
+    rows = []
     for r in results:
-        if r.report is not None:
-            raw = float(np.mean([s.sigma_hat_raw for s in r.report.steps]))
-            star = float(np.mean([s.sigma_hat_star for s in r.report.steps]))
-            tail = [*r.report.summary_fields().values(), format_float(raw), format_float(star)]
-            status = "ok"
+        rep = r.report
+        if rep is None:
+            status, tail = "failed", [np.nan, np.nan, 0, np.nan, np.nan]
         else:
-            tail = ["nan", "nan", "0", "nan", "nan"]
-            status = "failed"
+            status, tail = "ok", [rep.psnr_final, rep.mse_final, rep.total_nfe,
+                                  np.mean([s.sigma_hat_raw for s in rep.steps]),
+                                  np.mean([s.sigma_hat_star for s in rep.steps])]
+        # axis values as the config gives them: 0.1, not 0.10000000000000001
         axis_vals = [str(r.overrides[a]) for a in axis_names]
-        lines.append(",".join([str(r.point), str(r.repeat), status, *axis_vals, *tail]))
-    return "\n".join(lines) + "\n"
+        rows.append([r.point, r.repeat, status, *axis_vals, *tail])
+    return csv_text(header, rows)
 
 
 def _point_chart(cfg: ExperimentConfig, point: int, results: list[RunResult], out_dir: str):

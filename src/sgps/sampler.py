@@ -34,6 +34,7 @@ from .core import (
     Signal,
     StepRecord,
     all_finite,
+    csv_text,
     mse,
     psnr,
 )
@@ -276,27 +277,11 @@ class InfluxTrace:
             raise SgpsError("paired reports have different lengths")
 
     def to_csv(self) -> str:
-        from .core import format_float
-
-        lines = [",".join(INFLUX_CSV_COLUMNS)]
-        for a, b in zip(self.report_with.steps, self.report_without.steps):
-            lines.append(
-                ",".join(
-                    [
-                        str(a.step),
-                        format_float(a.sigma_t),
-                        format_float(a.sigma_hat_star),
-                        format_float(b.sigma_hat_star),
-                        format_float(a.psnr_x0t),
-                        format_float(b.psnr_x0t),
-                        format_float(a.psnr_x0ty),
-                        format_float(b.psnr_x0ty),
-                        format_float(a.psnr_star),
-                        format_float(b.psnr_star),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(INFLUX_CSV_COLUMNS, (
+            (a.step, a.sigma_t, a.sigma_hat_star, b.sigma_hat_star, a.psnr_x0t, b.psnr_x0t,
+             a.psnr_x0ty, b.psnr_x0ty, a.psnr_star, b.psnr_star)
+            for a, b in zip(self.report_with.steps, self.report_without.steps)
+        ))
 
     def mean_sigma_hat(self) -> tuple[float, float]:
         w = float(np.mean([r.sigma_hat_star for r in self.report_with.steps]))

@@ -280,6 +280,32 @@ class TestW2Curve:
         assert w2_scaling_curve(op, y, anchor, sigma_t, cfg, etas, samples, seed=9) == want
 
 
+@pytest.mark.parametrize("call", [
+    lambda den, prior, op, y, cfg: chain_prefix(den, op, y, cfg, [], 3),
+    lambda den, prior, op, y, cfg: langevin_guide(np.empty((0, 64)), np.empty((0, 64)), 1.0,
+                                                  op, y, cfg, []),
+    lambda den, prior, op, y, cfg: kl_trend_trials(den, prior, op, y, cfg, PatchConfig(3),
+                                                   trials=1, samples=0, depth=3, seed=1),
+    lambda den, prior, op, y, cfg: w2_scaling_curve(op, y, Signal(np.zeros(64), (8, 8)), 1.0,
+                                                    cfg, (0.1,), 0, seed=1),
+    lambda den, prior, op, y, cfg: sigma_sweep((0.1,), images=0, shape=(8, 8),
+                                               patch=PatchConfig(3), seed=1),
+], ids=["chain_prefix", "langevin_guide", "kl_trend_trials", "w2_scaling_curve", "sigma_sweep"])
+def test_no_chains_is_an_sgps_error(call):
+    # each raised ZeroDivisionError or ValueError, or returned nan rows
+    with pytest.raises(SgpsError):
+        call(*TestChainExperiments().make_task())
+
+
+def test_one_sample_is_too_few_for_the_w2_fit():
+    n = 4
+    op = identity_op((n,))
+    cfg = SamplerConfig(steps=4, t_max=4.0, sigma_y=0.7)
+    with pytest.raises(SgpsError, match="at least 2 samples"):
+        w2_scaling_curve(op, Signal(np.ones(n), (n,)), Signal(np.zeros(n), (n,)), 1.0, cfg,
+                         (0.1,), 1, seed=1)
+
+
 class TestChainExperiments:
     def make_task(self):
         shape = (8, 8)

@@ -23,8 +23,10 @@ from sgps.core import (
     RHO,
     STEP_CSV_COLUMNS,
     T_MIN,
+    RunReport,
     StepRecord,
     all_finite,
+    csv_text,
     format_float,
 )
 
@@ -252,6 +254,11 @@ def _record(step=1, nfe=3):
     )
 
 
+def _step_csv_lines():
+    report = RunReport(steps=(_record(),), psnr_final=22.0, mse_final=0.01, total_nfe=3)
+    return report.step_csv().split("\n")
+
+
 def test_step_csv_schema_pinned():
     assert STEP_CSV_COLUMNS == (
         "step",
@@ -264,15 +271,30 @@ def test_step_csv_schema_pinned():
         "psnr_star",
         "nfe_step",
     )
-    row = _record().csv_row()
+    header, row = _step_csv_lines()[:2]
+    assert header == ",".join(STEP_CSV_COLUMNS)
     assert len(row.split(",")) == len(STEP_CSV_COLUMNS)
 
 
 def test_step_csv_row_values():
-    fields = _record().csv_row().split(",")
+    fields = _step_csv_lines()[1].split(",")
     assert fields[0] == "1"
     assert float(fields[1]) == 1.5
     assert fields[-1] == "3"
+
+
+def test_csv_text_cell_rules():
+    text = csv_text(
+        ("s", "zero", "int", "nan", "inf", "neg", "tenth", "np", "half"),
+        [("as is", 0, 12, math.nan, math.inf, -math.inf, 0.1, np.float64(1.5), 0.5),
+         ("0.1", -3, 0, 2.0, 1e-300, 0.0, 1 / 3, np.float64(math.nan), -0.0)],
+    )
+    assert text == (
+        "s,zero,int,nan,inf,neg,tenth,np,half\n"
+        "as is,0,12,nan,inf,-inf,0.10000000000000001,1.5,0.5\n"
+        "0.1,-3,0,2,1e-300,0,0.33333333333333331,nan,-0\n"
+    )
+    assert csv_text(("a", "b"), []) == "a,b\n"
 
 
 @settings(max_examples=30)

@@ -131,7 +131,8 @@ class TestConfigParsing:
             (("steps = 4", "steps = 4\nseed = 99"), "[sampler] seed"),
             (("langevin_steps = 20", "langevin_steps = 20\n[sweep]\nseed = 1 2 3"),
              "[sweep] seed"),
-            (("steps = 4", "steps = 4\nsigma_y = nan"), "sigma_y must be finite"),
+            (("langevin_steps = 20", "langevin_steps = 20\n[sweep]\nsigma_y = nan"),
+             "sigma_y must be finite"),
             (("steps = 4", "steps = 4\nalpha = nan"), "alpha must be finite"),
             (("seed = 3", "seed = 3\nmeasurement_sigma = nan"), "measurement_sigma"),
             (("seed = 3", "seed = 3\nmeasurement_sigma = inf"), "measurement_sigma"),
@@ -152,16 +153,16 @@ class TestConfigParsing:
              "[patch] rel_tol"),
             (("steps = 4", f"steps = {10**30}"), "[sampler]: steps must be in [2, 1000000]"),
             (("steps = 4", f"steps = {MAX_STEPS + 1}"), "[sampler]: steps must be in [2, 1000000]"),
-            (("s2 = 0.04", "s2 = 0.04\nweights = nan"),
+            (("s2 = 0.04", "s2 = 0.04\nweights = -1"),
              "[prior]: mixture weights must be strictly positive"),
-            (("s2 = 0.04", "s2 = 0.04\nweights = 0.5 nan"),
+            (("s2 = 0.04", "s2 = 0.04\nweights = 0.5 0"),
              "[prior]: mixture weights must be strictly positive"),
-            (("s2 = 0.04", "s2 = nan"), "[prior]: var_scale must be positive and finite"),
-            (("s2 = 0.04", "s2 = inf"), "[prior]: var_scale must be positive and finite"),
+            (("s2 = 0.04", "s2 = 0"), "[prior]: var_scale must be positive and finite"),
+            (("s2 = 0.04", "s2 = -1"), "[prior]: var_scale must be positive and finite"),
             (("s2 = 0.04", "s2 = 0.04\nperturb_amplitude = 0.01\nperturb_frequency = nan"),
-             "[prior]: perturbation must be finite"),
+             "[prior] perturb_frequency: expected a finite real number, got 'nan'"),
             (("s2 = 0.04", "s2 = 0.04\nperturb_amplitude = inf"),
-             "[prior]: perturbation must be finite"),
+             "[prior] perturb_amplitude: expected a finite real number, got 'inf'"),
         ],
     )
     def test_typed_errors_name_section_and_key(self, mutation, fragment):
@@ -898,9 +899,62 @@ class TestCli:
         path = tmp_path / "exp.cfg"
         path.write_text(minimal_with(out=str(tmp_path / "out")).replace("s2 = 0.04", prior_lines))
         assert main(["run", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: [prior]: ") and err.count("\n") == 1
+        key, value = prior_lines.split("\n")[-1].split(" = ")
+        expected = "a list of finite reals" if key == "weights" else "a finite real number"
+        assert capsys.readouterr().err == \
+            f"config error: [prior] {key}: expected {expected}, got {value!r}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,lines", [
+        ("experiment", "seed = 3\nmeasurement_sigma = {}"),
+        ("prior", "s2 = {}"),
+        ("prior", "s2 = 0.04\nweights = {}"),
+        ("prior", "s2 = 0.04\nmean_amplitude = {}"),
+        ("prior", "s2 = 0.04\nperturb_amplitude = {}"),
+        ("prior", "s2 = 0.04\nperturb_amplitude = 0.01\nperturb_frequency = {}"),
+        ("operator", "kind = mask\nkeep_fraction = {}"),
+        ("operator", "kind = blur\nkernel_width = {}"),
+        ("operator", "kind = magnitude-dft\noversample = {}"),
+        ("operator", "kind = range-clip\nthreshold = {}"),
+    ], ids=lambda v: v.split("\n")[-1].split(" = ")[0])
+    def test_non_finite_real_is_a_config_error(self, section, lines, value, tmp_path,
+                                               monkeypatch, capsys):
+        # every real of these sections; threshold = inf would give an operator
+        # that maps every image to 0, and kernel_width = inf a box blur
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        old = {"experiment": "seed = 3", "prior": "s2 = 0.04", "operator": "kind = identity"}
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace(old[section], lines.format(value)))
+        assert main(["run", str(path)]) == 1
+        key = lines.split("\n")[-1].split(" = ")[0]
+        expected = "a list of finite reals" if key == "weights" else "a finite real number"
+        assert capsys.readouterr().err == \
+            f"config error: [{section}] {key}: expected {expected}, got {value!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_image_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # known at parse time, so no output directory is made
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        missing = tmp_path / "missing.pgm"
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("seed = 3", f"seed = 3\nimage = {missing}"))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"config error: [experiment] image: no such image file: {missing}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_image_is_a_failed_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        image = tmp_path / "ascii.pgm"
+        image.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("seed = 3", f"seed = 3\nimage = {image}"))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_steps_above_the_cap_are_a_config_error(self, tmp_path, monkeypatch, capsys):
         # far above the cap, so a run that got past the parser would fail
