@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
 
@@ -54,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_estimate(args) -> int:
     patch = PatchConfig(patch_size=args.patch, stride=args.stride)
-    if not os.path.isfile(args.image):
-        raise ConfigError(f"no such image file: {args.image}")
     image = read_pgm(args.image)
     check_patch_count(image.shape, patch, "image ")
     sigma = estimate_sigma(image, patch)

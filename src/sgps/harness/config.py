@@ -31,6 +31,7 @@ from ..operators import (
     load_kernel,
 )
 from ..prior import Denoiser, GmmDenoiser, GmmPrior, PerturbedDenoiser
+from .pgm import read_pgm
 
 # reserved stream ids; worker streams start above these
 STREAM_TRUTH = 1
@@ -48,7 +49,8 @@ class ExperimentConfig:
     repeats: int
     output_dir: str
     measurement_sigma: float
-    image: str | None
+    # the truth read from [experiment] image, or None to draw it from the prior
+    image: Signal | None
     prior: GmmPrior
     denoiser: Denoiser
     op: ForwardOp
@@ -76,20 +78,24 @@ class _Section:
             return default
         return self._p.get(self.name, key).strip()
 
-    def _convert(self, key: str, conv, default, label: str):
+    def _convert(self, key: str, conv, label: str, default=None):
         raw = self.get(key)
         if raw is None or raw == "":
             return default
+        return self.parse(key, raw, conv, label)
+
+    def parse(self, key: str, raw: str, conv, label: str):
+        """conv(raw), or a ConfigError naming this section, the key and raw."""
         try:
             return conv(raw)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"[{self.name}] {key}: expected {label}, got {raw!r}") from e
 
     def get_float(self, key: str, default=None):
-        return self._convert(key, _finite, default, "a finite real number")
+        return self._convert(key, *_REAL, default)
 
     def get_int(self, key: str, default=None):
-        return self._convert(key, int, default, "an integer")
+        return self._convert(key, *_INTEGER, default)
 
     def get_seed(self, key: str, default: int) -> int:
         seed = self.get_int(key, default)
@@ -98,11 +104,11 @@ class _Section:
         return seed
 
     def get_bool(self, key: str, default=None):
-        return self._convert(key, _parse_bool, default, "a boolean")
+        return self._convert(key, _parse_bool, "a boolean", default)
 
     def get_floats(self, key: str, default=None):
         return self._convert(
-            key, lambda s: [_finite(v) for v in s.split()], default, "a list of finite reals"
+            key, lambda s: [_finite(v) for v in s.split()], "a list of finite reals", default
         )
 
     def keys(self):
@@ -118,6 +124,12 @@ def _finite(s: str) -> float:
     if not math.isfinite(v := float(s)):
         raise ValueError(s)
     return v
+
+
+# (conversion, label) of a config value: the label is what an error says
+# was expected
+_REAL = (_finite, "a finite real number")
+_INTEGER = (int, "an integer")
 
 
 def _parse_bool(s: str) -> bool:
@@ -181,6 +193,8 @@ def _build_prior(sec: _Section, seed: int) -> tuple[GmmPrior, Denoiser]:
         den: Denoiser = GmmDenoiser(prior)
         if amp != 0.0:
             den = PerturbedDenoiser(den, amp, freq)
+    except MemoryError:
+        raise
     except Exception as e:
         raise ConfigError(f"[prior]: {e}") from e
     return prior, den
@@ -227,21 +241,17 @@ def _build_operator(sec: _Section, shape: tuple[int, ...], seed: int) -> Forward
                 sec.get_float("threshold", 0.8),
                 smooth=sec.get_bool("smooth", False),
             )
-    except ConfigError:
+    except (ConfigError, MemoryError):
         raise
     except Exception as e:
         raise ConfigError(f"[operator] kind={kind}: {e}") from e
     raise ConfigError(f"[operator] kind: unknown kind {kind!r}")
 
 
-_SAMPLER_FIELDS = {f.name: f for f in dataclasses.fields(SamplerConfig)}
-
-
-def _sampler_value(name: str, raw: str):
-    f = _SAMPLER_FIELDS[name]
-    if f.type in ("int",):
-        return int(raw)
-    return float(raw)
+# every [sampler] and [sweep] value is read by its SamplerConfig field's entry
+_SAMPLER_READERS = {
+    f.name: _INTEGER if f.type == "int" else _REAL for f in dataclasses.fields(SamplerConfig)
+}
 
 
 def _sampler_fields(sec: _Section, measurement_sigma: float) -> dict:
@@ -249,22 +259,15 @@ def _sampler_fields(sec: _Section, measurement_sigma: float) -> dict:
     left out when unset, for _sampler_config to fill in."""
     if not sec.present:
         raise ConfigError("missing [sampler] section")
-    steps = sec.get_int("steps")
-    if steps is None:
-        raise ConfigError("[sampler] steps: required")
-    fields = {"steps": steps, "sigma_y": sec.get_float("sigma_y", measurement_sigma)}
+    fields = {"sigma_y": measurement_sigma}
     for name in sec.keys():
-        if name not in _SAMPLER_FIELDS:
+        if name not in _SAMPLER_READERS:
             raise ConfigError(f"[sampler] {name}: not a sampler field")
-        if name in fields:
-            continue
-        raw = sec.get(name)
-        if raw is None or raw == "":
-            continue
-        try:
-            fields[name] = _sampler_value(name, raw)
-        except ValueError:
-            raise ConfigError(f"[sampler] {name}: could not parse {raw!r}")
+        value = sec._convert(name, *_SAMPLER_READERS[name])
+        if value is not None:
+            fields[name] = value
+    if "steps" not in fields:
+        raise ConfigError("[sampler] steps: required")
     return fields
 
 
@@ -274,12 +277,10 @@ def _sampler_config(fields: dict) -> SamplerConfig:
 
 
 def _build_patch(sec: _Section) -> PatchConfig:
+    size, stride = sec.get_int("patch_size", 7), sec.get_int("stride", 1)
     try:
-        return PatchConfig(
-            patch_size=sec.get_int("patch_size", 7),
-            stride=sec.get_int("stride", 1),
-        )
-    except Exception as e:
+        return PatchConfig(patch_size=size, stride=stride)
+    except ConfigError as e:
         raise ConfigError(f"[patch]: {e}") from e
 
 
@@ -293,13 +294,9 @@ def _build_sweep(sec: _Section, base: dict) -> tuple:
     for key in sec.keys():
         if key == "max_points":
             continue
-        if key not in _SAMPLER_FIELDS:
+        if key not in _SAMPLER_READERS:
             raise ConfigError(f"[sweep] {key}: not a sampler field")
-        raw = sec.get(key, "")
-        try:
-            values = [_sampler_value(key, tok) for tok in raw.split()]
-        except ValueError:
-            raise ConfigError(f"[sweep] {key}: could not parse {raw!r}")
+        values = [sec.parse(key, tok, *_SAMPLER_READERS[key]) for tok in sec.get(key).split()]
         if not values:
             raise ConfigError(f"[sweep] {key}: empty axis")
         axes[key] = values
@@ -340,9 +337,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"[experiment] measurement_sigma: must be positive, "
                           f"got {measurement_sigma}")
     image = exp.get("image")
-    # a missing image is a config error, before the output directory is made
-    if image is not None and not os.path.isfile(image):
-        raise ConfigError(f"[experiment] image: no such image file: {image}")
+    # read here, so an unreadable image fails before the output directory is made
+    if image is not None:
+        try:
+            image = read_pgm(image)
+        except ConfigError as e:
+            raise ConfigError(f"[experiment] image: {e}") from e
+        if image.shape != prior.shape:
+            raise ConfigError(f"[experiment] image: shape {image.shape} does not match "
+                              f"prior shape {prior.shape}")
     sampler_fields = _sampler_fields(_Section(parser, "sampler"), measurement_sigma)
     try:
         sampler = _sampler_config(sampler_fields)
@@ -387,19 +390,10 @@ def parse_config(path: str) -> ExperimentConfig:
 def make_task(cfg: ExperimentConfig) -> tuple[Signal, Signal]:
     """Ground truth and measurement for the experiment.
 
-    The truth is drawn from the prior unless a PGM image is configured; the
+    The truth is the configured image, or else a draw from the prior; the
     measurement adds Gaussian noise at measurement_sigma in operator range.
     """
-    if cfg.image is not None:
-        from .pgm import read_pgm
-
-        x0 = read_pgm(cfg.image)
-        if x0.shape != cfg.prior.shape:
-            raise ConfigError(
-                f"[experiment] image: shape {x0.shape} does not match prior shape {cfg.prior.shape}"
-            )
-    else:
-        x0 = cfg.prior.draw(RngStream(cfg.seed, STREAM_TRUTH))
+    x0 = cfg.image if cfg.image is not None else cfg.prior.draw(RngStream(cfg.seed, STREAM_TRUTH))
     clean = cfg.op.apply(x0)
     noise = RngStream(cfg.seed, STREAM_MEASUREMENT).normal(clean.n)
     y = clean.with_data(clean.data + cfg.measurement_sigma * noise)

@@ -1,11 +1,9 @@
 """Binary PGM (P5) image I/O, 8-bit or 16-bit, mapped to [0, 1] floats."""
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ..core import SgpsError, Signal
+from ..core import ConfigError, SgpsError, Signal
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -28,10 +26,13 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_pgm(path: str) -> Signal:
-    if not os.path.isfile(path):
-        raise SgpsError(f"no such image file: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The image at path; a file that cannot be read is a ConfigError, and
+    one that is not an 8- or 16-bit P5 PGM an SgpsError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read image file {path}: {e.strerror}") from e
     magic, pos = _read_token(data, 0)
     if magic != b"P5":
         raise SgpsError(f"unsupported PGM magic {magic!r}; only binary P5 is handled")

@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, task construction, PGM and SVG I/O,
 the driver's artifact layout, and the CLI."""
 import dataclasses
+import errno
 import os
 import re
 import subprocess
@@ -34,6 +35,7 @@ from sgps.harness.svg import polyline_chart
 from sgps.noise_est import PatchConfig
 from sgps.operators import BlurOp, MaskOp
 
+SAMPLER_INTS = {"steps", "langevin_steps", "sure_repeats", "mc_probes", "ode_substeps"}
 
 MINIMAL = """
 [experiment]
@@ -132,8 +134,9 @@ class TestConfigParsing:
             (("langevin_steps = 20", "langevin_steps = 20\n[sweep]\nseed = 1 2 3"),
              "[sweep] seed"),
             (("langevin_steps = 20", "langevin_steps = 20\n[sweep]\nsigma_y = nan"),
-             "sigma_y must be finite"),
-            (("steps = 4", "steps = 4\nalpha = nan"), "alpha must be finite"),
+             "[sweep] sigma_y: expected a finite real number, got 'nan'"),
+            (("steps = 4", "steps = 4\nalpha = nan"),
+             "[sampler] alpha: expected a finite real number, got 'nan'"),
             (("seed = 3", "seed = 3\nmeasurement_sigma = nan"), "measurement_sigma"),
             (("seed = 3", "seed = 3\nmeasurement_sigma = inf"), "measurement_sigma"),
             (("steps = 4", "steps = 4\nsigma_floor = 0.001"), "[sampler] sigma_floor"),
@@ -168,6 +171,58 @@ class TestConfigParsing:
     def test_typed_errors_name_section_and_key(self, mutation, fragment):
         with pytest.raises(ConfigError, match=__import__("re").escape(fragment)):
             parse_config_text(MINIMAL.replace(*mutation))
+
+    def test_bad_patch_value_names_section_once(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + "\n[patch]\nstride = x\n")
+        assert str(err.value) == "[patch] stride: expected an integer, got 'x'"
+
+    @pytest.mark.parametrize("section", ["sampler", "sweep"])
+    @pytest.mark.parametrize("name,value", [
+        (f.name, value)
+        for f in dataclasses.fields(SamplerConfig)
+        for value in ("nan", "inf", "-inf", "big", *(("4.5",) if f.name in SAMPLER_INTS else ()))
+    ])
+    def test_bad_sampler_value_names_section_and_key(self, section, name, value):
+        # one message for every [sampler] and [sweep] value that is not a
+        # number of its field's type
+        if section == "sampler":
+            lines = "\n".join(f"{k} = {v}" for k, v in {"steps": 4, name: value}.items())
+            text = MINIMAL.replace("steps = 4\nlangevin_steps = 20", lines)
+        else:
+            text = MINIMAL + f"\n[sweep]\n{name} = 1 {value}\n"
+        label = "an integer" if name in SAMPLER_INTS else "a finite real number"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert str(err.value) == f"[{section}] {name}: expected {label}, got {value!r}"
+
+    def test_every_sampler_field_parses_as_before(self):
+        # every field in spellings float() and int() accept, and a sweep
+        # over an int, a float and an optional float field; the expected
+        # values and types were taken from the bare int()/float() reader
+        # that the typed one replaced
+        text = MINIMAL.replace("steps = 4\nlangevin_steps = 20", (
+            "steps = 03\nt_max = 8\nsigma_y = .25\nalpha = 1e-1\nlangevin_steps = +7\n"
+            "langevin_eta = 2.5E-4\nsure_repeats = 0\nmc_probes = 2\node_substeps = 1_0\n"
+            "sigma_hat_scale = 1.5"))
+        base = SamplerConfig(steps=3, t_max=8.0, sigma_y=0.25, alpha=0.1, langevin_steps=7,
+                             langevin_eta=0.00025, sure_repeats=0, mc_probes=2,
+                             ode_substeps=10, sigma_hat_scale=1.5)
+        cfg = parse_config_text(text)
+        assert cfg.sampler == base
+        assert [type(getattr(cfg.sampler, f.name)) for f in dataclasses.fields(base)] == \
+            [int, float, float, float, int, float, int, int, int, float]
+        assert cfg.sweep_points == (({}, base),)
+        swept = parse_config_text(text + "\n[sweep]\nmc_probes = 1 04\nalpha = 0 .5\n"
+                                  "langevin_eta = 1e-3 2\nmax_points = 8\n")
+        assert swept.sampler == base
+        overrides = [o for o, _ in swept.sweep_points]
+        assert [repr(o) for o in overrides] == [
+            repr({"alpha": a, "langevin_eta": e, "mc_probes": m})
+            for a in (0.0, 0.5) for e in (0.001, 2.0) for m in (1, 4)
+        ]
+        assert [c for _, c in swept.sweep_points] == \
+            [dataclasses.replace(base, **o) for o in overrides]
 
     def test_missing_sections(self):
         no_prior = MINIMAL.replace("[prior]", "[priorx]")
@@ -356,9 +411,9 @@ class TestMakeTask:
         img = Signal(np.full(64, 0.5), (8, 8))
         path = str(tmp_path / "small.pgm")
         write_pgm(path, img)
-        cfg = parse_config_text(MINIMAL.replace("seed = 3", f"seed = 3\nimage = {path}"))
+        # the image is read with the config, so the parse refuses it
         with pytest.raises(ConfigError, match="image"):
-            make_task(cfg)
+            parse_config_text(MINIMAL.replace("seed = 3", f"seed = 3\nimage = {path}"))
 
     def test_run_streams_distinct(self):
         cfg = parse_config_text(MINIMAL)
@@ -943,7 +998,47 @@ class TestCli:
                         .replace("seed = 3", f"seed = 3\nimage = {missing}"))
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err == \
-            f"config error: [experiment] image: no such image file: {missing}\n"
+            f"config error: [experiment] image: cannot read image file {missing}: " \
+            f"No such file or directory\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "estimate"])
+    def test_unreadable_image_is_a_config_error(self, command, tmp_path, monkeypatch, capsys):
+        # a file that exists but cannot be opened, as for a user without
+        # read permission, is one line and no traceback
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        image = tmp_path / "truth.pgm"
+        write_pgm(str(image), Signal(np.full(256, 0.5), (16, 16)))
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("seed = 3", f"seed = 3\nimage = {image}"))
+        real_open = open
+
+        def denying_open(file, *args, **kwargs):
+            if str(file) == str(image):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", denying_open)
+        argv, where = {"run": (["run", str(path)], "[experiment] image: "),
+                       "estimate": (["estimate", str(image)], "")}[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            f"config error: {where}cannot read image file {image}: Permission denied\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_operator_too_large_to_allocate_is_out_of_memory(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a 2D kernel of 10000001^2 taps (800 TB, beyond a 64-bit process's
+        # address space) cannot be allocated: out of memory, not a bad config
+        monkeypatch.delenv("SGPS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "exp.cfg"
+        path.write_text(minimal_with(out=str(tmp_path / "out"))
+                        .replace("shape = 16 16", "shape = 24 24")
+                        .replace("kind = identity", "kind = blur\nkernel_size = 10000001"))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_malformed_image_is_a_failed_run(self, tmp_path, monkeypatch, capsys):
