@@ -6,8 +6,9 @@ shows the mean estimate and its relative error.
 """
 import argparse
 
-from sgps.noise_est import PatchConfig
 from sgps.analysis import sigma_sweep
+from sgps.core import SgpsError
+from sgps.noise_est import PatchConfig
 
 
 def main(argv=None) -> int:
@@ -19,13 +20,16 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=5)
     args = ap.parse_args(argv)
 
-    rows = sigma_sweep(
-        args.levels,
-        images=args.images,
-        shape=(args.size, args.size),
-        patch=PatchConfig(patch_size=args.patch),
-        seed=args.seed,
-    )
+    try:
+        rows = sigma_sweep(
+            args.levels,
+            images=args.images,
+            shape=(args.size, args.size),
+            patch=PatchConfig(patch_size=args.patch),
+            seed=args.seed,
+        )
+    except SgpsError as e:
+        ap.error(str(e))
     print(f"{'sigma':>8} {'estimate':>10} {'rel error':>10}")
     for r in rows:
         print(f"{r['sigma']:>8.3f} {r['mean_estimate']:>10.4f} {100 * r['rel_error']:>+9.1f}%")

@@ -178,6 +178,10 @@ def sigma_sweep(
     """
     if images < 1:
         raise SgpsError(f"need at least 1 image per level, got {images}")
+    sigmas = [float(s) for s in sigmas]
+    for sigma in sigmas:
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise SgpsError(f"noise levels must be finite and positive, got {sigma}")
     rows = []
     stream = 0
     for sigma in sigmas:
@@ -191,9 +195,9 @@ def sigma_sweep(
         mean_est = float(np.mean(ests))
         rows.append(
             {
-                "sigma": float(sigma),
+                "sigma": sigma,
                 "mean_estimate": mean_est,
-                "rel_error": mean_est / float(sigma) - 1.0,
+                "rel_error": mean_est / sigma - 1.0,
             }
         )
     return rows

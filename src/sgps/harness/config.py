@@ -11,7 +11,6 @@ import dataclasses
 import hashlib
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -377,8 +376,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    if not os.path.isfile(path):
-        raise ConfigError(f"no such config file: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -25,10 +25,10 @@ class PatchConfig:
     stride: int = 1
 
     def __post_init__(self):
-        if self.patch_size < 1:
-            raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
+        for name in ("patch_size", "stride"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, np.integer)) and v >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {v}")
 
 
 def extract_patches(x: Signal, cfg: PatchConfig = PatchConfig()) -> np.ndarray:

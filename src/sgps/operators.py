@@ -212,9 +212,9 @@ class DownsampleOp(ForwardOp):
     linear = True
 
     def __init__(self, input_shape: tuple[int, ...], factor: int):
+        if not (isinstance(factor, (int, np.integer)) and factor >= 1):
+            raise SgpsError(f"factor must be an integer >= 1, got {factor}")
         f = int(factor)
-        if f < 1:
-            raise SgpsError(f"factor must be >= 1, got {factor}")
         if len(input_shape) not in (1, 2):
             raise SgpsError(f"downsampling needs a 1-D or 2-D shape, got {input_shape}")
         if any(s % f != 0 for s in input_shape):
@@ -275,8 +275,8 @@ class MagnitudeDftOp(ForwardOp):
     linear = False
 
     def __init__(self, input_shape: tuple[int, ...], oversample: float = 2.0):
-        if oversample < 1.0:
-            raise SgpsError(f"oversample must be >= 1, got {oversample}")
+        if not 1.0 <= oversample < math.inf:
+            raise SgpsError(f"oversample must be finite and >= 1, got {oversample}")
         padded = tuple(int(round(oversample * s)) for s in input_shape)
         super().__init__(input_shape, padded)
         self.oversample = float(oversample)
@@ -315,8 +315,8 @@ class RangeClipOp(ForwardOp):
     linear = False
 
     def __init__(self, input_shape: tuple[int, ...], threshold: float, smooth: bool = False):
-        if threshold <= 0:
-            raise SgpsError(f"threshold must be positive, got {threshold}")
+        if not 0 < threshold < math.inf:
+            raise SgpsError(f"threshold must be finite and positive, got {threshold}")
         super().__init__(input_shape, input_shape)
         self.threshold = float(threshold)
         self.smooth = bool(smooth)
@@ -352,9 +352,9 @@ def load_kernel(path: str) -> np.ndarray:
 
 def gaussian_kernel(size: int, width: float, ndim: int = 1) -> np.ndarray:
     """Normalized truncated Gaussian taps; 2D kernels are outer products."""
-    if size < 1 or size % 2 == 0:
-        raise SgpsError(f"kernel size must be odd and positive, got {size}")
-    if width <= 0:
+    if not (isinstance(size, (int, np.integer)) and size >= 1 and size % 2 == 1):
+        raise SgpsError(f"kernel size must be an odd positive integer, got {size}")
+    if not width > 0:
         raise SgpsError(f"kernel width must be positive, got {width}")
     r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     taps = np.exp(-0.5 * (r / width) ** 2)

@@ -6,17 +6,15 @@ Randomness is split into four independent substreams (initialization,
 guidance, probes, renoising) so that toggling probe consumption never shifts
 the draws seen by the other stages.  That makes ablation pairs comparable
 under common random numbers.  walk_ladder is the one ladder step loop;
-sgps_run and the chain experiments in analysis both run on it.  Because the
-guidance substream feeds only the guide, a walk hands the guide its streams
-as one guidance.GuideNoise for every level.  Each stream there has one lock
-and one count of the chunks drawn from it, so the GuideNoise's worker thread
-may draw each chain's next chunks ahead, also while the walk denoises,
-corrects and renoises, and the guide draws whatever is not drawn yet.
+sgps_run and the chain experiments in analysis both run on it.  A walk hands
+the guide its guidance substreams as one guidance.GuideNoise for every level
+(see guidance.py for how it draws ahead).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +74,12 @@ def denoise_step(den: Denoiser, x_t: np.ndarray, sigma_t: float, substeps: int) 
     return x
 
 
-def _stage(fn, stage: str, step_index: int):
-    """Run one stage; relabel a divergence or a non-finite iterate with the
-    sampler step."""
+@contextmanager
+def _stage(stage: str, step_index: int):
+    """Relabel a divergence or a non-finite iterate raised in the block with
+    the sampler stage and step."""
     try:
-        return fn()
+        yield
     except (DivergenceError, NonFiniteError) as e:
         raise DivergenceError(stage, step_index, str(e)) from e
 
@@ -142,22 +141,17 @@ def walk_ladder(
         for k in range(depth):
             sigma_t = float(sigmas[k])
             step_no = k + 1
-            x0t = _stage(lambda: denoise_step(den, x, sigma_t, cfg.ode_substeps),
-                         "denoise", step_no)
-            x0ty = _stage(lambda: langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_guide),
-                          "guidance", step_no)
+            with _stage("denoise", step_no):
+                x0t = denoise_step(den, x, sigma_t, cfg.ode_substeps)
+            with _stage("guidance", step_no):
+                x0ty = langevin_guide(x0t, x0t, sigma_t, op, y, cfg, rng_guide)
             x = finish(k, sigma_t, x0t, x0ty)
             if k + 1 < depth:
-                x = _stage(lambda: _renoised(x, float(sigmas[k + 1]), rng_renoise),
-                           "renoise", step_no)
+                with _stage("renoise", step_no):
+                    x = x + float(sigmas[k + 1]) * np.stack([r.normal(n) for r in rng_renoise])
+                    if not all_finite(x):
+                        raise NonFiniteError("renoised rows are not finite")
     return x
-
-
-def _renoised(x: np.ndarray, sigma_next: float, rngs: Sequence[RngStream]) -> np.ndarray:
-    out = x + sigma_next * np.stack([r.normal(x.shape[1]) for r in rngs])
-    if not all_finite(out):
-        raise NonFiniteError("renoised rows are not finite")
-    return out
 
 
 def sgps_run(
@@ -166,7 +160,7 @@ def sgps_run(
     y: Signal,
     cfg: SamplerConfig,
     rng: RngStream,
-    patch: PatchConfig | None = None,
+    patch: PatchConfig = PatchConfig(),
     x_true: Signal | None = None,
 ) -> tuple[Signal, RunReport]:
     """One full sampling run; returns the final sample and its trace.
@@ -177,8 +171,6 @@ def sgps_run(
     uses, or skips the correction for that step.  The final step emits the
     corrected sample directly, with no terminal renoising.
     """
-    if patch is None:
-        patch = PatchConfig()
     counting = CountingDenoiser(den)
     rng_probe = probe_stream(rng)
     records: list[StepRecord] = []
@@ -188,66 +180,50 @@ def sgps_run(
     def correct(k: int, sigma_t: float, x0t_row: np.ndarray, x0ty_row: np.ndarray) -> np.ndarray:
         nonlocal calls_before
         step_no = k + 1
-        x0t = Signal(x0t_row[0], shape)
-        x0ty = Signal(x0ty_row[0], shape)
-
-        def estimate(x: Signal) -> float:
-            return _stage(lambda: estimate_sigma(x, patch), "estimate", step_no)
-
-        sigma_raw = estimate(x0ty)
+        x0ty = current = Signal(x0ty_row[0], shape)
         # sigma_current is always the estimate of current
-        current, sigma_current = x0ty, sigma_raw
-        sigma_used_rec = math.nan
-        sure_rec = math.nan
+        with _stage("estimate", step_no):
+            sigma_raw = sigma_current = estimate_sigma(current, patch)
+        first = (math.nan, math.nan)  # the first repeat's (sigma_hat_used, sure_value)
         skipped = False
         for rep in range(cfg.sure_repeats):
             used = correction_level(sigma_current, sigma_t, cfg)
             if used is None:
                 skipped = rep == 0
                 break
-            ev = _stage(
-                lambda: sure_value(counting, current, used, cfg, rng_probe),
-                "sure-value", step_no,
-            )
-            grad = _stage(lambda: sure_gradient(counting, ev), "sure-gradient", step_no)
-            current = _stage(
-                lambda: sure_update(current, grad, cfg.alpha),
-                "sure-update", step_no,
-            )
-            sigma_current = estimate(current)
+            with _stage("sure-value", step_no):
+                ev = sure_value(counting, current, used, cfg, rng_probe)
+            with _stage("sure-gradient", step_no):
+                grad = sure_gradient(counting, ev)
+            with _stage("sure-update", step_no):
+                current = sure_update(current, grad, cfg.alpha)
+            with _stage("estimate", step_no):
+                sigma_current = estimate_sigma(current, patch)
             if rep == 0:
-                sigma_used_rec = used
-                sure_rec = ev.value
-        records.append(
-            StepRecord(
-                step=step_no,
-                sigma_t=sigma_t,
-                sigma_hat_raw=sigma_raw,
-                sigma_hat_used=sigma_used_rec,
-                sure_value=sure_rec,
-                psnr_x0t=_maybe_psnr(x0t, x_true),
-                psnr_x0ty=_maybe_psnr(x0ty, x_true),
-                psnr_star=_maybe_psnr(current, x_true),
-                nfe_step=counting.calls - calls_before,
-                sigma_hat_star=sigma_current,
-                skipped=skipped,
-            )
-        )
+                first = (used, ev.value)
+        records.append(StepRecord(
+            step=step_no,
+            sigma_t=sigma_t,
+            sigma_hat_raw=sigma_raw,
+            sigma_hat_used=first[0],
+            sure_value=first[1],
+            psnr_x0t=_maybe_psnr(Signal(x0t_row[0], shape), x_true),
+            psnr_x0ty=_maybe_psnr(x0ty, x_true),
+            psnr_star=_maybe_psnr(current, x_true),
+            nfe_step=counting.calls - calls_before,
+            sigma_hat_star=sigma_current,
+            skipped=skipped,
+        ))
         calls_before = counting.calls
         return current.data[None]
 
     x_star = Signal(walk_ladder(counting, op, y, cfg, [rng], correct, cfg.steps)[0], shape)
-    final_mse = final_psnr = math.nan
-    if x_true is not None:
-        final_mse = mse(x_star, x_true)
-        final_psnr = psnr(x_star, x_true)
-    report = RunReport(
+    return x_star, RunReport(
         steps=tuple(records),
-        psnr_final=final_psnr,
-        mse_final=final_mse,
+        psnr_final=_maybe_psnr(x_star, x_true),
+        mse_final=math.nan if x_true is None else mse(x_star, x_true),
         total_nfe=counting.calls,
     )
-    return x_star, report
 
 
 INFLUX_CSV_COLUMNS = (
@@ -295,7 +271,7 @@ def noise_influx_trace(
     y: Signal,
     cfg: SamplerConfig,
     rng: RngStream,
-    patch: PatchConfig | None = None,
+    patch: PatchConfig = PatchConfig(),
     x_true: Signal | None = None,
 ) -> InfluxTrace:
     """Run the sampler twice from identical seeds, as cfg (the corrected

@@ -297,6 +297,14 @@ def test_no_chains_is_an_sgps_error(call):
         call(*TestChainExperiments().make_task())
 
 
+@pytest.mark.parametrize("level", [0.0, -0.1, math.nan])
+def test_sigma_sweep_refuses_a_level_that_is_not_positive(level, monkeypatch):
+    # 0 raised ZeroDivisionError; -0.1 and nan gave a meaningless relative error
+    monkeypatch.setattr(sgps.analysis, "smooth_field", lambda *a: pytest.fail("drew an image"))
+    with pytest.raises(SgpsError, match="finite and positive"):
+        sigma_sweep((0.1, level), images=1, shape=(8, 8), patch=PatchConfig(3), seed=1)
+
+
 def test_one_sample_is_too_few_for_the_w2_fit():
     n = 4
     op = identity_op((n,))

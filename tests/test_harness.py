@@ -286,7 +286,7 @@ steps = 2
         assert type(cfg.denoiser).__name__ == "PerturbedDenoiser"
 
     def test_parse_config_missing_file(self):
-        with pytest.raises(ConfigError, match="no such config"):
+        with pytest.raises(ConfigError, match="cannot read config file /nonexistent/path.cfg: "):
             parse_config("/nonexistent/path.cfg")
 
     def test_readme_example_parses(self):
@@ -670,6 +670,12 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot read config file {path}: ")
+        assert err.count("\n") == 1
+
+    def test_directory_config_is_a_config_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {tmp_path}: ")
         assert err.count("\n") == 1
 
     def test_synth_then_estimate(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sgps import (
     BlurOp,
+    ConfigError,
     DownsampleOp,
     MagnitudeDftOp,
     MaskOp,
@@ -21,6 +22,7 @@ from sgps import (
     identity_op,
     load_kernel,
 )
+from sgps.noise_est import PatchConfig
 
 
 def adjoint_gap(op, seed=0):
@@ -467,6 +469,23 @@ class TestKernels:
         np.savetxt(path, np.array([0.25, 0.5, 0.25]))
         k = load_kernel(str(path))
         np.testing.assert_allclose(k, [0.25, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: MagnitudeDftOp((8, 8), math.nan), SgpsError),  # raw ValueError
+    (lambda: MagnitudeDftOp((8, 8), math.inf), SgpsError),  # raw OverflowError
+    (lambda: RangeClipOp((8, 8), math.nan), SgpsError),  # a NaN Lipschitz bound
+    (lambda: RangeClipOp((8, 8), math.inf), SgpsError),  # every image maps to 0
+    (lambda: gaussian_kernel(5.5, 1.0), SgpsError),  # 6 taps, an even kernel
+    (lambda: gaussian_kernel(5, math.nan), SgpsError),  # NaN taps
+    (lambda: DownsampleOp((8, 8), 2.5), SgpsError),  # downsampled by 2
+    (lambda: PatchConfig(patch_size=2.5), ConfigError),  # estimate_sigma: raw TypeError
+    (lambda: PatchConfig(stride=1.5), ConfigError),
+], ids=["dft-nan", "dft-inf", "clip-nan", "clip-inf", "kernel-size", "kernel-width",
+        "downsample", "patch-size", "stride"])
+def test_constructors_refuse_non_finite_and_fractional_numbers(build, error):
+    with pytest.raises(error):
+        build()
 
 
 @settings(max_examples=40, deadline=None)

@@ -34,3 +34,12 @@ def test_script_runs(name, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_estimator_scan_refuses_a_zero_level(capsys):
+    # the package's ZeroDivisionError ended the script in a traceback
+    with pytest.raises(SystemExit) as exit_:
+        load_script("estimator_scan").main(["--levels", "0"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: noise levels must be finite and positive, got 0.0\n")

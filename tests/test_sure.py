@@ -276,3 +276,26 @@ class TestSureUpdate:
             sure_update(x, Signal(np.zeros(5), (5,)), 0.5)
         with pytest.raises(SgpsError):
             sure_update(x, x, -0.1)
+
+
+@pytest.mark.parametrize("mc_probes", [1, 5])
+def test_one_component_correction_is_a_shrink_toward_the_mean(mc_probes):
+    # D(x) = a x + (1 - a) m with a = s2 / (s2 + sigma^2): the Jacobian a I
+    # does not depend on x, so the trace term has no gradient and one
+    # correction is m + c (x - m); the probes move no byte of the sample
+    s2, sigma, alpha = 0.25, 0.5, 0.5
+    prior = small_prior(n=16, k=1, seed=7, s2=s2)
+    m = prior.means[0]
+    den = GmmDenoiser(prior)
+    cfg = base_config(mc_probes=mc_probes, alpha=alpha)
+    a = s2 / (s2 + sigma * sigma)
+    c = 1.0 - 2.0 * alpha * (sigma * sigma / (s2 + sigma * sigma)) ** 2
+    g = RngStream(71, mc_probes)
+    for _ in range(20):
+        x = Signal(m + g.normal(16), (16,))
+        ev = sure_value(den, x, sigma, cfg, g)
+        assert ev.epsilon < sigma
+        grad = sure_gradient(den, ev)
+        for got, want in ((grad.data, 2.0 * (1.0 - a) ** 2 * (x.data - m)),
+                          (sure_update(x, grad, alpha).data, m + c * (x.data - m))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
